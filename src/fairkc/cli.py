@@ -210,7 +210,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (InfeasibleError, solvers.InfeasibleQuota) as exc:
+    except (
+        InfeasibleError,
+        solvers.InfeasibleQuota,
+        solvers.QuotaUnreachable,
+        solvers.MissingColorInCluster,
+    ) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (harness.ParseError, harness.ColorCardinality) as exc:

@@ -132,14 +132,6 @@ class DSBounds:
     def m(self) -> int:
         return self.k_lo.shape[0]
 
-    def check_selectable(self, inst: Instance) -> None:
-        counts = inst.color_counts()
-        for h in range(self.m):
-            if counts[h] < self.k_lo[h]:
-                raise InfeasibleError(
-                    f"color {h} has {counts[h]} points but k_lo[{h}]={self.k_lo[h]}"
-                )
-
 
 @dataclass(frozen=True)
 class Solution:
@@ -215,12 +207,6 @@ class FractionalAssignment:
         if np.any(np.abs(sums - 1.0) > 1e-6):
             bad = int(np.argmax(np.abs(sums - 1.0)))
             raise ValueError(f"assignment row for point {bad} sums to {sums[bad]}")
-
-    def centers(self) -> tuple:
-        return tuple(sorted({q for (q, _) in self.entries}))
-
-    def support_of(self, j: int) -> list:
-        return sorted(q for (q, jj) in self.entries if jj == j)
 
     def marginals(self, inst: Instance, Q: Sequence[int]):
         """Per-center totals and per-(center, color) totals of x."""

@@ -61,12 +61,6 @@ def gen_l_community(l: int, size: int, R: float, pattern: str) -> Instance:
     return inst
 
 
-def community_of(inst_n: int, l: int):
-    """Community index per point for an l-community instance of n points."""
-    size = inst_n // l
-    return np.arange(inst_n) // size
-
-
 def gen_proportional_gadget(
     k: int, group_size: int, R: float, alpha_ap: float
 ) -> Instance:

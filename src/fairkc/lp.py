@@ -7,10 +7,22 @@ which keeps the pivot sequence deterministic and cycle-free.  Artificial
 variables are added only for rows the starting point violates, so callers
 that pass a good starting corner (e.g. nearest-center assignments) pay for
 few pivots.
+
+The fair-assignment LP (Bera et al. 2019) can be built per point or per
+class of points.  At radius R, points of one color that admit the same
+centers are interchangeable (the type-grouping of Harb & Lam's KFC): any
+point-level solution averages over each class to a class-level one, and a
+class-level one spreads evenly back over its members.  So both forms have
+the same feasibility verdict at every R, and the class form, which has a
+few dozen classes where the point form has hundreds of points, decides the
+radius search.  Its vertex differs from the point-level one, though, so the
+fractional assignment handed to the rounding comes from one point-level
+solve at the radius found.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -42,9 +54,9 @@ class Constraint:
         if not self.terms:
             raise ValueError("constraint references no variable")
         for _, c in self.terms:
-            if not np.isfinite(c):
+            if not math.isfinite(c):
                 raise ValueError("non-finite coefficient")
-        if not np.isfinite(self.rhs):
+        if not math.isfinite(self.rhs):
             raise ValueError("non-finite right-hand side")
 
 
@@ -227,13 +239,26 @@ def solve_feasibility(
 
 
 def build_assignment_lp(
-    inst: Instance, S: Sequence[int], R: float, gfb: GFBounds
+    inst: Instance,
+    S: Sequence[int],
+    R: float,
+    gfb: GFBounds,
+    aggregate: bool = False,
 ):
     """Fair-assignment LP over pairs within radius R.
 
-    Variables exist only for (center, point) pairs with d <= R, which
-    enforces the radius restriction structurally.  Returns the program plus
-    the (center, point) pair backing each variable.
+    Variables exist only for pairs with d <= R, which enforces the radius
+    restriction structurally.  Returns the program plus the (center, point)
+    pair backing each variable.
+
+    The LP ranges over classes of points.  Without `aggregate` every point is
+    its own class, which gives the point-level LP of Bera et al.  With it, a
+    class holds the points of one color that admit the same centers at R; its
+    variable for center i is the share of the class sent to i, its pair is
+    (i, first member), and its proportion-row coefficients are scaled by the
+    class size.  Variables run center by center, classes in order of their
+    first member; rows are the two proportion rows per (center, color), then
+    one unit row per class.
 
     Raises EmptyRow when some point has no center within R.
     """
@@ -243,43 +268,43 @@ def build_assignment_lp(
     if R < 0:
         raise ValueError("radius must be nonnegative")
 
-    pairs = []
-    var_of = {}
-    cols_of_point = [[] for _ in range(inst.n)]
-    cols_of_center = {i: [] for i in S}
-    for i in S:
-        row = inst.dist[i]
-        for j in range(inst.n):
-            if row[j] <= R + 1e-12:
-                var_of[(i, j)] = len(pairs)
-                cols_of_center[i].append((len(pairs), j))
-                cols_of_point[j].append(len(pairs))
-                pairs.append((i, j))
-    for j in range(inst.n):
-        if not cols_of_point[j]:
-            raise EmptyRow(f"point {j} has no center within radius {R}")
+    adm = inst.dist[S] <= R + 1e-12  # adm[t, j]: center S[t] admits point j
+    empty = np.flatnonzero(~adm.any(axis=0))
+    if empty.size:
+        raise EmptyRow(f"point {int(empty[0])} has no center within radius {R}")
+    if aggregate:
+        key = np.vstack([inst.colors, np.packbits(adm, axis=0)]).T
+        _, first, size = np.unique(key, axis=0, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        reps, size = first[order], size[order]
+    else:
+        reps, size = np.arange(inst.n), np.ones(inst.n, dtype=int)
+    adm = adm[:, reps]
+
+    # One variable per admissible (center, class), numbered center by center.
+    center_of, cls_of = np.nonzero(adm)
+    pairs = list(zip(np.asarray(S)[center_of].tolist(), reps[cls_of].tolist()))
+    color, weight = inst.colors[reps][cls_of], size[cls_of]
+    rows = []  # every variable's coefficient in each color's lower, upper row
+    for h in range(gfb.m):
+        ind = (color == h).astype(float)
+        rows.append((weight * (gfb.beta[h] - ind)).tolist())
+        rows.append((weight * (ind - gfb.alpha[h])).tolist())
 
     cons = []
-    for i in S:
-        cols = cols_of_center[i]
-        if not cols:
-            continue  # center admits nothing; its proportion rows are vacuous
-        for h in range(gfb.m):
-            beta, alpha = float(gfb.beta[h]), float(gfb.alpha[h])
-            lower = tuple(
-                (v, beta - (1.0 if inst.colors[j] == h else 0.0)) for v, j in cols
-            )
-            upper = tuple(
-                (v, (1.0 if inst.colors[j] == h else 0.0) - alpha) for v, j in cols
-            )
-            cons.append(Constraint(terms=lower, rel="<=", rhs=0.0))
-            cons.append(Constraint(terms=upper, rel="<=", rhs=0.0))
-    for j in range(inst.n):
-        cons.append(
-            Constraint(
-                terms=tuple((v, 1.0) for v in cols_of_point[j]), rel="=", rhs=1.0
-            )
-        )
+    begin = 0
+    for end in np.cumsum(adm.sum(axis=1)).tolist():
+        if end > begin:  # a center that admits nothing has vacuous rows
+            for row in rows:
+                terms = tuple(zip(range(begin, end), row[begin:end]))
+                cons.append(Constraint(terms=terms, rel="<=", rhs=0.0))
+        begin = end
+    by_class = np.argsort(cls_of, kind="stable").tolist()  # centers in S order
+    begin = 0
+    for end in np.cumsum(np.bincount(cls_of, minlength=len(reps))).tolist():
+        terms = tuple((v, 1.0) for v in by_class[begin:end])
+        cons.append(Constraint(terms=terms, rel="=", rhs=1.0))
+        begin = end
 
     lp = LinearProgram(
         num_vars=len(pairs),

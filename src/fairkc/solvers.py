@@ -20,7 +20,12 @@ from .core import (
 )
 from .divide import divide
 from .flow import max_flow_gf
-from .lp import build_assignment_lp, nearest_admissible_start, solve_feasibility
+from .lp import (
+    NumericFailure,
+    build_assignment_lp,
+    nearest_admissible_start,
+    solve_feasibility,
+)
 
 TOL = 1e-9
 
@@ -75,12 +80,21 @@ def assignment_gf(
 ) -> Tuple[Solution, float]:
     """Fairly assign all points to the fixed centers S at the smallest radius.
 
-    Binary-searches the sorted center-to-point distances for the smallest R
-    whose assignment LP is feasible, then rounds the fractional solution to
-    an integral assignment (additive violation at most 2, radius unchanged).
+    Gallops and then bisects the sorted center-to-point distances for the
+    smallest R whose assignment LP is feasible, then rounds the fractional
+    solution to an integral assignment (additive violation at most 2, radius
+    unchanged).
+
+    Each probe decides feasibility on the class-aggregated LP, whose verdict
+    equals the point-level one (see `build_assignment_lp`) at a fraction of
+    its size.  Its solution is not spread back over the points: that gives a
+    different fractional vertex, and the rounding would then return another
+    assignment.  So the point-level LP is solved once, at the radius found,
+    from the same nearest-center start as before.
 
     Raises InfeasibleError when even the largest radius fails, i.e. when the
-    global color proportions fall outside the bounds.
+    global color proportions fall outside the bounds, and NumericFailure when
+    the point-level LP rejects the radius the aggregated one accepted.
     """
     S = [int(i) for i in S]
     if not S:
@@ -98,17 +112,14 @@ def assignment_gf(
     r_cover = float(inst.dist[S, :].min(axis=0).max())
     start = int(np.searchsorted(cands, r_cover - TOL))
 
-    solutions = {}
+    def solve(R: float, aggregate: bool):
+        lp, pairs = build_assignment_lp(inst, S, R, gfb, aggregate=aggregate)
+        return pairs, solve_feasibility(
+            lp, start_at_upper=nearest_admissible_start(inst, pairs)
+        )
 
     def feasible(idx: int) -> bool:
-        lp, pairs = build_assignment_lp(inst, S, float(cands[idx]), gfb)
-        x = solve_feasibility(lp, start_at_upper=nearest_admissible_start(inst, pairs))
-        if x is None:
-            return False
-        solutions[idx] = FractionalAssignment(
-            n=inst.n, entries={pairs[v]: x[v] for v in range(len(pairs))}
-        )
-        return True
+        return solve(float(cands[idx]), aggregate=True)[1] is not None
 
     last = len(cands) - 1
     lo, hi = start, None
@@ -130,9 +141,15 @@ def assignment_gf(
         else:
             lo = mid + 1
 
-    frac = solutions[hi]
+    R = float(cands[hi])
+    pairs, x = solve(R, aggregate=False)
+    if x is None:
+        raise NumericFailure(
+            f"point-level LP infeasible at radius {R}; the aggregated LP is feasible"
+        )
+    frac = FractionalAssignment(n=inst.n, entries=dict(zip(pairs, x)))
     assign = max_flow_gf(frac, inst, S)
-    return Solution(centers=tuple(S), assign=assign), float(cands[hi])
+    return Solution(centers=tuple(S), assign=assign), R
 
 
 def alg_gf(

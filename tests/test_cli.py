@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fairkc import solvers
 from fairkc.cli import main
 
 
@@ -121,3 +122,36 @@ class TestExitCodes:
         assert run(["experiment", "--config", str(cfg_p)]) == 0
         parsed = json.load(open(report_p))
         assert len(parsed["rows"]) == 5
+
+    def test_post_step_errors_are_infeasible(self, tmp_path, capsys):
+        # a rare color leaves a gf-to-gfds cluster without a point the cover
+        # pass needs: MissingColorInCluster, reported as infeasible
+        inst_p = str(tmp_path / "inst.json")
+        props = "0.03460169450564441,0.003964451265038209,0.9614338542293174"
+        assert run(
+            ["generate", "--family", "random", "--n", "17", "--m", "3", "--dim", "2",
+             "--proportions", props, "--seed", "0", "--output", inst_p]
+        ) == 0
+        capsys.readouterr()
+        code = run(
+            ["solve", "--algo", "gf-to-gfds", "--k", "4", "--delta", "0.05",
+             "--theta", "0.5", "--input", inst_p, "--output", str(tmp_path / "s.json")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("infeasible: cluster of center")
+
+    def test_quota_unreachable_is_two(self, tmp_path, capsys, monkeypatch):
+        inst_p = str(tmp_path / "inst.json")
+        run(["generate", "--family", "random", "--n", "12", "--m", "2",
+             "--dim", "2", "--seed", "1", "--output", inst_p])
+
+        def unreachable(*args, **kwargs):
+            raise solvers.QuotaUnreachable("greedy selection ended below a lower bound")
+
+        monkeypatch.setattr(solvers, "alg_ds", unreachable)
+        code = run(
+            ["solve", "--algo", "ds-to-gfds", "--k", "4", "--theta", "0.5",
+             "--input", inst_p, "--output", str(tmp_path / "s.json")]
+        )
+        assert code == 2
+        assert "infeasible: greedy selection" in capsys.readouterr().err

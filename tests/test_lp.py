@@ -1,19 +1,28 @@
 import itertools
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from fairkc.core import FractionalAssignment, GFBounds, Instance
+from fairkc.core import ExperimentConfig, FractionalAssignment, GFBounds, Instance
+from fairkc.flow import max_flow_gf
+from fairkc.harness import load_instance
 from fairkc.instances import gen_l_community, gen_random
+from fairkc import solvers
 from fairkc.lp import (
     Constraint,
     EmptyRow,
     LinearProgram,
+    NumericFailure,
     build_assignment_lp,
     nearest_admissible_start,
     solve_feasibility,
 )
+from fairkc.solvers import alg_ds, assignment_gf, gonzalez
 
 # ---------------------------------------------------------------------------
 # exact rational checker: vertex enumeration over tight-row subsets
@@ -246,3 +255,248 @@ class TestAssignmentLp:
                 for h in range(inst.m):
                     assert by_color[t, h] >= gfb.beta[h] * tot[t] - 1e-6
                     assert by_color[t, h] <= gfb.alpha[h] * tot[t] + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# class aggregation: the aggregated LP decides exactly what the point LP does
+# ---------------------------------------------------------------------------
+
+ADULT_CSV = str(resources.files("fairkc") / "data" / "adult_mini.csv")
+
+
+def verdict(inst, S, R, gfb, aggregate):
+    lp, pairs = build_assignment_lp(inst, S, R, gfb, aggregate=aggregate)
+    x = solve_feasibility(lp, start_at_upper=nearest_admissible_start(inst, pairs))
+    return x is not None
+
+
+def radii_from_cover(inst, S):
+    """Candidate radii at or above the covering radius of S, ascending."""
+    cands = np.unique(inst.dist[S, :])
+    r_cover = inst.dist[S, :].min(axis=0).max()
+    return cands[cands >= r_cover]
+
+
+def point_classes(inst, S, R):
+    """First member of each point's class: same color, same admissible centers."""
+    first = {}
+    masks = (inst.dist[S] <= R + 1e-12).T
+    keys = [(int(c), *mask) for c, mask in zip(inst.colors, masks)]
+    return np.asarray([first.setdefault(key, j) for j, key in enumerate(keys)])
+
+
+def satisfies(lp, x, tol=1e-6):
+    for con in lp.constraints:
+        lhs = sum(c * x[v] for v, c in con.terms)
+        if con.rel == "=" and abs(lhs - con.rhs) > tol:
+            return False
+        if con.rel == "<=" and lhs > con.rhs + tol:
+            return False
+    return bool(np.all(x >= -tol) and np.all(x <= 1.0 + tol))
+
+
+def seeded_random_cases():
+    """Gonzalez centers on seeded random instances, m in {2, 3, 4}, n <= 60."""
+    rng = np.random.default_rng(20230530)
+    for m in (2, 3, 4):
+        for _ in range(4):
+            n = int(rng.integers(4 * m, 61))
+            props = rng.dirichlet(np.full(m, 3.0))
+            seed = int(rng.integers(2**31))
+            inst = gen_random(n, m, 2, props / props.sum(), seed=seed)
+            k = int(rng.integers(2, 6))
+            cfg = ExperimentConfig((k,), delta=float(rng.choice([0.1, 0.3, 0.6])))
+            yield inst, gonzalez(inst, k).centers, cfg.gf_bounds(inst)
+
+
+@pytest.fixture(scope="module")
+def adult_cases():
+    """Gonzalez and alg-ds centers on adult_mini at k in {4, 5}, delta 0.2."""
+    inst = load_instance(ADULT_CSV)
+    cfg = ExperimentConfig(k_values=(4, 5), delta=0.2, theta=0.8)
+    gfb = cfg.gf_bounds(inst)
+    return [
+        (inst, list(sel.centers), gfb)
+        for k in cfg.k_values
+        for sel in (gonzalez(inst, k), alg_ds(inst, cfg.ds_bounds(inst, k)))
+    ]
+
+
+def point_level_search(inst, S, gfb):
+    """The radius search on point-level LPs alone: plain bisection, then rounding."""
+    radii = radii_from_cover(inst, S)
+    lo, hi = 0, len(radii) - 1
+    best = None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        lp, pairs = build_assignment_lp(inst, S, float(radii[mid]), gfb)
+        x = solve_feasibility(lp, start_at_upper=nearest_admissible_start(inst, pairs))
+        if x is None:
+            lo = mid + 1
+        else:
+            best, hi = (mid, pairs, x), mid - 1
+    mid, pairs, x = best
+    frac = FractionalAssignment(n=inst.n, entries=dict(zip(pairs, x)))
+    return float(radii[mid]), max_flow_gf(frac, inst, S)
+
+
+class TestClassAggregation:
+    def test_point_level_is_the_singleton_partition(self):
+        # every point its own class: both forms are the same program
+        inst = gen_random(6, 6, 2, [1 / 6] * 6, seed=3)
+        gfb = GFBounds(beta=[0.1] * 6, alpha=[0.5] * 6)
+        S = [0, 4]
+        R = float(radii_from_cover(inst, S)[0])
+        assert len(set(point_classes(inst, S, R))) == inst.n
+        agg, agg_pairs = build_assignment_lp(inst, S, R, gfb, aggregate=True)
+        pt, pt_pairs = build_assignment_lp(inst, S, R, gfb)
+        assert agg == pt and agg_pairs == pt_pairs
+
+    def test_class_shape_and_weights(self):
+        # coinciding pairs of one color collapse; proportion rows carry the size
+        dist = np.zeros((6, 6))
+        dist[:3, 3:] = dist[3:, :3] = 1.0
+        inst = Instance(dist=dist, colors=[0, 0, 1, 1, 1, 0], m=2)
+        gfb = GFBounds(beta=[0.3, 0.3], alpha=[0.7, 0.7])
+        lp, pairs = build_assignment_lp(inst, [0, 3], 0.0, gfb, aggregate=True)
+        assert pairs == [(0, 0), (0, 2), (3, 3), (3, 5)]
+        first_rows = [dict(con.terms) for con in lp.constraints[:2]]
+        assert first_rows == [
+            {0: 2 * (0.3 - 1.0), 1: 0.3},
+            {0: 2 * (1.0 - 0.7), 1: -0.7},
+        ]
+        unit_rows = [con.terms for con in lp.constraints[-4:]]
+        assert unit_rows == [((v, 1.0),) for v in range(4)]
+        assert verdict(inst, [0, 3], 0.0, gfb, aggregate=True)
+
+    def test_solutions_map_both_ways(self, rng):
+        # averaging over a class and spreading back preserve feasibility
+        for _ in range(10):
+            inst = gen_random(int(rng.integers(10, 30)), 2, 2, [0.5, 0.5],
+                              seed=int(rng.integers(2**31)))
+            gfb = ExperimentConfig((3,), delta=0.4).gf_bounds(inst)
+            S = list(gonzalez(inst, 3).centers)
+            R = float(radii_from_cover(inst, S)[-1])
+            cls = point_classes(inst, S, R)
+            pt, pt_pairs = build_assignment_lp(inst, S, R, gfb)
+            agg, agg_pairs = build_assignment_lp(inst, S, R, gfb, aggregate=True)
+            x, y = solve_feasibility(pt), solve_feasibility(agg)
+            assert x is not None and y is not None
+            share = {pair: y[v] for v, pair in enumerate(agg_pairs)}
+            spread = np.asarray([share[(i, cls[j])] for i, j in pt_pairs])
+            assert satisfies(pt, spread)
+            members = np.bincount(cls, minlength=inst.n)
+            mean = np.zeros(agg.num_vars)
+            index = {pair: v for v, pair in enumerate(agg_pairs)}
+            for v, (i, j) in enumerate(pt_pairs):
+                mean[index[(i, cls[j])]] += x[v] / members[cls[j]]
+            assert satisfies(agg, mean)
+
+    def test_same_verdict_on_random_instances(self):
+        both = set()
+        for inst, S, gfb in seeded_random_cases():
+            for R in radii_from_cover(inst, S):
+                got = verdict(inst, S, float(R), gfb, aggregate=True)
+                assert got == verdict(inst, S, float(R), gfb, aggregate=False), R
+                both.add(got)
+        assert both == {True, False}
+
+    def test_same_verdict_on_adult(self, adult_cases):
+        for inst, S, gfb in adult_cases:
+            radii = radii_from_cover(inst, S)
+            agg = [verdict(inst, S, float(R), gfb, aggregate=True) for R in radii]
+            t = agg.index(True)
+            assert all(agg[t:])  # one threshold, as monotonicity in R demands
+            # point-level LPs take ~0.1 s here: check both sides of the
+            # threshold and a stride through the rest
+            for idx in sorted({max(t - 1, 0), t, *range(0, len(radii), 200)}):
+                got = verdict(inst, S, float(radii[idx]), gfb, aggregate=False)
+                assert got == agg[idx]
+
+    def test_search_matches_point_level_reference(self, adult_cases):
+        cases = list(seeded_random_cases()) + adult_cases
+        for inst, S, gfb in cases:
+            sol, R = assignment_gf(inst, S, gfb)
+            want_R, want_assign = point_level_search(inst, list(S), gfb)
+            assert R == want_R
+            assert np.array_equal(sol.assign, want_assign)
+
+    def test_point_level_rejection_is_numeric_failure(self, monkeypatch):
+        # the aggregated verdict is exact, so a point-level "infeasible" at the
+        # radius it accepted is a solver fault, never an infeasible instance
+        inst = gen_random(12, 2, 2, [0.5, 0.5], seed=5)
+        gfb = GFBounds(beta=[0.4, 0.4], alpha=[0.6, 0.6])
+        forms = []
+
+        def build(*args, aggregate=False):
+            forms.append(aggregate)
+            return build_assignment_lp(*args, aggregate=aggregate)
+
+        def solve(lp, start_at_upper=None):
+            return solve_feasibility(lp, start_at_upper) if forms[-1] else None
+
+        monkeypatch.setattr(solvers, "build_assignment_lp", build)
+        monkeypatch.setattr(solvers, "solve_feasibility", solve)
+        with pytest.raises(NumericFailure):
+            assignment_gf(inst, [0, 5, 9], gfb)
+        assert forms[-1] is False and all(forms[:-1])
+
+
+# ---------------------------------------------------------------------------
+# differential check against HiGHS
+# ---------------------------------------------------------------------------
+
+
+def highs_feasible(lp: LinearProgram) -> bool:
+    """Feasibility verdict of scipy's HiGHS on the same program."""
+    A = np.zeros((len(lp.constraints), lp.num_vars))
+    for r, con in enumerate(lp.constraints):
+        for v, c in con.terms:
+            A[r, v] += c
+    b = np.asarray([con.rhs for con in lp.constraints])
+    rel = np.asarray([con.rel for con in lp.constraints])
+    sign = np.where(rel == ">=", -1.0, 1.0)
+    ub, eq = rel != "=", rel == "="
+    res = linprog(
+        np.zeros(lp.num_vars),
+        A_ub=(sign[:, None] * A)[ub] if ub.any() else None,
+        b_ub=(sign * b)[ub] if ub.any() else None,
+        A_eq=A[eq] if eq.any() else None,
+        b_eq=b[eq] if eq.any() else None,
+        bounds=lp.var_bounds,
+        method="highs",
+    )
+    assert res.status in (0, 2), res.message  # solved, or proven infeasible
+    return res.status == 0
+
+
+def test_verdict_matches_highs():
+    """solve_feasibility and HiGHS agree on random assignment LPs, both forms."""
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        m=st.integers(2, 4),
+        n=st.integers(8, 40),
+        k=st.integers(2, 5),
+        delta=st.sampled_from([0.05, 0.2, 0.5]),
+        at=st.floats(0.0, 1.0),
+    )
+    def check(seed, m, n, k, delta, at):
+        rng = np.random.default_rng(seed)
+        props = rng.dirichlet(np.full(m, 2.0))
+        inst = gen_random(n, m, 2, props / props.sum(), seed=seed)
+        S = sorted(rng.choice(n, size=k, replace=False).tolist())
+        gfb = ExperimentConfig((k,), delta=delta).gf_bounds(inst)
+        radii = radii_from_cover(inst, S)
+        R = float(radii[int(at**3 * (len(radii) - 1))])  # thresholds sit low
+        for aggregate in (False, True):
+            lp, pairs = build_assignment_lp(inst, S, R, gfb, aggregate=aggregate)
+            start = nearest_admissible_start(inst, pairs)
+            got = solve_feasibility(lp, start_at_upper=start) is not None
+            assert got == highs_feasible(lp)
+            seen.add(got)
+
+    check()
+    assert seen == {True, False}  # both verdicts exercised
