@@ -11,7 +11,7 @@ import json
 import sys
 
 
-from . import audit, harness, instances, oracle, solvers
+from . import audit, harness, instances, oracle
 from .core import (
     ExperimentConfig,
     InfeasibleError,
@@ -114,20 +114,10 @@ def _cmd_solve(args):
             dsb = cfg.ds_bounds(inst, args.k)
         except ValueError as exc:
             raise InfeasibleError(str(exc)) from None
-    if args.algo == "color-blind":
-        sol = solvers.gonzalez(inst, args.k, seed=args.seed)
-    elif args.algo == "alg-gf":
-        sol = solvers.alg_gf(inst, args.k, gfb, seed=args.seed)
-    elif args.algo == "alg-ds":
-        sol = solvers.alg_ds(inst, dsb, seed=args.seed)
-    elif args.algo == "gf-to-gfds":
-        sol = solvers.gf_to_gfds(
-            inst, solvers.alg_gf(inst, args.k, gfb, seed=args.seed), gfb, dsb
-        )
-    else:
-        sol = solvers.ds_to_gfds(
-            inst, solvers.alg_ds(inst, dsb, seed=args.seed), gfb, dsb
-        )
+    table = harness.ALGORITHM_TABLE
+    stage, step = table[args.algo]
+    base = table[stage][1](inst, args.k, gfb, dsb, args.seed, None) if stage else None
+    sol = step(inst, args.k, gfb, dsb, args.seed, base)
     harness.save_solution(sol, args.output)
     print(json.dumps({"cost": cost(inst, sol), "centers": list(sol.centers)}))
     return EXIT_OK
@@ -210,12 +200,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (
-        InfeasibleError,
-        solvers.InfeasibleQuota,
-        solvers.QuotaUnreachable,
-        solvers.MissingColorInCluster,
-    ) as exc:
+    except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (harness.ParseError, harness.ColorCardinality) as exc:

@@ -22,7 +22,9 @@ class FairKCError(Exception):
 
 
 class InfeasibleError(FairKCError):
-    """A constrained problem has no solution under the given bounds."""
+    """A constrained problem has no solution under the given bounds, or the
+    algorithm cannot reach one.  Every infeasibility the solvers report is
+    this type or a subclass of it."""
 
 
 def _as_float_matrix(dist) -> np.ndarray:

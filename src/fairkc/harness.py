@@ -28,7 +28,18 @@ from .core import (
     pof,
 )
 
-ALGORITHMS = ("color-blind", "alg-gf", "alg-ds", "gf-to-gfds", "ds-to-gfds")
+# Each algorithm as (the stage-one algorithm it post-processes, or None; its
+# step).  A step is called as step(inst, k, gfb, dsb, seed, base), base being
+# the stage-one solution.  Steps look the solvers up when they run, so a
+# replaced `solvers` attribute is the one called.
+ALGORITHM_TABLE = {
+    "color-blind": (None, lambda i, k, g, d, s, b: solvers.gonzalez(i, k, seed=s)),
+    "alg-gf": (None, lambda i, k, g, d, s, b: solvers.alg_gf(i, k, g, seed=s)),
+    "alg-ds": (None, lambda i, k, g, d, s, b: solvers.alg_ds(i, d, seed=s)),
+    "gf-to-gfds": ("alg-gf", lambda i, k, g, d, s, b: solvers.gf_to_gfds(i, b, g, d)),
+    "ds-to-gfds": ("alg-ds", lambda i, k, g, d, s, b: solvers.ds_to_gfds(i, b, g, d)),
+}
+ALGORITHMS = tuple(ALGORITHM_TABLE)
 
 REPORT_FIELDS = (
     "k",
@@ -222,57 +233,23 @@ def run_experiment(inst: Instance, cfg: ExperimentConfig) -> ExperimentReport:
             for name in ALGORITHMS:
                 report.rows.append(ReportRow(k=k, algorithm=name, status="infeasible"))
             continue
-        clock = time.perf_counter
-
-        t0 = clock()
-        blind = solvers.gonzalez(inst, k, seed=None)
-        t_blind = clock() - t0
-        blind_cost = cost(inst, blind)
-
-        solutions = {"color-blind": (blind, t_blind, None)}
-
-        t0 = clock()
-        try:
-            sol_gf = solvers.alg_gf(inst, k, gfb)
-        except InfeasibleError:
-            sol_gf = None
-        t_gf = clock() - t0
-        solutions["alg-gf"] = (sol_gf, t_gf, None)
-
-        t0 = clock()
-        try:
-            sol_ds = solvers.alg_ds(inst, dsb)
-        except (InfeasibleError, solvers.InfeasibleQuota):
-            sol_ds = None
-        t_ds = clock() - t0
-        solutions["alg-ds"] = (sol_ds, t_ds, None)
-
-        if sol_gf is not None:
-            t0 = clock()
+        runs = {}  # name -> (solution or None, seconds, post_ratio)
+        for name, (stage, step) in ALGORITHM_TABLE.items():
+            base, base_s, _ = runs[stage] if stage else (None, 0.0, None)
+            if stage and base is None:
+                runs[name] = (None, 0.0, None)
+                continue
+            t0 = time.perf_counter()
             try:
-                sol = solvers.gf_to_gfds(inst, sol_gf, gfb, dsb)
-            except (InfeasibleError, solvers.MissingColorInCluster):
+                sol = step(inst, k, gfb, dsb, None, base)
+            except InfeasibleError:
                 sol = None
-            t_post = clock() - t0
-            ratio = t_post / t_gf if t_gf > 0 else None
-            solutions["gf-to-gfds"] = (sol, t_gf + t_post, ratio)
-        else:
-            solutions["gf-to-gfds"] = (None, 0.0, None)
-
-        if sol_ds is not None:
-            t0 = clock()
-            try:
-                sol = solvers.ds_to_gfds(inst, sol_ds, gfb, dsb)
-            except (InfeasibleError, solvers.QuotaUnreachable):
-                sol = None
-            t_post = clock() - t0
-            ratio = t_post / t_ds if t_ds > 0 else None
-            solutions["ds-to-gfds"] = (sol, t_ds + t_post, ratio)
-        else:
-            solutions["ds-to-gfds"] = (None, 0.0, None)
+            t = time.perf_counter() - t0
+            runs[name] = (sol, base_s + t, t / base_s if base_s > 0 else None)
+        blind_cost = cost(inst, runs["color-blind"][0])
 
         for name in ALGORITHMS:
-            sol, seconds, ratio = solutions[name]
+            sol, seconds, ratio = runs[name]
             if sol is None:
                 report.rows.append(
                     ReportRow(k=k, algorithm=name, status="infeasible")

@@ -10,7 +10,6 @@ import numpy as np
 
 from .core import (
     DSBounds,
-    FairKCError,
     FractionalAssignment,
     GFBounds,
     InfeasibleError,
@@ -30,15 +29,15 @@ from .lp import (
 TOL = 1e-9
 
 
-class InfeasibleQuota(FairKCError):
+class InfeasibleQuota(InfeasibleError):
     """Some color has fewer points than its required center count."""
 
 
-class QuotaUnreachable(FairKCError):
+class QuotaUnreachable(InfeasibleError):
     """No cluster can supply a fresh point of a color that is still short."""
 
 
-class MissingColorInCluster(FairKCError):
+class MissingColorInCluster(InfeasibleError):
     """A cluster lacks a color the cover pass needs; the input solution does
     not meet the every-color-in-every-cluster precondition."""
 
@@ -231,19 +230,61 @@ def alg_ds(inst: Instance, dsb: DSBounds, seed: Optional[int] = None) -> Solutio
     )
 
 
-def _pick_repair_cluster(clusters, order, h0, colors, picked):
-    """Cluster with a fresh point of color h0: largest first, then lowest id."""
+def _pick_repair_cluster(clusters, Q, h0, colors, picked):
+    """(cluster id, point) for a fresh point of color h0: largest cluster
+    first, then lowest id.
+
+    A cluster already holding as many picks as points is skipped: its anchor
+    may sit outside it, and one more pick would leave `divide` more
+    sub-centers than points.
+    """
     best = None
-    for i in order:
-        fresh = [
-            p for p in clusters[i] if colors[p] == h0 and p not in picked
-        ]
+    for i, members in clusters.items():
+        if len(Q[i]) >= len(members):
+            continue
+        fresh = [p for p in members if colors[p] == h0 and p not in picked]
         if not fresh:
             continue
-        key = (-len(clusters[i]), i)
+        key = (-len(members), i)
         if best is None or key < best[0]:
             best = (key, i, min(fresh))
-    return best
+    return None if best is None else best[1:]
+
+
+def _repair_and_split(inst, dsb, clusters, Q, picked, s_counts) -> Solution:
+    """Fill every color's center lower bound, then split each cluster.
+
+    `clusters` maps each active center to its points and `Q` to the centers
+    picked for it so far; `picked` holds every pick and `s_counts` their
+    colors.  While a color is short, the next pick is a fresh point of it
+    from `_pick_repair_cluster`.  Then `divide` deals each cluster among its
+    picks.
+    """
+    while True:
+        short = [h for h in range(dsb.m) if s_counts[h] < dsb.k_lo[h]]
+        if not short:
+            break
+        h0 = short[0]
+        found = _pick_repair_cluster(clusters, Q, h0, inst.colors, picked)
+        if found is None:
+            raise QuotaUnreachable(
+                f"no cluster holds an unused point of color {h0}"
+            )
+        i, p = found
+        Q[i].append(p)
+        picked.add(p)
+        s_counts[h0] += 1
+
+    if sum(len(q) for q in Q.values()) > dsb.k:
+        raise InfeasibleError("center picks exceeded the budget k")
+
+    assign = np.empty(inst.n, dtype=int)
+    centers = []
+    for i, members in clusters.items():
+        centers.extend(Q[i])
+        for p, q in divide(inst, members, i, Q[i]).items():
+            assign[p] = q
+    return Solution(centers=tuple(centers), assign=assign)
 
 
 def ds_to_gfds(
@@ -258,33 +299,9 @@ def ds_to_gfds(
     sol_a, _ = assignment_gf(inst, ds_sol.centers, gfb)
     active = list(sol_a.active_centers())
     clusters = {i: [int(p) for p in sol_a.cluster_of(i)] for i in active}
-
     s_counts = np.bincount(inst.colors[active], minlength=dsb.m)
     Q = {i: [i] for i in active}
-    picked = set(active)
-
-    while True:
-        short = [h for h in range(dsb.m) if s_counts[h] < dsb.k_lo[h]]
-        if not short:
-            break
-        h0 = short[0]
-        found = _pick_repair_cluster(clusters, active, h0, inst.colors, picked)
-        if found is None:
-            raise QuotaUnreachable(
-                f"no cluster holds an unused point of color {h0}"
-            )
-        _, i, p = found
-        Q[i].append(p)
-        picked.add(p)
-        s_counts[h0] += 1
-
-    assign = np.empty(inst.n, dtype=int)
-    centers = []
-    for i in active:
-        centers.extend(Q[i])
-        for p, q in divide(inst, clusters[i], i, Q[i]).items():
-            assign[p] = q
-    return Solution(centers=tuple(centers), assign=assign)
+    return _repair_and_split(inst, dsb, clusters, Q, set(active), s_counts)
 
 
 def gf_to_gfds(
@@ -327,28 +344,4 @@ def gf_to_gfds(
         picked.add(p)
         s_counts[h0] += 1
 
-    while True:  # repair pass: fill remaining lower bounds
-        short = [h for h in range(dsb.m) if s_counts[h] < dsb.k_lo[h]]
-        if not short:
-            break
-        h0 = short[0]
-        found = _pick_repair_cluster(clusters, active, h0, inst.colors, picked)
-        if found is None:
-            raise MissingColorInCluster(
-                f"no cluster holds an unused point of color {h0}"
-            )
-        _, i, p = found
-        Q[i].append(p)
-        picked.add(p)
-        s_counts[h0] += 1
-
-    if sum(len(q) for q in Q.values()) > dsb.k:
-        raise InfeasibleError("center picks exceeded the budget k")
-
-    assign = np.empty(inst.n, dtype=int)
-    centers = []
-    for i in active:
-        centers.extend(Q[i])
-        for p, q in divide(inst, clusters[i], i, Q[i]).items():
-            assign[p] = q
-    return Solution(centers=tuple(centers), assign=assign)
+    return _repair_and_split(inst, dsb, clusters, Q, picked, s_counts)

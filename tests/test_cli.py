@@ -83,6 +83,12 @@ class TestExitCodes:
              "--input", inst_p, "--output", str(tmp_path / "s.json")]
         )
         assert code == 0  # derived bounds center on the global proportions
+        # like alg-gf, color-blind needs no DS quotas; they exceed the budget here
+        code = run(
+            ["solve", "--algo", "color-blind", "--k", "2",
+             "--input", inst_p, "--output", str(tmp_path / "s0.json")]
+        )
+        assert code == 0
 
         # two active centers demanded, but no 2-way split keeps 3:1 exact
         code = run(
@@ -155,3 +161,21 @@ class TestExitCodes:
         )
         assert code == 2
         assert "infeasible: greedy selection" in capsys.readouterr().err
+
+    def test_anchor_outside_cluster_is_two(self, tmp_path, capsys):
+        # ds_to_gfds's anchor leaves its own cluster; the repair now reports
+        # QuotaUnreachable instead of handing divide too many sub-centers
+        inst_p = str(tmp_path / "inst.json")
+        assert run(
+            ["generate", "--family", "random", "--n", "8", "--m", "4", "--dim", "2",
+             "--proportions", "0.25,0.25,0.375,0.125", "--seed", "168",
+             "--output", inst_p]
+        ) == 0
+        capsys.readouterr()
+        code = run(
+            ["solve", "--algo", "ds-to-gfds", "--k", "8", "--delta", "0.05",
+             "--theta", "1.0", "--input", inst_p, "--output", str(tmp_path / "s.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible:") and "Traceback" not in err

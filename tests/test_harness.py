@@ -5,8 +5,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from fairkc import harness
-from fairkc.core import ExperimentConfig
+from fairkc import harness, solvers
+from fairkc.core import ExperimentConfig, InfeasibleError
+from fairkc.divide import InvalidSubset
+from fairkc.flow import InternalInfeasible
 from fairkc.harness import (
     ColorCardinality,
     ParseError,
@@ -18,6 +20,7 @@ from fairkc.harness import (
     save_solution,
 )
 from fairkc.instances import gen_random
+from fairkc.lp import NumericFailure
 from fairkc.solvers import gonzalez
 
 DATA = resources.files("fairkc") / "data"
@@ -178,6 +181,63 @@ class TestExperiment:
         assert all("seconds" in r for r in ok_rows)
         post = [r for r in ok_rows if r["algorithm"] == "gf-to-gfds"]
         assert all(r["post_ratio"] is None or r["post_ratio"] >= 0 for r in post)
+
+
+@pytest.mark.parametrize(
+    "exc, infeasible",
+    [
+        (solvers.InfeasibleQuota, True),
+        (solvers.QuotaUnreachable, True),
+        (solvers.MissingColorInCluster, True),
+        (InvalidSubset, False),
+        (InternalInfeasible, False),
+        (NumericFailure, False),
+    ],
+)
+def test_infeasibility_is_one_type(exc, infeasible):
+    # the bug signals must not be swallowed as infeasible rows
+    assert issubclass(exc, InfeasibleError) is infeasible
+
+
+class TestAlgorithmTable:
+    def test_stage_one_runs_once_per_k(self, monkeypatch, tmp_path):
+        calls = {"alg_gf": 0, "alg_ds": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _solve=getattr(solvers, name), **kwargs):
+                calls[_name] += 1
+                return _solve(*args, **kwargs)
+
+            monkeypatch.setattr(solvers, name, counted)
+        inst = gen_random(24, 2, 2, [0.5, 0.5], seed=11)
+        cfg = ExperimentConfig(k_values=(2, 3, 4), delta=0.5, theta=0.5)
+        report = run_experiment(inst, cfg)
+        assert calls == {"alg_gf": 3, "alg_ds": 3}
+
+        p = str(tmp_path / "t.json")
+        emit_report(report, p, include_timing=True)
+        rows = {(r["k"], r["algorithm"]): r for r in json.load(open(p))["rows"]}
+        for k in cfg.k_values:
+            for pipe, stage in (("gf-to-gfds", "alg-gf"), ("ds-to-gfds", "alg-ds")):
+                assert rows[(k, pipe)]["status"] == rows[(k, stage)]["status"] == "ok"
+                assert rows[(k, pipe)]["seconds"] >= rows[(k, stage)]["seconds"]
+
+    def test_alg_ds_quota_unreachable_is_infeasible_row(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise solvers.QuotaUnreachable("greedy selection ended below a lower bound")
+
+        monkeypatch.setattr(solvers, "alg_ds", unreachable)
+        inst = gen_random(24, 2, 2, [0.5, 0.5], seed=11)
+        cfg = ExperimentConfig(k_values=(3,), delta=0.5, theta=0.5)
+        report = run_experiment(inst, cfg)
+        status = {r.algorithm: r.status for r in report.rows}
+        assert status == {
+            "color-blind": "ok",
+            "alg-gf": "ok",
+            "alg-ds": "infeasible",
+            "gf-to-gfds": "ok",
+            "ds-to-gfds": "infeasible",
+        }
 
 
 def test_non_finite_feature_is_parse_error(tmp_path):
