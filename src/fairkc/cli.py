@@ -87,6 +87,14 @@ def build_parser():
     return ap
 
 
+def _config(args, k):
+    """The bound knobs of one command; a value out of range is a parse error."""
+    try:
+        return ExperimentConfig(k_values=(k,), delta=args.delta, theta=args.theta)
+    except ValueError as exc:
+        raise harness.ParseError(str(exc)) from None
+
+
 def _cmd_generate(args):
     if args.family == "l-community":
         inst = instances.gen_l_community(args.l, args.size, args.R, args.pattern)
@@ -106,7 +114,7 @@ def _cmd_generate(args):
 
 def _cmd_solve(args):
     inst = harness.load_instance(args.input)
-    cfg = ExperimentConfig(k_values=(args.k,), delta=args.delta, theta=args.theta)
+    cfg = _config(args, args.k)
     gfb = cfg.gf_bounds(inst)
     dsb = None
     if args.algo in ("alg-ds", "gf-to-gfds", "ds-to-gfds"):
@@ -127,7 +135,7 @@ def _cmd_evaluate(args):
     inst = harness.load_instance(args.input)
     sol = harness.load_solution(args.solution)
     k = args.k if args.k is not None else len(sol.centers)
-    cfg = ExperimentConfig(k_values=(k,), delta=args.delta, theta=args.theta)
+    cfg = _config(args, k)
     gfb = cfg.gf_bounds(inst)
     dsb = cfg.ds_bounds(inst, k)
     out = {
@@ -143,7 +151,7 @@ def _cmd_evaluate(args):
 
 def _cmd_oracle(args):
     inst = harness.load_instance(args.input)
-    cfg = ExperimentConfig(k_values=(args.k,), delta=args.delta, theta=args.theta)
+    cfg = _config(args, args.k)
     gfb = cfg.gf_bounds(inst) if args.gf else None
     dsb = None
     if args.ds:
@@ -174,13 +182,16 @@ def _cmd_experiment(args):
         if key not in cfg_obj:
             raise harness.ParseError(f"{args.config}: missing key {key!r}")
     inst = harness.load_instance(cfg_obj["input"])
-    cfg = ExperimentConfig(
-        k_values=tuple(cfg_obj["k_values"]),
-        delta=float(cfg_obj.get("delta", 0.2)),
-        theta=float(cfg_obj.get("theta", 0.8)),
-        p=int(cfg_obj.get("p", 1)),
-        seed=int(cfg_obj.get("seed", 0)),
-    )
+    try:
+        cfg = ExperimentConfig(
+            k_values=tuple(cfg_obj["k_values"]),
+            delta=float(cfg_obj.get("delta", 0.2)),
+            theta=float(cfg_obj.get("theta", 0.8)),
+            p=int(cfg_obj.get("p", 1)),
+            seed=int(cfg_obj.get("seed", 0)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise harness.ParseError(f"{args.config}: {exc}") from None
     report = harness.run_experiment(inst, cfg)
     harness.emit_report(report, cfg_obj["output"], include_timing=args.timings)
     print(f"wrote {cfg_obj['output']}")

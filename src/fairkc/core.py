@@ -260,8 +260,10 @@ class ExperimentConfig:
         object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
         if not self.k_values or any(k < 1 for k in self.k_values):
             raise ValueError("k_values must be positive integers")
-        if not 0.0 <= self.delta <= 1.0 or not 0.0 <= self.theta <= 1.0:
-            raise ValueError("delta and theta must lie in [0, 1]")
+        if not 0.0 <= self.delta < 1.0:  # delta = 1 zeroes every lower bound
+            raise ValueError("delta must lie in [0, 1)")
+        if not 0.0 <= self.theta <= 1.0:
+            raise ValueError("theta must lie in [0, 1]")
 
     def gf_bounds(self, inst: Instance) -> GFBounds:
         r = inst.color_counts() / inst.n

@@ -4,6 +4,14 @@ Rounding turns a fractional assignment with unit row sums into an integral
 one whose per-center totals and per-(center, color) totals are the floor or
 ceiling of the fractional marginals.  Points only ever move along pairs the
 fractional solution already used, so the clustering radius cannot grow.
+
+An input that is already integral, with one support center per point, is
+not sent through the network.  There every source-to-point arc must carry
+its unit and every point has a single outgoing arc, so the support itself
+is the only candidate flow, and it is feasible exactly when its per-center
+and per-(center, color) counts lie inside their windows.  Checking those
+counts and returning the support therefore gives the network's answer, and
+its InternalInfeasible when a window fails, without one augmenting path.
 """
 
 from __future__ import annotations
@@ -155,14 +163,25 @@ def max_flow_gf(
     keeps every per-center total and per-(center, color) total inside the
     floor/ceiling window of the fractional marginal.
 
+    When every point has a single support center the input is already
+    integral and is returned after a check of the windows, without building
+    the network (see the module docstring for why that is exact).
+
     Raises InternalInfeasible if the rounding network has no feasible flow,
     which cannot happen for a unit-row-sum input.
     """
     Q = [int(q) for q in Q]
-    n = inst.n
-    qpos = {q: t for t, q in enumerate(Q)}
+    support, tot, by_color = _support(x, inst, Q)
+    if all(len(s) == 1 for s in support):
+        return _forced_assignment(inst, Q, support, tot, by_color)
+    return _round_by_network(inst, Q, support, tot, by_color)
 
-    support = [[] for _ in range(n)]
+
+def _support(x: FractionalAssignment, inst: Instance, Q: Sequence[int]):
+    """Each point's support centers, with per-center and per-(center, color)
+    marginals summed over entries of at least SUPPORT_EPS."""
+    qpos = {q: t for t, q in enumerate(Q)}
+    support = [[] for _ in range(inst.n)]
     tot = np.zeros(len(Q))
     by_color = np.zeros((len(Q), inst.m))
     for (q, j), v in sorted(x.entries.items()):
@@ -172,6 +191,34 @@ def max_flow_gf(
         support[j].append(q)
         tot[t] += v
         by_color[t, inst.colors[j]] += v
+    return support, tot, by_color
+
+
+_REJECTED = "rounding network rejected a unit-row-sum input"
+
+
+def _forced_assignment(inst, Q, support, tot, by_color) -> np.ndarray:
+    """The only candidate flow of a single-support input, if its counts fit."""
+    qpos = {q: t for t, q in enumerate(Q)}
+    assign = np.asarray([s[0] for s in support], dtype=int)
+    pos = np.asarray([qpos[q] for q in assign.tolist()], dtype=int)
+    count = np.zeros((len(Q), inst.m), dtype=int)
+    np.add.at(count, (pos, inst.colors), 1)
+    for t in range(len(Q)):
+        lo, hi = _int_window(tot[t])
+        if not lo <= count[t].sum() <= hi:
+            raise InternalInfeasible(_REJECTED)
+        for h in range(inst.m):
+            lo, hi = _int_window(by_color[t, h])
+            if not lo <= count[t, h] <= hi:
+                raise InternalInfeasible(_REJECTED)
+    return assign
+
+
+def _round_by_network(inst, Q, support, tot, by_color) -> np.ndarray:
+    """Round through the bounded-flow network over the support pairs."""
+    n = inst.n
+    qpos = {q: t for t, q in enumerate(Q)}
 
     # Nodes: s, t, one per point, one per used (center, color), one per center.
     s, t = 0, 1
@@ -207,7 +254,7 @@ def max_flow_gf(
     net = BoundedFlowNetwork(num_nodes=nid, source=s, sink=t, arcs=tuple(arcs))
     flows = feasible_integral_flow(net, n)
     if flows is None:
-        raise InternalInfeasible("rounding network rejected a unit-row-sum input")
+        raise InternalInfeasible(_REJECTED)
 
     assign = np.full(n, -1, dtype=int)
     for (q, j), e in assign_arc.items():

@@ -6,7 +6,8 @@ reduced cost, falling back to Bland's rule after a run of degenerate pivots,
 which keeps the pivot sequence deterministic and cycle-free.  Artificial
 variables are added only for rows the starting point violates, so callers
 that pass a good starting corner (e.g. nearest-center assignments) pay for
-few pivots.
+few pivots, and a corner that violates no row is returned after the residual
+check, without building the tableau.
 
 The fair-assignment LP (Bera et al. 2019) can be built per point or per
 class of points.  At radius R, points of one color that admit the same
@@ -81,6 +82,15 @@ class LinearProgram:
 _LO, _HI, _BASIC = 0, 1, 2
 
 
+def _verified(A, b, is_eq, x):
+    """x, once every normalized row holds at it within FEAS_TOL."""
+    res = A @ x - b
+    bad = np.where(is_eq, np.abs(res) > FEAS_TOL, res > FEAS_TOL)
+    if np.any(bad):
+        raise NumericFailure("solution failed residual verification")
+    return x
+
+
 def solve_feasibility(
     lp: LinearProgram, start_at_upper: Optional[Iterable[int]] = None
 ) -> Optional[np.ndarray]:
@@ -120,6 +130,8 @@ def solve_feasibility(
     violated = np.where(is_eq, np.abs(resid) > PIV_TOL, resid < -PIV_TOL)
     art_rows = np.flatnonzero(violated)
     n_art = art_rows.size
+    if n_art == 0:  # the start is feasible: phase 1 would stop before a pivot
+        return _verified(A, b, is_eq, x0)
     ncols = n + m + n_art
 
     T = np.zeros((m, ncols))
@@ -163,12 +175,7 @@ def solve_feasibility(
     def extract():
         x = np.where(pos == _HI, col_hi, col_lo)
         x[basis] = xb
-        xs = np.clip(x[:n], lo, hi)
-        res = A @ xs - b
-        bad = np.where(is_eq, np.abs(res) > FEAS_TOL, res > FEAS_TOL)
-        if np.any(bad):
-            raise NumericFailure("solution failed residual verification")
-        return xs
+        return _verified(A, b, is_eq, np.clip(x[:n], lo, hi))
 
     cap = 50 * (lp.num_vars + m)
     stalled = 0  # consecutive degenerate pivots; large runs trip Bland's rule

@@ -91,6 +91,12 @@ def assignment_gf(
     assignment.  So the point-level LP is solved once, at the radius found,
     from the same nearest-center start as before.
 
+    When that start already satisfies every row, the solve returns it as is
+    and the fractional assignment is integral.  The rounding then has a
+    single candidate flow, the assignment itself, and returns it after
+    checking its counts against the floor/ceiling windows rather than
+    running the network (see `fairkc.flow`); the result is the same.
+
     Raises InfeasibleError when even the largest radius fails, i.e. when the
     global color proportions fall outside the bounds, and NumericFailure when
     the point-level LP rejects the radius the aggregated one accepted.

@@ -104,6 +104,43 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("delta", ["1.0", "1.5"])
+    def test_bad_delta_is_three(self, tmp_path, capsys, delta):
+        inst_p = str(tmp_path / "inst.json")
+        run(["generate", "--family", "random", "--n", "12", "--m", "2",
+             "--dim", "2", "--seed", "1", "--output", inst_p])
+        sol_p = str(tmp_path / "s.json")
+        assert run(["solve", "--algo", "color-blind", "--k", "3",
+                    "--input", inst_p, "--output", sol_p]) == 0
+        cfg_p = tmp_path / "cfg.json"
+        cfg_p.write_text(json.dumps(
+            {"input": inst_p, "k_values": [3], "delta": float(delta),
+             "output": str(tmp_path / "report.json")}
+        ))
+        capsys.readouterr()
+        for argv in (
+            ["solve", "--algo", "color-blind", "--k", "3", "--delta", delta,
+             "--input", inst_p, "--output", str(tmp_path / "s2.json")],
+            ["evaluate", "--solution", sol_p, "--input", inst_p, "--delta", delta],
+            ["experiment", "--config", str(cfg_p)],
+        ):
+            assert run(argv) == 3, argv
+            err = capsys.readouterr().err
+            assert err.startswith("parse error:") and "delta" in err
+            assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_bad_theta_is_three(self, tmp_path, capsys):
+        inst_p = str(tmp_path / "inst.json")
+        run(["generate", "--family", "random", "--n", "12", "--m", "2",
+             "--dim", "2", "--seed", "1", "--output", inst_p])
+        capsys.readouterr()
+        code = run(["solve", "--algo", "alg-ds", "--k", "3", "--theta", "1.5",
+                    "--input", inst_p, "--output", str(tmp_path / "s.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and "theta" in err
+
     def test_experiment_subcommand(self, tmp_path, capsys):
         inst_p = str(tmp_path / "inst.json")
         run(

@@ -3,6 +3,7 @@ import pytest
 
 from fairkc.core import (
     DSBounds,
+    ExperimentConfig,
     GFBounds,
     Instance,
     Solution,
@@ -57,6 +58,22 @@ class TestBounds:
     def test_ds_lower_sum_over_budget_rejected(self):
         with pytest.raises(ValueError):
             DSBounds(k_lo=[2, 2], k_hi=[3, 3], k=3)
+
+    @pytest.mark.parametrize("delta", [1.0, 1.5, -0.1, float("nan")])
+    def test_config_delta_outside_unit_interval_rejected(self, delta):
+        # delta = 1 would zero every GF lower bound, which GFBounds refuses
+        with pytest.raises(ValueError, match="delta"):
+            ExperimentConfig(k_values=(3,), delta=delta)
+
+    @pytest.mark.parametrize("theta", [1.5, -0.1, float("nan")])
+    def test_config_theta_outside_unit_interval_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            ExperimentConfig(k_values=(3,), theta=theta)
+
+    def test_config_largest_delta_gives_bounds(self):
+        inst = gen_l_community(2, 4, 1.0, "alternating")
+        gfb = ExperimentConfig(k_values=(3,), delta=0.999, theta=1.0).gf_bounds(inst)
+        assert np.all(gfb.beta > 0.0)
 
 
 class TestCost:

@@ -1,10 +1,20 @@
+from importlib import resources
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairkc.core import FractionalAssignment, GFBounds, Instance
+from fairkc import flow, harness
+from fairkc.core import ExperimentConfig, FractionalAssignment, GFBounds, Instance
 from fairkc.flow import (
+    SUPPORT_EPS,
     Arc,
     BoundedFlowNetwork,
+    InternalInfeasible,
+    _forced_assignment,
+    _round_by_network,
+    _support,
     feasible_integral_flow,
     max_flow_gf,
 )
@@ -188,3 +198,125 @@ class TestMaxFlowGF:
             assigned_cost = max(inst.dist[assign[j], j] for j in range(n))
             assert assigned_cost <= support_cost + 1e-12
             assert all((int(assign[j]), j) in x.entries for j in range(n))
+
+
+def random_integral(rng, inst, Q):
+    """One support center per point, weight 1 or 1 - 1e-8, plus entries below
+    SUPPORT_EPS on other centers that the rounding ignores."""
+    entries = {}
+    for j in range(inst.n):
+        main = int(rng.integers(len(Q)))
+        entries[(Q[main], j)] = float(rng.choice([1.0, 1.0 - 1e-8]))
+        for t in range(len(Q)):
+            if t != main and rng.random() < 0.2:
+                entries[(Q[t], j)] = 1e-10
+    return FractionalAssignment(n=inst.n, entries=entries)
+
+
+class TestIntegralEarlyReturn:
+    def test_early_return_equals_network(self, rng):
+        for n in [2, 3, 5, 9, 17, 40, 120, 400, 2000]:
+            m = int(rng.integers(1, min(n, 3) + 1))
+            inst = gen_random(n, m, 2, np.full(m, 1.0 / m), seed=int(rng.integers(2**31)))
+            nq = int(rng.integers(1, min(n, 6) + 1))
+            Q = sorted(rng.choice(n, size=nq, replace=False).tolist())
+            x = random_integral(rng, inst, Q)
+            parts = _support(x, inst, Q)
+            assert all(len(s) == 1 for s in parts[0])
+            forced = _forced_assignment(inst, Q, *parts)
+            assert np.array_equal(forced, _round_by_network(inst, Q, *parts))
+            assert np.array_equal(forced, max_flow_gf(x, inst, Q))
+
+    # FractionalAssignment rejects rows that do not sum to one, so these
+    # single-support inputs reach both paths as (colors, weights, marginals).
+    @pytest.mark.parametrize(
+        "colors, weights, by_color",
+        [
+            # five points of weight 0.4: window [2, 2], count 5
+            ([0] * 5, [0.4] * 5, [2.0]),
+            # per-center only: each color window [0, 1] holds its one point,
+            # the center window [1, 1] not both
+            ([0, 1], [0.5, 0.5], [0.5, 0.5]),
+            # per-color only: weights above 1 let the center total 3.0 fit
+            # the count 3 while the red marginal 1.0 does not fit 2 red points
+            ([0, 0, 1], [0.5, 0.5, 2.0], [1.0, 2.0]),
+        ],
+    )
+    def test_window_break_raises_on_both_paths(self, colors, weights, by_color):
+        n = len(colors)
+        inst = Instance(dist=np.zeros((n, n)), colors=colors, m=len(by_color))
+        parts = ([[0]] * n, np.array([sum(weights)]), np.array([by_color]))
+        for path in (_forced_assignment, _round_by_network):
+            with pytest.raises(InternalInfeasible, match="rejected a unit-row-sum"):
+                path(inst, [0], *parts)
+
+
+def test_run_experiment_exercises_both_rounding_paths(monkeypatch):
+    calls = {"forced": 0, "network": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(flow, "_forced_assignment", counted("forced", flow._forced_assignment))
+    monkeypatch.setattr(flow, "_round_by_network", counted("network", flow._round_by_network))
+
+    inst = gen_random(300, 2, 2, [0.5, 0.5], seed=0)
+    harness.run_experiment(inst, ExperimentConfig(k_values=(4,), delta=0.5))
+    assert calls["forced"] > 0 and calls["network"] == 0
+
+    calls.update(forced=0, network=0)
+    adult = harness.load_instance(str(resources.files("fairkc") / "data" / "adult_mini.csv"))
+    harness.run_experiment(adult, ExperimentConfig(k_values=(4,), delta=0.2, theta=0.8))
+    assert calls["network"] > 0 and calls["forced"] == 0
+
+
+def test_rounding_stays_in_support_and_windows():
+    """max_flow_gf on random unit-row-sum inputs, fractional and near-integral."""
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 40),
+        m=st.integers(1, 3),
+        nq=st.integers(1, 5),
+        spill=st.sampled_from([None, 1e-12, 1e-8, 1e-3]),
+    )
+    def check(seed, n, m, nq, spill):
+        rng = np.random.default_rng(seed)
+        m = min(m, n)
+        inst = gen_random(n, m, 2, np.full(m, 1.0 / m), seed=seed)
+        Q = sorted(rng.choice(n, size=min(nq, n), replace=False).tolist())
+        entries = {}
+        for j in range(n):
+            if spill is None:  # spread over a random subset of Q
+                deg = int(rng.integers(1, len(Q) + 1))
+                chosen = rng.choice(len(Q), size=deg, replace=False)
+                w = rng.random(deg) + 0.05
+                w /= w.sum()
+            else:  # one main center, a little spilled onto the others
+                chosen = rng.permutation(len(Q))
+                w = np.full(len(Q), spill)
+                w[0] = 1.0 - spill * (len(Q) - 1)
+            for t, wi in zip(chosen, w):
+                entries[(Q[t], j)] = float(wi)
+        x = FractionalAssignment(n=n, entries=entries)
+
+        assign = max_flow_gf(x, inst, Q)
+        seen.add(all(len(s) == 1 for s in _support(x, inst, Q)[0]))
+        for j in range(n):
+            assert entries.get((int(assign[j]), j), 0.0) >= SUPPORT_EPS
+        tot, by_color = x.marginals(inst, Q)
+        for t, q in enumerate(Q):
+            members = np.flatnonzero(assign == q)
+            assert np.floor(tot[t] - 1e-7) <= members.size <= np.ceil(tot[t] + 1e-7)
+            counts = np.bincount(inst.colors[members], minlength=m)
+            for h in range(m):
+                assert np.floor(by_color[t, h] - 1e-7) <= counts[h]
+                assert counts[h] <= np.ceil(by_color[t, h] + 1e-7)
+
+    check()
+    assert seen == {True, False}

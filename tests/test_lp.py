@@ -164,6 +164,49 @@ class TestSolver:
             infeas += not got
         assert feas > 10 and infeas > 10  # both verdicts exercised
 
+    def mixed_bounds_lp(self):
+        return LinearProgram(
+            num_vars=4,
+            constraints=(
+                Constraint(terms=((0, 1.0), (1, 1.0)), rel=">=", rhs=0.9),
+                Constraint(terms=((2, 2.0),), rel="=", rhs=1.0),
+                Constraint(terms=((3, 1.0), (0, -1.0)), rel="<=", rhs=0.0),
+            ),
+            var_bounds=((0.25, 0.75), (0.0, 1.0), (0.5, 0.5), (0.0, 0.5)),
+        )
+
+    def test_feasible_start_is_returned_as_is(self):
+        x = solve_feasibility(self.mixed_bounds_lp(), start_at_upper=[1, 0, 1])
+        assert x.dtype == np.float64
+        assert x.tolist() == [0.75, 1.0, 0.5, 0.0]
+
+    def test_feasible_nearest_start_on_assignment_lp(self):
+        inst = gen_random(300, 2, 2, [0.5, 0.5], seed=0)
+        S = list(gonzalez(inst, 4).centers)
+        gfb = ExperimentConfig((4,), delta=0.5).gf_bounds(inst)
+        _, R = assignment_gf(inst, S, gfb)
+        lp, pairs = build_assignment_lp(inst, S, R, gfb)
+        start = nearest_admissible_start(inst, pairs)
+        corner = np.zeros(lp.num_vars)
+        corner[start] = 1.0
+        for con in lp.constraints:  # the start satisfies every row
+            lhs = sum(c * corner[v] for v, c in con.terms)
+            assert abs(lhs - con.rhs) <= 1e-9 if con.rel == "=" else lhs <= con.rhs + 1e-9
+        x = solve_feasibility(lp, start_at_upper=start)
+        assert x.dtype == corner.dtype and x.tobytes() == corner.tobytes()
+
+    def test_start_violating_one_row_pivots(self):
+        lp = self.mixed_bounds_lp()
+        # the lower corner breaks only the first row
+        x = solve_feasibility(lp, start_at_upper=[])
+        assert x is not None and x.tolist() != [0.25, 0.0, 0.5, 0.0]
+        assert x[0] + x[1] >= 0.9 - 1e-7
+        assert 2.0 * x[2] == pytest.approx(1.0, abs=1e-7)
+        assert x[3] - x[0] <= 1e-7
+        assert all(lo - 1e-12 <= v <= hi + 1e-12 for v, (lo, hi) in zip(x, lp.var_bounds))
+        x = solve_feasibility(one_var_lp(0.3, 0.7), start_at_upper=[0])
+        assert x is not None and 0.3 - 1e-7 <= x[0] <= 0.7 + 1e-7
+
 
 class TestAssignmentLp:
     def balanced_pairs(self):
