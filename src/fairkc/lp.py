@@ -1,5 +1,10 @@
 """Feasibility LP solver and the fair-assignment LP builder.
 
+A `LinearProgram` is dense: a float64 matrix whose row r reads
+`constraints[r] @ x <= rhs[r]`, or `=` where `is_eq[r]` is set, plus one
+`[lo, hi]` box inside [0, 1] per variable.  The builder writes that matrix
+directly and the solver pivots on it as it is; its arrays are read-only.
+
 The solver is a dense bounded-variable primal simplex, phase 1 only (the
 problems here carry a dummy zero objective).  Pricing takes the steepest
 reduced cost, falling back to Bland's rule after a run of degenerate pivots,
@@ -23,7 +28,6 @@ solve at the radius found.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -43,47 +47,49 @@ class EmptyRow(FairKCError):
     """Some point has no admissible center within the given radius."""
 
 
-@dataclass(frozen=True)
-class Constraint:
-    terms: tuple  # ((var, coef), ...), sparse
-    rel: str      # one of '<=', '=', '>='
-    rhs: float
-
-    def __post_init__(self):
-        if self.rel not in ("<=", "=", ">="):
-            raise ValueError(f"bad relation {self.rel!r}")
-        if not self.terms:
-            raise ValueError("constraint references no variable")
-        for _, c in self.terms:
-            if not math.isfinite(c):
-                raise ValueError("non-finite coefficient")
-        if not math.isfinite(self.rhs):
-            raise ValueError("non-finite right-hand side")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
-    num_vars: int
-    constraints: tuple
-    var_bounds: tuple  # ((lo, hi), ...) with [lo, hi] inside [0, 1]
+    constraints: np.ndarray  # (rows, vars): row r is constraints[r] @ x <= rhs[r]
+    rhs: np.ndarray          # (rows,)
+    is_eq: np.ndarray        # (rows,) bool: row r holds with '=' instead
+    var_bounds: np.ndarray   # (vars, 2): lo, hi with 0 <= lo <= hi <= 1
 
     def __post_init__(self):
-        if len(self.var_bounds) != self.num_vars:
-            raise ValueError("need one bound pair per variable")
-        for lo, hi in self.var_bounds:
-            if not (-1e-12 <= lo <= hi <= 1.0 + 1e-12):
-                raise ValueError("variable bounds must lie inside [0, 1]")
-        for con in self.constraints:
-            for v, _ in con.terms:
-                if not 0 <= v < self.num_vars:
-                    raise ValueError("constraint references unknown variable")
+        A = np.asarray(self.constraints, dtype=np.float64)
+        b = np.asarray(self.rhs, dtype=np.float64)
+        is_eq = np.asarray(self.is_eq, dtype=bool)
+        bounds = np.asarray(self.var_bounds, dtype=np.float64)
+        if not (
+            A.ndim == 2
+            and b.shape == is_eq.shape == A.shape[:1]
+            and bounds.shape == (A.shape[1], 2)
+        ):
+            raise ValueError(
+                "need constraints (rows, vars), rhs and is_eq (rows,), var_bounds (vars, 2)"
+            )
+        # min and max propagate NaN and hold any inf, without a temporary
+        if A.size and not np.isfinite([A.min(), A.max()]).all():
+            raise ValueError("non-finite coefficient")
+        if not np.isfinite(b).all():
+            raise ValueError("non-finite right-hand side")
+        lo, hi = bounds.T
+        if not np.all((0.0 <= lo) & (lo <= hi) & (hi <= 1.0)):
+            raise ValueError("variable bounds must satisfy 0 <= lo <= hi <= 1")
+        fields = {"constraints": A, "rhs": b, "is_eq": is_eq, "var_bounds": bounds}
+        for name, arr in fields.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @property
+    def num_vars(self) -> int:
+        return self.constraints.shape[1]
 
 
 _LO, _HI, _BASIC = 0, 1, 2
 
 
 def _verified(A, b, is_eq, x):
-    """x, once every normalized row holds at it within FEAS_TOL."""
+    """x, once every row holds at it within FEAS_TOL."""
     res = A @ x - b
     bad = np.where(is_eq, np.abs(res) > FEAS_TOL, res > FEAS_TOL)
     if np.any(bad):
@@ -100,24 +106,11 @@ def solve_feasibility(
     the upper bound instead of the lower one; it changes only the pivot path,
     never the feasible/infeasible verdict.  Deterministic for fixed input.
     """
-    n = lp.num_vars
-    m = len(lp.constraints)
+    A, b, is_eq = lp.constraints, lp.rhs, lp.is_eq
+    m, n = A.shape
+    lo, hi = lp.var_bounds.T
     if m == 0:
-        return np.asarray([lo for lo, _ in lp.var_bounds])
-
-    # Normalize rows to '<=' or '='.
-    A = np.zeros((m, n))
-    b = np.zeros(m)
-    is_eq = np.zeros(m, dtype=bool)
-    for i, con in enumerate(lp.constraints):
-        sign = -1.0 if con.rel == ">=" else 1.0
-        for v, c in con.terms:
-            A[i, v] += sign * c
-        b[i] = sign * con.rhs
-        is_eq[i] = con.rel == "="
-
-    lo = np.asarray([x[0] for x in lp.var_bounds])
-    hi = np.asarray([x[1] for x in lp.var_bounds])
+        return lo.copy()
 
     # Columns: structural | one slack per row | artificials for violated rows.
     slack_lo = np.zeros(m)
@@ -177,7 +170,7 @@ def solve_feasibility(
         x[basis] = xb
         return _verified(A, b, is_eq, np.clip(x[:n], lo, hi))
 
-    cap = 50 * (lp.num_vars + m)
+    cap = 50 * (n + m)
     stalled = 0  # consecutive degenerate pivots; large runs trip Bland's rule
     for _ in range(cap):
         art_basic = is_art[basis]
@@ -263,9 +256,10 @@ def build_assignment_lp(
     class holds the points of one color that admit the same centers at R; its
     variable for center i is the share of the class sent to i, its pair is
     (i, first member), and its proportion-row coefficients are scaled by the
-    class size.  Variables run center by center, classes in order of their
-    first member; rows are the two proportion rows per (center, color), then
-    one unit row per class.
+    class size.  Columns run center by center, classes in order of their
+    first member.  Rows come in one block per center that admits something,
+    two '<= 0' rows per color (lower, then upper proportion bound) over that
+    center's columns, then one '= 1' unit row per class.
 
     Raises EmptyRow when some point has no center within R.
     """
@@ -292,31 +286,25 @@ def build_assignment_lp(
     center_of, cls_of = np.nonzero(adm)
     pairs = list(zip(np.asarray(S)[center_of].tolist(), reps[cls_of].tolist()))
     color, weight = inst.colors[reps][cls_of], size[cls_of]
-    rows = []  # every variable's coefficient in each color's lower, upper row
-    for h in range(gfb.m):
-        ind = (color == h).astype(float)
-        rows.append((weight * (gfb.beta[h] - ind)).tolist())
-        rows.append((weight * (ind - gfb.alpha[h])).tolist())
+    ind = (color == np.arange(gfb.m)[:, None]).astype(float)  # (colors, vars)
+    per = 2 * gfb.m  # rows per center: the lower, then the upper row of each color
+    coef = np.empty((per, len(pairs)))
+    coef[0::2] = weight * (gfb.beta[:, None] - ind)
+    coef[1::2] = weight * (ind - gfb.alpha[:, None])
 
-    cons = []
-    begin = 0
-    for end in np.cumsum(adm.sum(axis=1)).tolist():
-        if end > begin:  # a center that admits nothing has vacuous rows
-            for row in rows:
-                terms = tuple(zip(range(begin, end), row[begin:end]))
-                cons.append(Constraint(terms=terms, rel="<=", rhs=0.0))
-        begin = end
-    by_class = np.argsort(cls_of, kind="stable").tolist()  # centers in S order
-    begin = 0
-    for end in np.cumsum(np.bincount(cls_of, minlength=len(reps))).tolist():
-        terms = tuple((v, 1.0) for v in by_class[begin:end])
-        cons.append(Constraint(terms=terms, rel="=", rhs=1.0))
-        begin = end
-
+    active = adm.any(axis=1)  # a center that admits nothing has vacuous rows
+    block = (np.cumsum(active) - 1)[center_of]  # row block of each variable
+    n_prop = per * int(active.sum())
+    cols = np.arange(len(pairs))
+    A = np.zeros((n_prop + len(reps), len(pairs)))
+    A[per * block + np.arange(per)[:, None], cols] = coef
+    A[n_prop + cls_of, cols] = 1.0
+    is_eq = np.arange(A.shape[0]) >= n_prop
     lp = LinearProgram(
-        num_vars=len(pairs),
-        constraints=tuple(cons),
-        var_bounds=tuple((0.0, 1.0) for _ in pairs),
+        constraints=A,
+        rhs=is_eq.astype(float),
+        is_eq=is_eq,
+        var_bounds=np.tile([0.0, 1.0], (len(pairs), 1)),
     )
     return lp, pairs
 

@@ -188,30 +188,24 @@ def alg_ds(inst: Instance, dsb: DSBounds, seed: Optional[int] = None) -> Solutio
     taken = np.zeros(inst.n, dtype=bool)
     counts = np.zeros(dsb.m, dtype=int)
 
-    def pickable(h: int) -> bool:
-        if counts[h] >= dsb.k_hi[h]:
-            return False
-        need = int(np.maximum(dsb.k_lo - counts, 0).sum())
-        if counts[h] < dsb.k_lo[h]:
-            need -= 1
-        return need <= k - len(chosen) - 1
+    def pickable_points() -> list:
+        """Untaken points whose color has room and leaves enough slots."""
+        need = np.maximum(dsb.k_lo - counts, 0).sum() - (counts < dsb.k_lo)
+        ok = (counts < dsb.k_hi) & (need <= k - len(chosen) - 1)
+        return np.flatnonzero(ok[inst.colors] & ~taken).tolist()
 
     def best_candidate(score) -> int:
         best = -1
-        for p in range(inst.n):
-            if taken[p] or not pickable(int(inst.colors[p])):
-                continue
+        for p in pickable_points():
             if best < 0 or score[p] > score[best] + TOL:
                 best = p
         return best
 
+    okay = pickable_points()
     if seed is None:
-        first = next(
-            (p for p in range(inst.n) if pickable(int(inst.colors[p]))), -1
-        )
+        first = okay[0] if okay else -1
     else:
         rng = np.random.default_rng(seed)
-        okay = [p for p in range(inst.n) if pickable(int(inst.colors[p]))]
         first = okay[int(rng.integers(len(okay)))] if okay else -1
     if first < 0:
         raise InfeasibleQuota("no color is pickable at the start")

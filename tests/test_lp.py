@@ -14,7 +14,6 @@ from fairkc.harness import load_instance
 from fairkc.instances import gen_l_community, gen_random
 from fairkc import solvers
 from fairkc.lp import (
-    Constraint,
     EmptyRow,
     LinearProgram,
     NumericFailure,
@@ -56,14 +55,11 @@ def rational_feasible(lp: LinearProgram) -> bool:
     """
     nv = lp.num_vars
     rows = []  # (coeffs, rhs) meaning a.x <= b, as Fractions
-    for con in lp.constraints:
-        a = [Fraction(0)] * nv
-        for v, c in con.terms:
-            a[v] += Fraction(c)
-        b = Fraction(con.rhs)
-        if con.rel in ("<=", "="):
-            rows.append((a, b))
-        if con.rel in (">=", "="):
+    for coeffs, rhs, eq in zip(lp.constraints, lp.rhs, lp.is_eq):
+        a = [Fraction(float(c)) for c in coeffs]
+        b = Fraction(float(rhs))
+        rows.append((a, b))
+        if eq:
             rows.append(([-x for x in a], -b))
     bounds = [(Fraction(lo), Fraction(hi)) for lo, hi in lp.var_bounds]
 
@@ -104,20 +100,21 @@ def rational_feasible(lp: LinearProgram) -> bool:
 
 
 def random_small_lp(rng, max_vars=6, max_cons=8):
+    """Random rows of '<=', '=' and '>='; a '>=' row is stored negated."""
     nv = int(rng.choice([1, 2, 2, 3, 3, 4, 4, 5, 6]))
     nc = int(rng.integers(1, (5 if nv >= 5 else max_cons) + 1))
-    cons = []
-    for _ in range(nc):
+    A, b, is_eq = np.zeros((nc, nv)), np.zeros(nc), np.zeros(nc, dtype=bool)
+    for r in range(nc):
         kterms = int(rng.integers(1, nv + 1))
         vs = rng.choice(nv, size=kterms, replace=False)
-        terms = tuple((int(v), float(rng.integers(-4, 5)) or 1.0) for v in vs)
+        coefs = [float(rng.integers(-4, 5)) or 1.0 for _ in vs]
         rel = str(rng.choice(["<=", "=", ">="], p=[0.45, 0.1, 0.45]))
         rhs = float(rng.integers(-3, 4)) / 2.0
-        cons.append(Constraint(terms=terms, rel=rel, rhs=rhs))
+        sign = -1.0 if rel == ">=" else 1.0
+        A[r, vs] = [sign * c for c in coefs]
+        b[r], is_eq[r] = sign * rhs, rel == "="
     return LinearProgram(
-        num_vars=nv,
-        constraints=tuple(cons),
-        var_bounds=tuple((0.0, 1.0) for _ in range(nv)),
+        constraints=A, rhs=b, is_eq=is_eq, var_bounds=np.tile([0.0, 1.0], (nv, 1))
     )
 
 
@@ -125,14 +122,65 @@ def random_small_lp(rng, max_vars=6, max_cons=8):
 
 
 def one_var_lp(lo_rhs, hi_rhs):
+    """lo_rhs <= x <= hi_rhs, the first row stored as -x <= -lo_rhs."""
     return LinearProgram(
-        num_vars=1,
-        constraints=(
-            Constraint(terms=((0, 1.0),), rel=">=", rhs=lo_rhs),
-            Constraint(terms=((0, 1.0),), rel="<=", rhs=hi_rhs),
-        ),
-        var_bounds=((0.0, 1.0),),
+        constraints=[[-1.0], [1.0]],
+        rhs=[-lo_rhs, hi_rhs],
+        is_eq=[False, False],
+        var_bounds=[[0.0, 1.0]],
     )
+
+
+def lp_fields(**change):
+    """A valid two-variable program, with some fields replaced."""
+    fields = dict(
+        constraints=[[1.0, -1.0], [1.0, 1.0]],
+        rhs=[0.5, 1.0],
+        is_eq=[False, True],
+        var_bounds=[[0.0, 1.0], [0.25, 0.75]],
+    )
+    fields.update(change)
+    return fields
+
+
+class TestLinearProgram:
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(constraints=[[1.0, np.nan], [1.0, 1.0]]),
+            dict(constraints=[[1.0, -1.0], [np.inf, 1.0]]),
+            dict(constraints=[[1.0, -np.inf], [1.0, 1.0]]),
+            dict(rhs=[np.nan, 1.0]),
+            dict(rhs=[0.5, -np.inf]),
+            dict(rhs=[0.5]),
+            dict(is_eq=[False, True, True]),
+            dict(constraints=[[1.0, -1.0]]),
+            dict(constraints=[1.0, -1.0]),
+            dict(var_bounds=[[0.0, 1.0]]),
+            dict(var_bounds=[[-0.1, 1.0], [0.25, 0.75]]),
+            dict(var_bounds=[[0.0, 1.5], [0.25, 0.75]]),
+            dict(var_bounds=[[0.0, np.nan], [0.25, 0.75]]),
+            dict(var_bounds=[[0.0, 1.0], [0.75, 0.25]]),
+        ],
+        ids=[
+            "nan-coef", "inf-coef", "neg-inf-coef", "nan-rhs", "inf-rhs",
+            "short-rhs", "long-is-eq", "short-constraints", "1d-constraints",
+            "short-bounds", "lo-below-0", "hi-above-1", "nan-bound", "lo-above-hi",
+        ],
+    )
+    def test_rejects(self, change):
+        with pytest.raises(ValueError):
+            LinearProgram(**lp_fields(**change))
+
+    def test_arrays_are_read_only_and_float64_is_not_copied(self):
+        A = np.asarray(lp_fields()["constraints"])
+        lp = LinearProgram(**lp_fields(constraints=A))
+        assert lp.constraints is A and lp.num_vars == 2
+        for name in ("constraints", "rhs", "is_eq", "var_bounds"):
+            arr = getattr(lp, name)
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
+        assert solve_feasibility(lp) is not None
 
 
 class TestSolver:
@@ -165,14 +213,16 @@ class TestSolver:
         assert feas > 10 and infeas > 10  # both verdicts exercised
 
     def mixed_bounds_lp(self):
+        # x0 + x1 >= 0.9 (stored negated), 2 x2 = 1, x3 - x0 <= 0
         return LinearProgram(
-            num_vars=4,
-            constraints=(
-                Constraint(terms=((0, 1.0), (1, 1.0)), rel=">=", rhs=0.9),
-                Constraint(terms=((2, 2.0),), rel="=", rhs=1.0),
-                Constraint(terms=((3, 1.0), (0, -1.0)), rel="<=", rhs=0.0),
-            ),
-            var_bounds=((0.25, 0.75), (0.0, 1.0), (0.5, 0.5), (0.0, 0.5)),
+            constraints=[
+                [-1.0, -1.0, 0.0, 0.0],
+                [0.0, 0.0, 2.0, 0.0],
+                [-1.0, 0.0, 0.0, 1.0],
+            ],
+            rhs=[-0.9, 1.0, 0.0],
+            is_eq=[False, True, False],
+            var_bounds=[[0.25, 0.75], [0.0, 1.0], [0.5, 0.5], [0.0, 0.5]],
         )
 
     def test_feasible_start_is_returned_as_is(self):
@@ -189,9 +239,8 @@ class TestSolver:
         start = nearest_admissible_start(inst, pairs)
         corner = np.zeros(lp.num_vars)
         corner[start] = 1.0
-        for con in lp.constraints:  # the start satisfies every row
-            lhs = sum(c * corner[v] for v, c in con.terms)
-            assert abs(lhs - con.rhs) <= 1e-9 if con.rel == "=" else lhs <= con.rhs + 1e-9
+        lhs = lp.constraints @ corner  # the start satisfies every row
+        assert np.all(np.where(lp.is_eq, np.abs(lhs - lp.rhs), lhs - lp.rhs) <= 1e-9)
         x = solve_feasibility(lp, start_at_upper=start)
         assert x.dtype == corner.dtype and x.tobytes() == corner.tobytes()
 
@@ -329,13 +378,36 @@ def point_classes(inst, S, R):
 
 
 def satisfies(lp, x, tol=1e-6):
-    for con in lp.constraints:
-        lhs = sum(c * x[v] for v, c in con.terms)
-        if con.rel == "=" and abs(lhs - con.rhs) > tol:
-            return False
-        if con.rel == "<=" and lhs > con.rhs + tol:
-            return False
+    lhs = lp.constraints @ x
+    if np.any(np.where(lp.is_eq, np.abs(lhs - lp.rhs), lhs - lp.rhs) > tol):
+        return False
     return bool(np.all(x >= -tol) and np.all(x <= 1.0 + tol))
+
+
+def reference_lp(inst, S, R, gfb, aggregate):
+    """The assignment LP row by row, one coefficient at a time."""
+    cls = point_classes(inst, S, R) if aggregate else np.arange(inst.n)
+    size = np.bincount(cls, minlength=inst.n)
+    reps = list(dict.fromkeys(cls.tolist()))  # classes in order of first member
+    pairs = [(i, j) for i in S for j in reps if inst.dist[i, j] <= R + 1e-12]
+    rows, rhs = [], []
+    for i in S:
+        block = [v for v, (c, _) in enumerate(pairs) if c == i]
+        if not block:  # a center that admits nothing has no rows
+            continue
+        for h in range(gfb.m):
+            lower, upper = np.zeros(len(pairs)), np.zeros(len(pairs))
+            for v in block:
+                j = pairs[v][1]
+                ind = float(inst.colors[j] == h)
+                lower[v] = size[j] * (gfb.beta[h] - ind)
+                upper[v] = size[j] * (ind - gfb.alpha[h])
+            rows += [lower, upper]
+            rhs += [0.0, 0.0]
+    for j in reps:
+        rows.append(np.asarray([float(p == j) for _, p in pairs]))
+        rhs.append(1.0)
+    return np.asarray(rows), np.asarray(rhs), np.asarray(rhs) == 1.0, pairs
 
 
 def seeded_random_cases():
@@ -393,7 +465,25 @@ class TestClassAggregation:
         assert len(set(point_classes(inst, S, R))) == inst.n
         agg, agg_pairs = build_assignment_lp(inst, S, R, gfb, aggregate=True)
         pt, pt_pairs = build_assignment_lp(inst, S, R, gfb)
-        assert agg == pt and agg_pairs == pt_pairs
+        for field in ("constraints", "rhs", "is_eq", "var_bounds"):
+            a, b = getattr(agg, field), getattr(pt, field)
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes(), field
+        assert agg_pairs == pt_pairs
+
+    def test_matrix_matches_row_by_row_reference(self):
+        for inst, S, gfb in seeded_random_cases():
+            S = list(S)
+            radii = radii_from_cover(inst, S)
+            for R in {radii[0], radii[len(radii) // 2], radii[-1]}:
+                for aggregate in (False, True):
+                    lp, pairs = build_assignment_lp(inst, S, float(R), gfb, aggregate=aggregate)
+                    A, b, is_eq, want_pairs = reference_lp(inst, S, float(R), gfb, aggregate)
+                    assert pairs == want_pairs
+                    for got, want in ((lp.constraints, A), (lp.rhs, b), (lp.is_eq, is_eq)):
+                        assert got.shape == want.shape and got.dtype == want.dtype
+                        assert got.tobytes() == want.tobytes()
+                    assert lp.var_bounds.tolist() == [[0.0, 1.0]] * len(pairs)
 
     def test_class_shape_and_weights(self):
         # coinciding pairs of one color collapse; proportion rows carry the size
@@ -403,13 +493,14 @@ class TestClassAggregation:
         gfb = GFBounds(beta=[0.3, 0.3], alpha=[0.7, 0.7])
         lp, pairs = build_assignment_lp(inst, [0, 3], 0.0, gfb, aggregate=True)
         assert pairs == [(0, 0), (0, 2), (3, 3), (3, 5)]
-        first_rows = [dict(con.terms) for con in lp.constraints[:2]]
-        assert first_rows == [
-            {0: 2 * (0.3 - 1.0), 1: 0.3},
-            {0: 2 * (1.0 - 0.7), 1: -0.7},
+        assert lp.constraints.shape == (4 + 4 + 4, 4)  # 2 blocks of 2m rows, 4 classes
+        assert lp.constraints[:2].tolist() == [
+            [2 * (0.3 - 1.0), 0.3, 0.0, 0.0],
+            [2 * (1.0 - 0.7), -0.7, 0.0, 0.0],
         ]
-        unit_rows = [con.terms for con in lp.constraints[-4:]]
-        assert unit_rows == [((v, 1.0),) for v in range(4)]
+        assert lp.rhs[:8].tolist() == [0.0] * 8 and not lp.is_eq[:8].any()
+        assert lp.constraints[-4:].tolist() == np.eye(4).tolist()
+        assert lp.rhs[-4:].tolist() == [1.0] * 4 and lp.is_eq[-4:].all()
         assert verdict(inst, [0, 3], 0.0, gfb, aggregate=True)
 
     def test_solutions_map_both_ways(self, rng):
@@ -492,18 +583,12 @@ class TestClassAggregation:
 
 def highs_feasible(lp: LinearProgram) -> bool:
     """Feasibility verdict of scipy's HiGHS on the same program."""
-    A = np.zeros((len(lp.constraints), lp.num_vars))
-    for r, con in enumerate(lp.constraints):
-        for v, c in con.terms:
-            A[r, v] += c
-    b = np.asarray([con.rhs for con in lp.constraints])
-    rel = np.asarray([con.rel for con in lp.constraints])
-    sign = np.where(rel == ">=", -1.0, 1.0)
-    ub, eq = rel != "=", rel == "="
+    A, b, eq = lp.constraints, lp.rhs, lp.is_eq
+    ub = ~eq
     res = linprog(
         np.zeros(lp.num_vars),
-        A_ub=(sign[:, None] * A)[ub] if ub.any() else None,
-        b_ub=(sign * b)[ub] if ub.any() else None,
+        A_ub=A[ub] if ub.any() else None,
+        b_ub=b[ub] if ub.any() else None,
         A_eq=A[eq] if eq.any() else None,
         b_eq=b[eq] if eq.any() else None,
         bounds=lp.var_bounds,

@@ -12,7 +12,7 @@ from fairkc.core import (
 )
 from fairkc.instances import gen_l_community, gen_random
 from fairkc.oracle import TooLarge, brute_force_opt
-from fairkc.solvers import alg_ds, alg_gf, gonzalez
+from fairkc.solvers import alg_ds, alg_gf, assignment_gf, gonzalez
 
 
 class TestCaps:
@@ -129,3 +129,41 @@ class TestConstrained:
             k = int(rng.integers(1, 4))
             c, _ = brute_force_opt(inst, k)
             assert cost(inst, gonzalez(inst, k)) <= 2.0 * c + 1e-9
+
+
+def test_lp_radius_against_oracle():
+    """The radius search is bounded by the exactly fair optimum `opt`.
+
+    On the oracle's own centers: its assignment is integral, exactly fair
+    and within `opt`, so it is a feasible point of the assignment LP at
+    radius `opt`, and the search returns the smallest feasible radius.
+
+    On Gonzalez centers: Gonzalez covers every point, each optimal center
+    included, within twice the unconstrained optimum, which is at most
+    `opt`.  Sending each optimal cluster whole to the Gonzalez center
+    nearest its center keeps every point within opt + 2 * opt, and a union
+    of fair clusters is fair, so the LP is feasible at 3 * opt.
+
+    alg_gf's rounding only uses pairs of the LP's support, so its cost is
+    at most the radius returned.
+    """
+    rng = np.random.default_rng(20261018)
+    checked = 0
+    for _ in range(20):
+        m = int(rng.integers(2, 4))
+        inst = gen_random(
+            int(rng.integers(6, 11)), m, 2, np.full(m, 1 / m), seed=int(rng.integers(2**31))
+        )
+        k = int(rng.integers(2, 4))
+        gfb = wide_bounds(inst, delta=float(rng.choice([0.3, 0.6])))
+        got = brute_force_opt(inst, k, gfb, rho_allow=0)
+        if got is None:
+            continue
+        opt, sol = got
+        _, r_opt = assignment_gf(inst, sol.centers, gfb)
+        assert r_opt <= opt
+        _, r_gonzalez = assignment_gf(inst, gonzalez(inst, k).centers, gfb)
+        assert r_gonzalez <= 3.0 * opt + 1e-9
+        assert cost(inst, alg_gf(inst, k, gfb)) <= r_gonzalez
+        checked += 1
+    assert checked >= 15
