@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.  Budgets are asserted with the stated limits.
 """
 
+import hashlib
 import itertools
 import json
 import time
@@ -472,3 +473,19 @@ def test_criterion_11_determinism(adult_experiment, tmp_path):
     harness.emit_report(harness.run_experiment(inst, cfg), second)
     same = open(first, "rb").read() == open(second, "rb").read()
     verdict(11, same, "byte-identical reports across two runs")
+
+
+# sha256 of the timing-free adult_mini report at k in {4, 8, 12}, delta 0.2,
+# theta 0.8: a change that claims the same solutions must keep these bytes
+ADULT_REPORT_SHA256 = {
+    "json": "478a63fb0c803f3b52e2aa522e27127a574173d4ed8d3a2bcbfdb748424175be",
+    "csv": "a1ff79d1664e5d403f0f84dc7a5c1be3293b24174ade44dba61a35e953e2c8d4",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(ADULT_REPORT_SHA256))
+def test_adult_report_bytes_are_pinned(adult_experiment, tmp_path, fmt):
+    _, _, report, _ = adult_experiment
+    path = tmp_path / f"report.{fmt}"
+    harness.emit_report(report, str(path), fmt=fmt)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ADULT_REPORT_SHA256[fmt]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 from importlib import resources
@@ -22,6 +23,9 @@ from fairkc.lp import (
     solve_feasibility,
 )
 from fairkc.solvers import alg_ds, assignment_gf, gonzalez
+
+# sha256 over the verdicts and vertex bytes of `pinned_programs()`
+PINNED_VERTICES = "691e2ea6ad7923fb52b2e9602c7d6851abe57f878619b13799b9c3c327aa9264"
 
 # ---------------------------------------------------------------------------
 # exact rational checker: vertex enumeration over tight-row subsets
@@ -628,3 +632,62 @@ def test_verdict_matches_highs():
 
     check()
     assert seen == {True, False}  # both verdicts exercised
+
+
+# ---------------------------------------------------------------------------
+# pinned vertices
+# ---------------------------------------------------------------------------
+
+
+def assignment_programs(rng, count, sizes, deltas):
+    """Assignment LPs on seeded instances, both forms, from the nearest start."""
+    for _ in range(count):
+        m = int(rng.integers(2, 5))
+        n = int(rng.integers(*sizes))
+        k = int(rng.integers(2, min(n, 8) + 1))
+        props = rng.dirichlet(np.ones(m))
+        inst = gen_random(n, m, 2, props / props.sum(), seed=int(rng.integers(2**31)))
+        gfb = ExperimentConfig((k,), delta=float(rng.choice(deltas))).gf_bounds(inst)
+        for S in (
+            list(gonzalez(inst, k).centers),
+            sorted(rng.choice(n, size=k, replace=False).tolist()),
+        ):
+            radii = radii_from_cover(inst, S)
+            for R in radii[:: max(1, len(radii) // 3)]:
+                for aggregate in (False, True):
+                    lp, pairs = build_assignment_lp(inst, S, float(R), gfb, aggregate=aggregate)
+                    yield lp, nearest_admissible_start(inst, pairs)
+
+
+def pinned_programs():
+    """Small programs and their starts, where bound flips and Bland's rule are common.
+
+    Random rows from the lower corner and from a random one; assignment LPs
+    of the benchmark's fuzz-small shapes (n < 25); and point LPs of n in
+    [55, 80] at delta 0 or 0.05, whose long degenerate runs switch the
+    pricing to Bland's rule.
+    """
+    rng = np.random.default_rng(20260601)
+    for _ in range(300):
+        lp = random_small_lp(rng)
+        yield lp, None
+        yield lp, np.flatnonzero(rng.random(lp.num_vars) < 0.5)
+    yield from assignment_programs(rng, 60, (4, 25), (0.0, 0.05, 0.3))
+    yield from assignment_programs(rng, 20, (55, 81), (0.0, 0.05))
+
+
+def test_pinned_vertices():
+    """Verdict and vertex bytes of every pinned program are the recorded ones.
+
+    Any change to the pivot path or to the arithmetic of an update moves the
+    digest, so a rewrite of the simplex loop that claims the same vertices
+    must keep it.
+    """
+    digest = hashlib.sha256()
+    verdicts = set()
+    for lp, start in pinned_programs():
+        x = solve_feasibility(lp, start_at_upper=start)
+        digest.update(b"none" if x is None else x.tobytes())
+        verdicts.add(x is None)
+    assert verdicts == {True, False}
+    assert digest.hexdigest() == PINNED_VERTICES
