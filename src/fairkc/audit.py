@@ -16,12 +16,6 @@ from .core import Instance, Solution
 INF = float("inf")
 
 
-def _ratio(num: float, den: float) -> float:
-    if den > 0.0:
-        return num / den
-    return 1.0 if num == 0.0 else INF
-
-
 def population_threshold(n: int, k: int) -> int:
     """ceil(n / k): the coalition / neighborhood population size."""
     return -(-n // k)
@@ -37,15 +31,14 @@ def neighborhood_radius(inst: Instance, k: int, j: int) -> float:
 
 def min_alpha_nr(inst: Instance, sol: Solution, k: int) -> float:
     """Smallest alpha with d(j, phi(j)) <= alpha * NR(j) for every point."""
-    worst = 0.0
-    for j in range(inst.n):
-        worst = max(
-            worst,
-            _ratio(float(inst.dist[j, sol.assign[j]]), neighborhood_radius(inst, k, j)),
-        )
-        if worst == INF:
-            return INF
-    return worst
+    if not 1 <= k <= inst.n:
+        raise ValueError("need 1 <= k <= n")
+    t = population_threshold(inst.n, k)
+    nr = np.partition(inst.dist, t - 1, axis=1)[:, t - 1]  # NR(j) for every j
+    d = inst.dist[np.arange(inst.n), sol.assign]
+    spread = nr > 0.0
+    ratio = np.where(spread, d / np.where(spread, nr, 1.0), np.where(d == 0.0, 1.0, INF))
+    return float(ratio.max())
 
 
 def socially_fair_cost(inst: Instance, sol: Solution, p: int = 1) -> float:

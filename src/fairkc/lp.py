@@ -11,8 +11,17 @@ reduced cost, falling back to Bland's rule after a run of degenerate pivots,
 which keeps the pivot sequence deterministic and cycle-free.  Artificial
 variables are added only for rows the starting point violates, so callers
 that pass a good starting corner (e.g. nearest-center assignments) pay for
-few pivots, and a corner that violates no row is returned after the residual
-check, without building the tableau.
+few pivots, and a corner that violates no row by more than PIV_TOL is
+returned as it is, without building the tableau or a second residual check.
+
+Each pivot's rank-one update touches only the rows with a nonzero in the
+entering column.  That is exact: a skipped row would have had a signed zero
+subtracted from each entry, which can flip the sign of a zero and nothing
+else, and every read of the tableau compares with PIV_TOL or takes an abs.
+Flipped zeros can reach the basic values only as ±0 steps, which again can
+flip nothing but a zero's sign, and no pivot decision sees that sign.  So
+the pivot path is the dense update's, and so is the vertex, byte for byte
+unless a lower bound is given as -0.0, which the builder never writes.
 
 The fair-assignment LP (Bera et al. 2019) can be built per point or per
 class of points.  At radius R, points of one color that admit the same
@@ -29,6 +38,7 @@ solve at the radius found.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -123,8 +133,10 @@ def solve_feasibility(
     violated = np.where(is_eq, np.abs(resid) > PIV_TOL, resid < -PIV_TOL)
     art_rows = np.flatnonzero(violated)
     n_art = art_rows.size
-    if n_art == 0:  # the start is feasible: phase 1 would stop before a pivot
-        return _verified(A, b, is_eq, x0)
+    if n_art == 0:
+        # The start is feasible: phase 1 would stop before a pivot.  No row is
+        # off by more than PIV_TOL, so the FEAS_TOL residual check holds.
+        return x0
     ncols = n + m + n_art
 
     T = np.zeros((m, ncols))
@@ -157,8 +169,8 @@ def solve_feasibility(
 
     is_art = np.zeros(ncols, dtype=bool)
     is_art[n + m :] = True
-    banned = np.zeros(ncols, dtype=bool)
-    fixed = col_hi - col_lo <= PIV_TOL  # fixed vars never enter
+    # Fixed vars never enter, nor does an artificial once it has left.
+    movable = col_hi - col_lo > PIV_TOL
 
     # Phase-1 reduced costs: cost 1 on artificials, 0 elsewhere.
     dvec = is_art.astype(float)
@@ -172,68 +184,68 @@ def solve_feasibility(
 
     cap = 50 * (n + m)
     stalled = 0  # consecutive degenerate pivots; large runs trip Bland's rule
-    for _ in range(cap):
-        art_basic = is_art[basis]
-        obj = float(np.sum(xb[art_basic])) if np.any(art_basic) else 0.0
-        if obj <= PIV_TOL:
-            return extract()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(cap):
+            obj = float(xb[is_art[basis]].sum())
+            if obj <= PIV_TOL:
+                return extract()
 
-        enter_lo = (pos == _LO) & ~banned & ~fixed & (dvec < -PIV_TOL)
-        enter_hi = (pos == _HI) & ~banned & ~fixed & (dvec > PIV_TOL)
-        cand = enter_lo | enter_hi
-        if not np.any(cand):
-            return None if obj > FEAS_TOL else extract()
-        if stalled > 40:
-            j = int(np.argmax(cand))  # Bland: lowest improving index
-        else:
-            gain = np.where(cand, np.abs(dvec), 0.0)
-            j = int(np.argmax(gain))  # steepest reduced cost, first on ties
-        direction = 1.0 if pos[j] == _LO else -1.0
+            cand = movable & (
+                ((pos == _LO) & (dvec < -PIV_TOL)) | ((pos == _HI) & (dvec > PIV_TOL))
+            )
+            if not cand.any():
+                return None if obj > FEAS_TOL else extract()
+            if stalled > 40:
+                j = int(cand.argmax())  # Bland: lowest improving index
+            else:
+                j = int(np.where(cand, np.abs(dvec), 0.0).argmax())  # steepest, first on ties
+            direction = 1.0 if pos[j] == _LO else -1.0
 
-        eff = -direction * T[:, j]  # basic change per unit step
-        with np.errstate(divide="ignore", invalid="ignore"):
+            eff = -direction * T[:, j]  # basic change per unit step
             lim_up = np.where(eff > PIV_TOL, (row_hi - xb) / eff, np.inf)
             lim_dn = np.where(eff < -PIV_TOL, (row_lo - xb) / eff, np.inf)
-        limits = np.maximum(np.minimum(lim_up, lim_dn), 0.0)
-        t_flip = col_hi[j] - col_lo[j]
-        t_star = min(float(limits.min()) if m else np.inf, t_flip)
-        if not np.isfinite(t_star):
-            raise NumericFailure("unbounded ray in phase 1")
+            limits = np.maximum(np.minimum(lim_up, lim_dn), 0.0)
+            t_flip = col_hi[j] - col_lo[j]
+            t_star = min(float(limits.min()), t_flip)
+            if not np.isfinite(t_star):
+                raise NumericFailure("unbounded ray in phase 1")
 
-        stalled = 0 if t_star > 1e-12 else stalled + 1
+            stalled = 0 if t_star > 1e-12 else stalled + 1
 
-        blocking = np.flatnonzero(limits <= t_star + 1e-12)
-        leave_var = j if t_flip <= t_star + 1e-12 else ncols
-        leave_row = -1
-        for r in blocking:
-            if basis[r] < leave_var:
-                leave_var = int(basis[r])
-                leave_row = int(r)
+            blocking = (limits <= t_star + 1e-12).nonzero()[0]
+            leave_var = j if t_flip <= t_star + 1e-12 else ncols
+            leave_row = -1
+            for r in blocking:
+                if basis[r] < leave_var:
+                    leave_var = int(basis[r])
+                    leave_row = int(r)
 
-        xb += eff * t_star
-        if leave_var == j or leave_row < 0:
-            pos[j] = _HI if pos[j] == _LO else _LO
-            continue
+            xb += eff * t_star
+            if leave_var == j or leave_row < 0:
+                pos[j] = _HI if pos[j] == _LO else _LO
+                continue
 
-        r = leave_row
-        piv = T[r, j]
-        if abs(piv) <= PIV_TOL:
-            raise NumericFailure("numerically singular pivot")
-        enter_val = (col_lo[j] + t_star) if direction > 0 else (col_hi[j] - t_star)
-        out = leave_var
-        pos[out] = _HI if eff[r] > 0 else _LO
-        if is_art[out]:
-            banned[out] = True
-        rowvals = T[r, :] / piv
-        colvals = T[:, j].copy()
-        T -= np.outer(colvals, rowvals)
-        T[r, :] = rowvals
-        dvec -= dvec[j] * rowvals
-        basis[r] = j
-        pos[j] = _BASIC
-        xb[r] = enter_val
-        row_lo[r] = col_lo[j]
-        row_hi[r] = col_hi[j]
+            r = leave_row
+            piv = T[r, j]
+            if abs(piv) <= PIV_TOL:
+                raise NumericFailure("numerically singular pivot")
+            enter_val = (col_lo[j] + t_star) if direction > 0 else (col_hi[j] - t_star)
+            out = leave_var
+            pos[out] = _HI if eff[r] > 0 else _LO
+            if is_art[out]:
+                movable[out] = False
+            # Rank-one update of the rows with a nonzero in column j only; the
+            # rest would lose a signed zero, which no read of T can tell apart.
+            rowvals = T[r, :] / piv
+            rows = T[:, j].nonzero()[0]
+            T[rows] -= np.outer(T[rows, j], rowvals)
+            T[r, :] = rowvals
+            dvec -= dvec[j] * rowvals
+            basis[r] = j
+            pos[j] = _BASIC
+            xb[r] = enter_val
+            row_lo[r] = col_lo[j]
+            row_hi[r] = col_hi[j]
 
     raise NumericFailure(f"iteration cap {cap} exceeded")
 
@@ -313,11 +325,16 @@ def nearest_admissible_start(inst: Instance, pairs: Sequence[tuple]) -> list:
     """Crash start: each point's nearest admissible center set to 1.
 
     Satisfies every unit-assignment row exactly, leaving the simplex to
-    repair only proportion rows.
+    repair only proportion rows.  Ties in distance go to the lower center
+    id; the variables come in the order their points first appear in pairs.
     """
-    best = {}
-    for v, (i, j) in enumerate(pairs):
-        key = (inst.dist[i, j], i)
-        if j not in best or key < best[j][0]:
-            best[j] = (key, v)
-    return [v for (_, v) in best.values()]
+    if not pairs:
+        return []
+    flat = np.fromiter(chain.from_iterable(pairs), dtype=np.intp, count=2 * len(pairs))
+    centers, points = flat[0::2], flat[1::2]
+    # by point, then distance, then center id; stable, so a repeated pair keeps its first
+    order = np.lexsort((centers, inst.dist[centers, points], points))
+    by_point = points[order]
+    starts = np.concatenate(([0], (by_point[1:] != by_point[:-1]).nonzero()[0] + 1))
+    first_seen = np.minimum.reduceat(order, starts)  # each point's first index in pairs
+    return order[starts[first_seen.argsort()]].tolist()

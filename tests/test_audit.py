@@ -110,6 +110,36 @@ class TestMinAlphaNR:
             )
 
 
+    def test_equals_per_point_form(self):
+        # one partition over all rows against neighborhood_radius point by
+        # point, with 0/0 -> 1 and x/0 -> inf; community instances hit both
+        def per_point(inst, sol, k):
+            worst = 0.0
+            for j in range(inst.n):
+                d, nr = float(inst.dist[j, sol.assign[j]]), neighborhood_radius(inst, k, j)
+                worst = max(worst, d / nr if nr > 0.0 else 1.0 if d == 0.0 else INF)
+            return worst
+
+        rng = np.random.default_rng(20260602)
+        seen = set()
+        for trial in range(60):
+            if trial % 3:
+                inst = random_instance(rng, n=int(rng.integers(4, 40)))
+            else:
+                inst = gen_l_community(int(rng.integers(2, 4)), int(rng.integers(2, 6)), 1.0,
+                                       "alternating")
+            for k in (1, int(rng.integers(1, inst.n + 1)), inst.n):
+                centers = sorted(rng.choice(inst.n, size=min(k, inst.n), replace=False).tolist())
+                assign = rng.choice(centers, size=inst.n)  # not always the nearest
+                sol = Solution(centers=tuple(centers), assign=assign)
+                got = min_alpha_nr(inst, sol, k)
+                assert got == per_point(inst, sol, k)
+                seen.add(1.0 if got == 1.0 else INF if got == INF else 0.5)
+        assert seen == {0.5, 1.0, INF}
+        with pytest.raises(ValueError):
+            min_alpha_nr(inst, sol, inst.n + 1)
+
+
 class TestSociallyFair:
     def test_zero_cost_solution(self):
         inst = gen_l_community(2, 4, 1.0, "alternating")

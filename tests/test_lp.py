@@ -580,6 +580,35 @@ class TestClassAggregation:
         assert forms[-1] is False and all(forms[:-1])
 
 
+def loop_nearest_start(inst, pairs):
+    """The nearest start pair by pair: the smallest (distance, center id) per point."""
+    best = {}
+    for v, (i, j) in enumerate(pairs):
+        key = (inst.dist[i, j], i)
+        if j not in best or key < best[j][0]:
+            best[j] = (key, v)
+    return [v for (_, v) in best.values()]
+
+
+class TestNearestStart:
+    def test_matches_pair_loop(self, adult_cases):
+        for inst, S, gfb in list(seeded_random_cases()) + adult_cases:
+            radii = radii_from_cover(inst, S)
+            for R in radii[:: max(1, len(radii) // 4)]:
+                for aggregate in (False, True):
+                    _, pairs = build_assignment_lp(inst, S, float(R), gfb, aggregate=aggregate)
+                    assert nearest_admissible_start(inst, pairs) == loop_nearest_start(inst, pairs)
+
+    def test_ties_go_to_the_lower_center_id(self):
+        # all distances equal: center 1 beats center 3 whatever their order in
+        # pairs, a repeated pair keeps its first index, points keep first-seen order
+        inst = Instance(dist=np.zeros((4, 4)), colors=[0, 1, 0, 1], m=2)
+        pairs = [(3, 2), (3, 0), (1, 0), (1, 2), (0, 2), (1, 0)]
+        assert loop_nearest_start(inst, pairs) == [4, 2]
+        assert nearest_admissible_start(inst, pairs) == [4, 2]
+        assert nearest_admissible_start(inst, []) == []
+
+
 # ---------------------------------------------------------------------------
 # differential check against HiGHS
 # ---------------------------------------------------------------------------
