@@ -8,10 +8,9 @@ incompatibility arguments rely on.
 
 from __future__ import annotations
 
-
 import numpy as np
 
-from .core import Instance, Solution
+from .core import Instance, Solution, row_blocks
 
 INF = float("inf")
 
@@ -34,7 +33,9 @@ def min_alpha_nr(inst: Instance, sol: Solution, k: int) -> float:
     if not 1 <= k <= inst.n:
         raise ValueError("need 1 <= k <= n")
     t = population_threshold(inst.n, k)
-    nr = np.partition(inst.dist, t - 1, axis=1)[:, t - 1]  # NR(j) for every j
+    nr = np.empty(inst.n)  # NR(j) for every j, a block of rows at a time
+    for rows in row_blocks(inst.n):
+        nr[rows] = np.partition(inst.dist[rows], t - 1, axis=1)[:, t - 1]
     d = inst.dist[np.arange(inst.n), sol.assign]
     spread = nr > 0.0
     ratio = np.where(spread, d / np.where(spread, nr, 1.0), np.where(d == 0.0, 1.0, INF))

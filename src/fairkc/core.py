@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 TOL = 1e-9
+ROW_BLOCK = 128  # rows per block of the n-by-n passes, so no pass copies the matrix
 
 
 class FairKCError(Exception):
@@ -25,6 +26,27 @@ class InfeasibleError(FairKCError):
     """A constrained problem has no solution under the given bounds, or the
     algorithm cannot reach one.  Every infeasibility the solvers report is
     this type or a subclass of it."""
+
+
+def row_blocks(n: int):
+    """Slices covering range(n) in order, ROW_BLOCK rows each but the last."""
+    return (slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK))
+
+
+def euclidean_distances(pts) -> np.ndarray:
+    """n-by-n Euclidean distances between the rows of pts, a block at a time.
+
+    Each block is the broadcast difference formula over its rows, so every
+    entry has the bits of the full n x n x dim product; that product is
+    exactly symmetric (d(i, j) and d(j, i) sum the same squares in the same
+    order) with a zero diagonal.
+    """
+    pts = np.asarray(pts, dtype=float)
+    dist = np.empty((pts.shape[0], pts.shape[0]))
+    for rows in row_blocks(pts.shape[0]):
+        diff = pts[rows, None, :] - pts[None, :, :]
+        dist[rows] = np.sqrt((diff * diff).sum(axis=-1))
+    return dist
 
 
 def _as_float_matrix(dist) -> np.ndarray:
@@ -60,7 +82,10 @@ class Instance:
             raise ValueError("distances must be nonnegative")
         if np.any(np.abs(np.diagonal(self.dist)) > TOL):
             raise ValueError("distance matrix must have zero diagonal")
-        if not np.allclose(self.dist, self.dist.T, atol=TOL, rtol=0.0):
+        if not all(
+            np.allclose(self.dist[rows], self.dist[:, rows].T, atol=TOL, rtol=0.0)
+            for rows in row_blocks(n)
+        ):
             raise ValueError("distance matrix must be symmetric")
         if self.m < 1:
             raise ValueError("need at least one color")

@@ -24,6 +24,7 @@ from .core import (
     Solution,
     cost,
     ds_violation,
+    euclidean_distances,
     gf_violation,
     pof,
 )
@@ -112,10 +113,7 @@ def _load_csv(path: str) -> Instance:
     if not np.all(np.isfinite(pts)):
         bad = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])
         raise ParseError(f"{path}: row {bad + 2} has a non-finite feature")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    dist = np.triu(dist, 1)
-    dist = dist + dist.T
+    dist = euclidean_distances(pts)
     try:
         return Instance(dist=dist, colors=colors, m=len(order), feature_vectors=pts)
     except ValueError as exc:

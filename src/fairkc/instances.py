@@ -6,7 +6,7 @@ from math import gcd
 
 import numpy as np
 
-from .core import FairKCError, Instance
+from .core import FairKCError, Instance, euclidean_distances
 
 PATTERNS = ("alternating", "odd-mixed-last", "ds-variant")
 
@@ -151,8 +151,6 @@ def gen_random(
     colors = np.repeat(np.arange(m), counts)
     rng.shuffle(colors)
 
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    dist = np.triu(dist, 1)
-    dist = dist + dist.T  # exact symmetry
-    return Instance(dist=dist, colors=colors, m=m, feature_vectors=pts)
+    return Instance(
+        dist=euclidean_distances(pts), colors=colors, m=m, feature_vectors=pts
+    )

@@ -1,9 +1,22 @@
 """Feasibility LP solver and the fair-assignment LP builder.
 
-A `LinearProgram` is dense: a float64 matrix whose row r reads
-`constraints[r] @ x <= rhs[r]`, or `=` where `is_eq[r]` is set, plus one
-`[lo, hi]` box inside [0, 1] per variable.  The builder writes that matrix
-directly and the solver pivots on it as it is; its arrays are read-only.
+A `LinearProgram` stores its constraint matrix as sparse rows
+(`SparseRows`: index and value arrays in the compressed-sparse-row layout);
+row r reads `constraints[r] @ x <= rhs[r]`, or `=` where `is_eq[r]` is set,
+and each variable has a `[lo, hi]` box inside [0, 1].  The fair-assignment
+LP puts each variable in 2m + 1 rows, so its point form at n = 2,000 has
+some 35,000 terms where a dense matrix holds ten million entries.  The
+builder writes only the terms and the finiteness check reads only those;
+the solver scatters them into a dense tableau only when the start breaks a
+row, and all arrays are read-only.
+
+`SparseRows @ x` keeps the bits of the dense product, because `b - A @ x0`
+seeds the tableau and a different last bit can change the pivot path.  A
+per-term sum rounds differently, so the rows are densified a block at a
+time and multiplied by the same BLAS call as the dense matrix.  Blocks
+start at multiples of `PRODUCT_ROWS` and never hold fewer rows than that
+unless the matrix does: BLAS groups rows in a fixed stride, and numpy
+hands a one-row product to its dot kernel.
 
 The solver is a dense bounded-variable primal simplex, phase 1 only (the
 problems here carry a dummy zero objective).  Pricing takes the steepest
@@ -37,6 +50,7 @@ solve at the radius found.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional, Sequence
@@ -47,6 +61,7 @@ from .core import FairKCError, GFBounds, Instance
 
 FEAS_TOL = 1e-7
 PIV_TOL = 1e-9
+PRODUCT_ROWS = 64  # rows densified per block of `SparseRows @ x`
 
 
 class NumericFailure(FairKCError):
@@ -58,41 +73,122 @@ class EmptyRow(FairKCError):
 
 
 @dataclass(frozen=True, eq=False)
+class SparseRows:
+    """A (rows, cols) float64 matrix as compressed sparse rows.
+
+    Row r holds data[indptr[r]:indptr[r + 1]] in the columns
+    indices[indptr[r]:indptr[r + 1]], which strictly increase; every other
+    entry is zero.
+    """
+
+    indptr: np.ndarray   # (rows + 1,): row r's terms are indptr[r]:indptr[r + 1]
+    indices: np.ndarray  # (terms,): column of each term
+    data: np.ndarray     # (terms,): value of each term
+    num_cols: int
+
+    def __post_init__(self):
+        indptr = np.asarray(self.indptr, dtype=np.intp)
+        indices = np.asarray(self.indices, dtype=np.intp)
+        data = np.asarray(self.data, dtype=np.float64)
+        num_cols = operator.index(self.num_cols)
+        if not (
+            indptr.ndim == indices.ndim == data.ndim == 1
+            and indptr.size >= 1
+            and indices.shape == data.shape
+            and num_cols >= 0
+        ):
+            raise ValueError("need indptr (rows + 1,), indices and data (terms,), num_cols >= 0")
+        if indptr[0] != 0 or indptr[-1] != data.size or (indptr[1:] < indptr[:-1]).any():
+            raise ValueError("indptr must rise from 0 to the number of terms")
+        if indices.size:
+            if indices.min() < 0 or indices.max() >= num_cols:
+                raise ValueError("column index out of range")
+            steps = indices[1:] - indices[:-1]
+            edges = indptr[1:-1]
+            steps[edges[(edges > 0) & (edges < indices.size)] - 1] = 1  # a new row may start lower
+            if (steps <= 0).any():
+                raise ValueError("columns must strictly increase within a row")
+        for name, arr in (("indptr", indptr), ("indices", indices), ("data", data)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "num_cols", num_cols)
+
+    @classmethod
+    def from_dense(cls, A) -> "SparseRows":
+        """The nonzero entries of a 2-d array (NaN counts as nonzero)."""
+        A = np.asarray(A, dtype=np.float64)
+        if A.ndim != 2:
+            raise ValueError("need a 2-d matrix")
+        rows, cols = A.nonzero()
+        indptr = np.zeros(A.shape[0] + 1, dtype=np.intp)
+        np.cumsum(np.count_nonzero(A, axis=1), out=indptr[1:])
+        return cls(indptr, cols, A[rows, cols], A.shape[1])
+
+    def __len__(self) -> int:
+        return self.indptr.size - 1
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self), self.num_cols)
+
+    def term_rows(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+        """Row of each term of rows lo:hi, counted from lo."""
+        bounds = self.indptr[lo : (len(self) if hi is None else hi) + 1]
+        lengths = bounds[1:] - bounds[:-1]
+        return np.repeat(np.arange(lengths.size), lengths)
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense[self.term_rows(), self.indices] = self.data
+        return dense
+
+    def __matmul__(self, x) -> np.ndarray:
+        """The dense product's bits, a block of rows at a time (see module)."""
+        x = np.asarray(x, dtype=np.float64)
+        m = len(self)
+        starts = list(range(0, max(m - PRODUCT_ROWS, 0) + 1, PRODUCT_ROWS))
+        stops = starts[1:] + [m]  # the last block takes the rest
+        block = np.zeros((stops[-1] - starts[-1], self.num_cols))
+        out = np.empty(m)
+        for lo, hi in zip(starts, stops):
+            terms = slice(self.indptr[lo], self.indptr[hi])
+            at = self.term_rows(lo, hi), self.indices[terms]
+            block[at] = self.data[terms]
+            out[lo:hi] = block[: hi - lo] @ x
+            block[at] = 0.0
+        return out
+
+
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
-    constraints: np.ndarray  # (rows, vars): row r is constraints[r] @ x <= rhs[r]
+    constraints: SparseRows  # (rows, vars): row r is constraints[r] @ x <= rhs[r]
     rhs: np.ndarray          # (rows,)
     is_eq: np.ndarray        # (rows,) bool: row r holds with '=' instead
     var_bounds: np.ndarray   # (vars, 2): lo, hi with 0 <= lo <= hi <= 1
 
     def __post_init__(self):
-        A = np.asarray(self.constraints, dtype=np.float64)
+        A = self.constraints
+        if not isinstance(A, SparseRows):
+            raise TypeError("constraints must be SparseRows (see SparseRows.from_dense)")
         b = np.asarray(self.rhs, dtype=np.float64)
         is_eq = np.asarray(self.is_eq, dtype=bool)
         bounds = np.asarray(self.var_bounds, dtype=np.float64)
-        if not (
-            A.ndim == 2
-            and b.shape == is_eq.shape == A.shape[:1]
-            and bounds.shape == (A.shape[1], 2)
-        ):
-            raise ValueError(
-                "need constraints (rows, vars), rhs and is_eq (rows,), var_bounds (vars, 2)"
-            )
-        # min and max propagate NaN and hold any inf, without a temporary
-        if A.size and not np.isfinite([A.min(), A.max()]).all():
+        if not (b.shape == is_eq.shape == (len(A),) and bounds.shape == (A.num_cols, 2)):
+            raise ValueError("need rhs and is_eq (rows,), var_bounds (vars, 2)")
+        if not np.isfinite(A.data).all():
             raise ValueError("non-finite coefficient")
         if not np.isfinite(b).all():
             raise ValueError("non-finite right-hand side")
         lo, hi = bounds.T
         if not np.all((0.0 <= lo) & (lo <= hi) & (hi <= 1.0)):
             raise ValueError("variable bounds must satisfy 0 <= lo <= hi <= 1")
-        fields = {"constraints": A, "rhs": b, "is_eq": is_eq, "var_bounds": bounds}
-        for name, arr in fields.items():
+        for name, arr in {"rhs": b, "is_eq": is_eq, "var_bounds": bounds}.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property
     def num_vars(self) -> int:
-        return self.constraints.shape[1]
+        return self.constraints.num_cols
 
 
 _LO, _HI, _BASIC = 0, 1, 2
@@ -140,7 +236,7 @@ def solve_feasibility(
     ncols = n + m + n_art
 
     T = np.zeros((m, ncols))
-    T[:, :n] = A
+    T[A.term_rows(), A.indices] = A.data
     T[:, n : n + m] = np.eye(m)
     art_sign = np.sign(resid[art_rows])
     for t, r in enumerate(art_rows):
@@ -304,19 +400,32 @@ def build_assignment_lp(
     coef[0::2] = weight * (gfb.beta[:, None] - ind)
     coef[1::2] = weight * (ind - gfb.alpha[:, None])
 
-    active = adm.any(axis=1)  # a center that admits nothing has vacuous rows
+    # A center that admits nothing has vacuous rows and gets no row block.
+    # Block b's rows each hold all its center's variables, which are the
+    # contiguous columns first[b]:first[b] + width[b].
+    active = adm.any(axis=1)
     block = (np.cumsum(active) - 1)[center_of]  # row block of each variable
-    n_prop = per * int(active.sum())
-    cols = np.arange(len(pairs))
-    A = np.zeros((n_prop + len(reps), len(pairs)))
-    A[per * block + np.arange(per)[:, None], cols] = coef
-    A[n_prop + cls_of, cols] = 1.0
-    is_eq = np.arange(A.shape[0]) >= n_prop
+    width = np.bincount(block)
+    first = np.cumsum(width) - width
+    n_prop, n_vars = per * width.size, len(pairs)
+    cols = np.arange(n_vars)
+    indices = np.empty((per + 1) * n_vars, dtype=np.intp)
+    data = np.empty(indices.size)
+    # term of (row q of block b, variable v): per * first[b] + q * width[b] + v - first[b]
+    at = (per - 1) * first[block] + cols + np.arange(per)[:, None] * width[block]
+    indices[at], data[at] = cols, coef
+    # then each class's unit row, its variables in column order
+    indices[per * n_vars :] = np.argsort(cls_of, kind="stable")
+    data[per * n_vars :] = 1.0
+    lengths = np.concatenate([np.repeat(width, per), np.bincount(cls_of)])
+    is_eq = np.arange(lengths.size) >= n_prop
     lp = LinearProgram(
-        constraints=A,
+        constraints=SparseRows(
+            np.concatenate(([0], np.cumsum(lengths))), indices, data, n_vars
+        ),
         rhs=is_eq.astype(float),
         is_eq=is_eq,
-        var_bounds=np.tile([0.0, 1.0], (len(pairs), 1)),
+        var_bounds=np.tile([0.0, 1.0], (n_vars, 1)),
     )
     return lp, pairs
 

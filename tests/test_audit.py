@@ -9,7 +9,7 @@ from fairkc.audit import (
     population_threshold,
     socially_fair_cost,
 )
-from fairkc.core import Instance, Solution, nearest_center_assignment
+from fairkc.core import ROW_BLOCK, Instance, Solution, nearest_center_assignment
 from fairkc.instances import gen_l_community, gen_proportional_gadget
 from fairkc.solvers import gonzalez
 
@@ -111,8 +111,9 @@ class TestMinAlphaNR:
 
 
     def test_equals_per_point_form(self):
-        # one partition over all rows against neighborhood_radius point by
-        # point, with 0/0 -> 1 and x/0 -> inf; community instances hit both
+        # row-block partitions against neighborhood_radius point by point,
+        # with 0/0 -> 1 and x/0 -> inf; community instances hit both, and the
+        # last instances span more than one block of ROW_BLOCK rows
         def per_point(inst, sol, k):
             worst = 0.0
             for j in range(inst.n):
@@ -120,14 +121,21 @@ class TestMinAlphaNR:
                 worst = max(worst, d / nr if nr > 0.0 else 1.0 if d == 0.0 else INF)
             return worst
 
+        def instances():  # lazy, so each draws from rng after the last one's checks
+            for trial in range(60):
+                if trial % 3:
+                    yield random_instance(rng, n=int(rng.integers(4, 40)))
+                else:
+                    yield gen_l_community(int(rng.integers(2, 4)), int(rng.integers(2, 6)),
+                                          1.0, "alternating")
+            assert ROW_BLOCK < 129
+            yield random_instance(rng, n=129)
+            yield random_instance(rng, n=300)
+            yield gen_l_community(3, 50, 1.0, "alternating")
+
         rng = np.random.default_rng(20260602)
         seen = set()
-        for trial in range(60):
-            if trial % 3:
-                inst = random_instance(rng, n=int(rng.integers(4, 40)))
-            else:
-                inst = gen_l_community(int(rng.integers(2, 4)), int(rng.integers(2, 6)), 1.0,
-                                       "alternating")
+        for inst in instances():
             for k in (1, int(rng.integers(1, inst.n + 1)), inst.n):
                 centers = sorted(rng.choice(inst.n, size=min(k, inst.n), replace=False).tolist())
                 assign = rng.choice(centers, size=inst.n)  # not always the nearest

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from fairkc.core import (
+    ROW_BLOCK,
+    TOL,
     DSBounds,
     ExperimentConfig,
     GFBounds,
@@ -25,6 +27,46 @@ class TestInstanceValidation:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             Instance(dist=[[0, 1], [2, 0]], colors=[0, 1], m=2)
+
+    @pytest.mark.parametrize(
+        "i, j, d_ij, d_ji, ok",
+        [
+            (1, 3, np.nan, np.nan, False),
+            (1, 3, np.nan, 0.5, False),
+            (2, 2, np.nan, np.nan, False),  # passes the diagonal check, not this one
+            (1, 3, np.inf, np.inf, True),
+            (1, 3, np.inf, 0.5, False),
+            (1, 3, 0.5, 0.5 + TOL / 2, True),
+            (1, 3, 0.5, 0.5 + 2 * TOL, False),
+        ],
+        ids=["nan", "nan-finite", "nan-diagonal", "inf-inf", "inf-finite",
+             "half-tol", "twice-tol"],
+    )
+    def test_symmetry_verdicts_are_allclose_ones(self, i, j, d_ij, d_ji, ok):
+        d = np.ones((5, 5)) - np.eye(5)
+        d[i, j], d[j, i] = d_ij, d_ji
+        assert np.allclose(d, d.T, atol=TOL, rtol=0.0) == ok
+        self.assert_verdict(d, ok)
+
+    @pytest.mark.parametrize("gap, ok", [(TOL / 2, True), (2 * TOL, False)])
+    def test_asymmetry_in_the_last_partial_block(self, gap, ok):
+        n = 2 * ROW_BLOCK + 44
+        rng = np.random.default_rng(5)
+        d = rng.random((n, n))
+        d = d + d.T
+        np.fill_diagonal(d, 0.0)
+        d[n - 2, n - 30] += gap  # both entries of the pair sit past the last block edge
+        assert np.allclose(d, d.T, atol=TOL, rtol=0.0) == ok
+        self.assert_verdict(d, ok)
+
+    @staticmethod
+    def assert_verdict(d, ok):
+        colors = np.arange(len(d)) % 2
+        if ok:
+            Instance(dist=d, colors=colors, m=2)
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                Instance(dist=d, colors=colors, m=2)
 
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,11 @@
+import hashlib
+from importlib import resources
+
 import numpy as np
 import pytest
 
-from fairkc.core import cost
+from fairkc.core import cost, euclidean_distances
+from fairkc.harness import load_instance
 from fairkc.instances import (
     PatternArity,
     gen_l_community,
@@ -84,3 +88,25 @@ class TestRandom:
     def test_every_color_present(self):
         inst = gen_random(5, 3, 2, [0.98, 0.01, 0.01], seed=0)
         assert np.all(inst.color_counts() >= 1)
+
+
+def broadcast_distances(pts):
+    """The n x n x dim broadcast formula with its triu + transpose fold."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.triu(np.sqrt((diff * diff).sum(axis=-1)), 1)
+    return dist + dist.T
+
+
+class TestEuclideanDistances:
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+    def test_bytes_equal_the_broadcast_formula(self, n):
+        rng = np.random.default_rng(n)
+        for dim in range(1, 7):
+            for pts in (rng.random((n, dim)), rng.normal(scale=1e3, size=(n, dim))):
+                got = euclidean_distances(pts)
+                assert got.tobytes() == broadcast_distances(pts).tobytes()
+
+    def test_adult_mini_distances_are_pinned(self):
+        inst = load_instance(str(resources.files("fairkc") / "data" / "adult_mini.csv"))
+        digest = hashlib.sha256(inst.dist.tobytes()).hexdigest()
+        assert digest == "f69b2439b0082703caecc754a7b9e109c54482a15c026ebdc1a483cfaf9643f6"

@@ -18,6 +18,7 @@ from fairkc.lp import (
     EmptyRow,
     LinearProgram,
     NumericFailure,
+    SparseRows,
     build_assignment_lp,
     nearest_admissible_start,
     solve_feasibility,
@@ -59,7 +60,7 @@ def rational_feasible(lp: LinearProgram) -> bool:
     """
     nv = lp.num_vars
     rows = []  # (coeffs, rhs) meaning a.x <= b, as Fractions
-    for coeffs, rhs, eq in zip(lp.constraints, lp.rhs, lp.is_eq):
+    for coeffs, rhs, eq in zip(lp.constraints.toarray(), lp.rhs, lp.is_eq):
         a = [Fraction(float(c)) for c in coeffs]
         b = Fraction(float(rhs))
         rows.append((a, b))
@@ -118,7 +119,10 @@ def random_small_lp(rng, max_vars=6, max_cons=8):
         A[r, vs] = [sign * c for c in coefs]
         b[r], is_eq[r] = sign * rhs, rel == "="
     return LinearProgram(
-        constraints=A, rhs=b, is_eq=is_eq, var_bounds=np.tile([0.0, 1.0], (nv, 1))
+        constraints=SparseRows.from_dense(A),
+        rhs=b,
+        is_eq=is_eq,
+        var_bounds=np.tile([0.0, 1.0], (nv, 1)),
     )
 
 
@@ -128,7 +132,7 @@ def random_small_lp(rng, max_vars=6, max_cons=8):
 def one_var_lp(lo_rhs, hi_rhs):
     """lo_rhs <= x <= hi_rhs, the first row stored as -x <= -lo_rhs."""
     return LinearProgram(
-        constraints=[[-1.0], [1.0]],
+        constraints=SparseRows.from_dense([[-1.0], [1.0]]),
         rhs=[-lo_rhs, hi_rhs],
         is_eq=[False, False],
         var_bounds=[[0.0, 1.0]],
@@ -144,6 +148,7 @@ def lp_fields(**change):
         var_bounds=[[0.0, 1.0], [0.25, 0.75]],
     )
     fields.update(change)
+    fields["constraints"] = SparseRows.from_dense(fields["constraints"])
     return fields
 
 
@@ -176,12 +181,43 @@ class TestLinearProgram:
         with pytest.raises(ValueError):
             LinearProgram(**lp_fields(**change))
 
+    @pytest.mark.parametrize(
+        "indptr, indices",
+        [
+            ([1, 2, 4], [0, 1, 0, 1]),
+            ([0, 2, 3], [0, 1, 0, 1]),
+            ([0, 3, 2], [0, 1, 0, 1]),
+            ([0, 2, 4], [0, 2, 0, 1]),
+            ([0, 2, 4], [-1, 1, 0, 1]),
+            ([0, 2, 4], [1, 0, 0, 1]),
+            ([0, 2, 4], [1, 1, 0, 1]),
+            ([[0, 2, 4]], [0, 1, 0, 1]),
+        ],
+        ids=[
+            "indptr-not-from-0", "indptr-short-of-terms", "indptr-falls",
+            "column-too-large", "column-negative", "columns-fall", "column-repeated",
+            "2d-indptr",
+        ],
+    )
+    def test_sparse_rows_reject(self, indptr, indices):
+        with pytest.raises(ValueError):
+            SparseRows(indptr, indices, [1.0, -1.0, 1.0, 1.0], 2)
+
+    def test_rejects_dense_constraints(self):
+        fields = lp_fields()
+        fields["constraints"] = fields["constraints"].toarray()
+        with pytest.raises(TypeError):
+            LinearProgram(**fields)
+
     def test_arrays_are_read_only_and_float64_is_not_copied(self):
-        A = np.asarray(lp_fields()["constraints"])
-        lp = LinearProgram(**lp_fields(constraints=A))
-        assert lp.constraints is A and lp.num_vars == 2
-        for name in ("constraints", "rhs", "is_eq", "var_bounds"):
-            arr = getattr(lp, name)
+        indptr, indices = np.array([0, 2, 4]), np.array([0, 1, 0, 1])
+        data = np.array([1.0, -1.0, 1.0, 1.0])
+        A = SparseRows(indptr, indices, data, 2)
+        assert A.indptr is indptr and A.indices is indices and A.data is data
+        lp = LinearProgram(**dict(lp_fields(), constraints=A))
+        assert lp.constraints is A and lp.num_vars == 2 and len(lp.constraints) == 2
+        arrays = [getattr(lp, name) for name in ("rhs", "is_eq", "var_bounds")]
+        for arr in arrays + [indptr, indices, data]:
             with pytest.raises(ValueError):
                 arr[0] = arr[1]
         assert solve_feasibility(lp) is not None
@@ -219,11 +255,11 @@ class TestSolver:
     def mixed_bounds_lp(self):
         # x0 + x1 >= 0.9 (stored negated), 2 x2 = 1, x3 - x0 <= 0
         return LinearProgram(
-            constraints=[
+            constraints=SparseRows.from_dense([
                 [-1.0, -1.0, 0.0, 0.0],
                 [0.0, 0.0, 2.0, 0.0],
                 [-1.0, 0.0, 0.0, 1.0],
-            ],
+            ]),
             rhs=[-0.9, 1.0, 0.0],
             is_eq=[False, True, False],
             var_bounds=[[0.25, 0.75], [0.0, 1.0], [0.5, 0.5], [0.0, 0.5]],
@@ -469,10 +505,12 @@ class TestClassAggregation:
         assert len(set(point_classes(inst, S, R))) == inst.n
         agg, agg_pairs = build_assignment_lp(inst, S, R, gfb, aggregate=True)
         pt, pt_pairs = build_assignment_lp(inst, S, R, gfb)
-        for field in ("constraints", "rhs", "is_eq", "var_bounds"):
-            a, b = getattr(agg, field), getattr(pt, field)
+        for a, b in [
+            (getattr(agg.constraints, f), getattr(pt.constraints, f))
+            for f in ("indptr", "indices", "data")
+        ] + [(getattr(agg, f), getattr(pt, f)) for f in ("rhs", "is_eq", "var_bounds")]:
             assert a.shape == b.shape and a.dtype == b.dtype
-            assert a.tobytes() == b.tobytes(), field
+            assert a.tobytes() == b.tobytes()
         assert agg_pairs == pt_pairs
 
     def test_matrix_matches_row_by_row_reference(self):
@@ -484,7 +522,8 @@ class TestClassAggregation:
                     lp, pairs = build_assignment_lp(inst, S, float(R), gfb, aggregate=aggregate)
                     A, b, is_eq, want_pairs = reference_lp(inst, S, float(R), gfb, aggregate)
                     assert pairs == want_pairs
-                    for got, want in ((lp.constraints, A), (lp.rhs, b), (lp.is_eq, is_eq)):
+                    dense = lp.constraints.toarray()
+                    for got, want in ((dense, A), (lp.rhs, b), (lp.is_eq, is_eq)):
                         assert got.shape == want.shape and got.dtype == want.dtype
                         assert got.tobytes() == want.tobytes()
                     assert lp.var_bounds.tolist() == [[0.0, 1.0]] * len(pairs)
@@ -498,12 +537,12 @@ class TestClassAggregation:
         lp, pairs = build_assignment_lp(inst, [0, 3], 0.0, gfb, aggregate=True)
         assert pairs == [(0, 0), (0, 2), (3, 3), (3, 5)]
         assert lp.constraints.shape == (4 + 4 + 4, 4)  # 2 blocks of 2m rows, 4 classes
-        assert lp.constraints[:2].tolist() == [
+        assert lp.constraints.toarray()[:2].tolist() == [
             [2 * (0.3 - 1.0), 0.3, 0.0, 0.0],
             [2 * (1.0 - 0.7), -0.7, 0.0, 0.0],
         ]
         assert lp.rhs[:8].tolist() == [0.0] * 8 and not lp.is_eq[:8].any()
-        assert lp.constraints[-4:].tolist() == np.eye(4).tolist()
+        assert lp.constraints.toarray()[-4:].tolist() == np.eye(4).tolist()
         assert lp.rhs[-4:].tolist() == [1.0] * 4 and lp.is_eq[-4:].all()
         assert verdict(inst, [0, 3], 0.0, gfb, aggregate=True)
 
@@ -616,7 +655,7 @@ class TestNearestStart:
 
 def highs_feasible(lp: LinearProgram) -> bool:
     """Feasibility verdict of scipy's HiGHS on the same program."""
-    A, b, eq = lp.constraints, lp.rhs, lp.is_eq
+    A, b, eq = lp.constraints.toarray(), lp.rhs, lp.is_eq
     ub = ~eq
     res = linprog(
         np.zeros(lp.num_vars),
@@ -720,3 +759,55 @@ def test_pinned_vertices():
         verdicts.add(x is None)
     assert verdicts == {True, False}
     assert digest.hexdigest() == PINNED_VERTICES
+
+
+# ---------------------------------------------------------------------------
+# the blocked product
+# ---------------------------------------------------------------------------
+
+
+def start_corner(lp, start):
+    """The solver's starting point: lower bounds, `start` at its upper ones."""
+    x = lp.var_bounds[:, 0].copy()
+    if start is not None:
+        x[start] = lp.var_bounds[start, 1]
+    return x
+
+
+def assert_dense_bits(A, x):
+    got, want = A @ x, A.toarray() @ x
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestBlockedProduct:
+    """`SparseRows @ x` has the bits of the dense product: `b - A @ x0` seeds
+    the tableau, so a last-bit difference could move a pivot."""
+
+    def test_pinned_programs(self):
+        rng = np.random.default_rng(7)
+        for lp, start in pinned_programs():
+            assert_dense_bits(lp.constraints, start_corner(lp, start))
+            assert_dense_bits(lp.constraints, rng.random(lp.num_vars))
+
+    def test_adult_point_lps(self):
+        inst = load_instance(ADULT_CSV)
+        cfg = ExperimentConfig(k_values=(4, 8, 12), delta=0.2, theta=0.8)
+        gfb = cfg.gf_bounds(inst)
+        rng = np.random.default_rng(8)
+        for k in cfg.k_values:
+            S = list(gonzalez(inst, k).centers)
+            _, R = assignment_gf(inst, S, gfb)
+            lp, pairs = build_assignment_lp(inst, S, R, gfb)
+            start = nearest_admissible_start(inst, pairs)
+            assert_dense_bits(lp.constraints, start_corner(lp, start))
+            assert_dense_bits(lp.constraints, rng.random(lp.num_vars))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 63, 64, 65, 127, 128, 129, 255, 256, 257, 513])
+    def test_row_counts_across_block_edges(self, rows):
+        rng = np.random.default_rng(rows)
+        for cols, density in ((7, 0.6), (50, 0.5), (300, 0.02), (1000, 0.005)):
+            shape = (rows, cols)
+            dense = np.where(rng.random(shape) < density, rng.normal(size=shape), 0.0)
+            A = SparseRows.from_dense(dense)
+            assert A.shape == shape and A.toarray().tobytes() == dense.tobytes()
+            assert_dense_bits(A, rng.random(cols))
