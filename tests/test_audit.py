@@ -1,16 +1,25 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import random_instance
 from fairkc.audit import (
+    audit_all,
     min_alpha_nr,
     min_alpha_proportional,
     neighborhood_radius,
     population_threshold,
     socially_fair_cost,
 )
-from fairkc.core import ROW_BLOCK, Instance, Solution, nearest_center_assignment
-from fairkc.instances import gen_l_community, gen_proportional_gadget
+from fairkc.core import (
+    ROW_BLOCK,
+    Instance,
+    Solution,
+    euclidean_distances,
+    nearest_center_assignment,
+)
+from fairkc.instances import gen_l_community, gen_proportional_gadget, gen_random
 from fairkc.solvers import gonzalez
 
 INF = float("inf")
@@ -56,6 +65,24 @@ def brute_min_alpha_proportional(inst, sol, k):
         if not blocked:
             return alpha
     return INF
+
+
+def per_candidate_min_alpha_proportional(inst, sol, k):
+    """Reference: one pass per candidate y over the column dist[:, y]."""
+    t = population_threshold(inst.n, k)
+    dphi = inst.dist[np.arange(inst.n), sol.assign]
+    worst = 0.0
+    for y in range(inst.n):
+        dy = inst.dist[:, y]
+        ratios = np.where(
+            dy > 0.0, dphi / np.where(dy > 0.0, dy, 1.0),
+            np.where(dphi > 0.0, INF, 1.0),
+        )
+        kth = float(np.partition(ratios, inst.n - t)[inst.n - t])
+        worst = max(worst, kth)
+        if worst == INF:
+            return INF
+    return worst
 
 
 class TestNeighborhoodRadius:
@@ -219,6 +246,58 @@ class TestMinAlphaProportional:
             got = min_alpha_proportional(inst, sol, k)
             want = brute_min_alpha_proportional(inst, sol, k)
             assert got == pytest.approx(want)
+
+    def test_equals_per_candidate_form(self):
+        # bit for bit against the per-y reference; points on a small integer
+        # grid coincide, so x/0 -> inf and 0/0 -> 1 both occur, and the last
+        # instances span more than one block of ROW_BLOCK rows
+        def instances():  # lazy, so each draws from rng after the last one's checks
+            for trial in range(60):
+                n = int(rng.integers(2, 40))
+                if trial % 3 == 0:
+                    yield gen_l_community(int(rng.integers(2, 4)), int(rng.integers(2, 6)),
+                                          1.0, "alternating")
+                elif trial % 3 == 1:
+                    pts = rng.integers(0, 3, size=(n, 2))
+                    yield Instance(dist=euclidean_distances(pts), colors=np.arange(n) % 2, m=2)
+                else:
+                    yield random_instance(rng, n=n)
+            assert 129 % ROW_BLOCK and 300 % ROW_BLOCK
+            yield random_instance(rng, n=129)
+            pts = rng.integers(0, 6, size=(300, 2))
+            yield Instance(dist=euclidean_distances(pts), colors=np.arange(300) % 3, m=3)
+            yield gen_l_community(3, 50, 1.0, "alternating")
+
+        rng = np.random.default_rng(20261018)
+        seen = set()
+        for inst in instances():
+            for k in (1, int(rng.integers(1, inst.n + 1)), inst.n):
+                centers = sorted(rng.choice(inst.n, size=min(k, inst.n), replace=False).tolist())
+                if rng.random() < 0.5:
+                    assign = nearest_center_assignment(inst, centers)
+                else:
+                    assign = rng.choice(centers, size=inst.n)  # not always the nearest
+                sol = Solution(centers=tuple(centers), assign=assign)
+                got = min_alpha_proportional(inst, sol, k)
+                assert got == per_candidate_min_alpha_proportional(inst, sol, k)
+                seen.add(1.0 if got == 1.0 else INF if got == INF else 0.5)
+        assert seen == {0.5, 1.0, INF}
+
+
+# sha256 of repr(sorted(audit_all(...).items())) for Gonzalez on the
+# uniform-2k instance: a change that claims exact audits must keep these
+UNIFORM_2K_AUDIT_SHA256 = {
+    4: "01282e975791715a84bd6a4f2f09432893c9ef5db804e4bc20160c8e6cb96a3a",
+    8: "fe4fc4a5a939390d401fa81cbcfdb32c4ff362bdb8a132f39bcaf7606601371d",
+    12: "1d2cd29c51fd443cf0ea8ee6e24b563e97cbe2095b51cca173fd4f4843409b45",
+}
+
+
+def test_uniform_2k_audits_are_pinned():
+    inst = gen_random(2000, 3, 4, [0.5, 0.3, 0.2], seed=0)
+    for k, want in UNIFORM_2K_AUDIT_SHA256.items():
+        got = repr(sorted(audit_all(inst, gonzalez(inst, k), k).items()))
+        assert hashlib.sha256(got.encode()).hexdigest() == want, got
 
 
 def test_audits_invariant_under_equidistant_swap():
