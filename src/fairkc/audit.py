@@ -4,6 +4,21 @@ These never optimize; they report the smallest parameter under which a given
 solution satisfies each notion (infinity when no finite parameter works).
 Ratios of 0/0 are fixed to 1 throughout, matching the convention the
 incompatibility arguments rely on.
+
+Every n-by-n pass reads `dist` in slices of ROW_BLOCK rows, so no audit
+copies the matrix.  Two facts keep `min_alpha_proportional` exact in that
+form:
+
+- Every matrix this package builds is exactly symmetric: the Euclidean
+  builder sums the same squares in the same order for d(i, j) and d(j, i).
+  So row y holds the bits of the column d(., y), and each ratio is the same
+  division as in a pass over columns.  A matrix read from a file is only
+  checked to be symmetric within TOL; there the row and the column may
+  differ by that much.
+- A row's t-th largest ratio can exceed the running maximum only if at
+  least t of its ratios do.  Rows with fewer are skipped without a
+  partition: they cannot raise the maximum, and a maximum does not depend
+  on the order it is taken in.
 """
 
 from __future__ import annotations
@@ -60,18 +75,25 @@ def min_alpha_proportional(inst: Instance, sol: Solution, k: int) -> float:
     For each candidate y the binding value is the ceil(n/k)-th largest ratio
     d(i, phi(i)) / d(i, y); a coalition of that size with infinite ratios
     (zero distance to y but positive assignment distance) blocks every alpha.
+    Candidates are taken a block of rows at a time, row y standing in for
+    the column d(., y), and only rows that can raise the running maximum
+    are partitioned (see the module docstring).
     """
+    if not 1 <= k <= inst.n:
+        raise ValueError("need 1 <= k <= n")
     t = population_threshold(inst.n, k)
     dphi = inst.dist[np.arange(inst.n), sol.assign]
+    at_zero = np.where(dphi > 0.0, INF, 1.0)  # the ratio where d(i, y) = 0
     worst = 0.0
-    for y in range(inst.n):
-        dy = inst.dist[:, y]
-        ratios = np.where(
-            dy > 0.0, dphi / np.where(dy > 0.0, dy, 1.0),
-            np.where(dphi > 0.0, INF, 1.0),
-        )
-        kth = float(np.partition(ratios, inst.n - t)[inst.n - t])
-        worst = max(worst, kth)
+    for rows in row_blocks(inst.n):
+        dy = inst.dist[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = dphi / dy  # entries with dy <= 0 are overwritten next
+        np.copyto(ratios, at_zero, where=dy <= 0.0)
+        live = ratios[np.count_nonzero(ratios > worst, axis=1) >= t]
+        if live.shape[0]:
+            kth = np.partition(live, inst.n - t, axis=1)[:, inst.n - t]
+            worst = max(worst, float(kth.max()))
         if worst == INF:
             return INF
     return worst

@@ -10,6 +10,7 @@ bounds on each color (GF) and per-color counts on the selected centers (DS).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -178,10 +179,14 @@ class Solution:
         self.assign.setflags(write=False)
         if len(set(self.centers)) != len(self.centers):
             raise ValueError("duplicate centers")
-        cset = set(self.centers)
-        if not cset:
+        if not self.centers:
             raise ValueError("a solution needs at least one center")
-        if any(int(c) not in cset for c in self.assign):
+        n = self.n
+        if self.assign.size and not 0 <= self.assign.min() <= self.assign.max() < n:
+            raise ValueError("every point must be assigned to a point index in [0, n)")
+        selected = np.zeros(n, dtype=bool)
+        selected[[c for c in self.centers if 0 <= c < n]] = True
+        if not selected[self.assign].all():
             raise ValueError("every point must be assigned to a selected center")
 
     @property
@@ -191,12 +196,15 @@ class Solution:
     def cluster_of(self, center: int) -> np.ndarray:
         return np.flatnonzero(self.assign == center)
 
+    def _present(self) -> set:
+        return set(np.flatnonzero(np.bincount(self.assign)).tolist())
+
     def active_centers(self) -> tuple:
-        present = set(int(c) for c in self.assign)
+        present = self._present()
         return tuple(c for c in self.centers if c in present)
 
     def inactive_centers(self) -> tuple:
-        present = set(int(c) for c in self.assign)
+        present = self._present()
         return tuple(c for c in self.centers if c not in present)
 
 
@@ -215,37 +223,52 @@ class FractionalAssignment:
     SNAP = 1e-7
 
     def __post_init__(self):
-        snapped = {}
-        for (q, j), v in self.entries.items():
-            v = float(v)
-            if abs(v) <= self.SNAP:
-                v = 0.0
-            elif abs(v - 1.0) <= self.SNAP:
-                v = 1.0
-            if v < -1e-12 or v > 1.0 + 1e-12:
-                raise ValueError(f"entry x[{q},{j}]={v} outside [0, 1]")
-            v = min(max(v, 0.0), 1.0)
-            if v > 0.0:
-                snapped[(int(q), int(j))] = v
-        object.__setattr__(self, "entries", snapped)
+        q, j, v = self.arrays()  # still the entries as given
+        v = np.where(np.abs(v) <= self.SNAP, 0.0,
+                     np.where(np.abs(v - 1.0) <= self.SNAP, 1.0, v))
+        bad = (v < -1e-12) | (v > 1.0 + 1e-12)
+        if bad.any():
+            i = int(np.argmax(bad))
+            q0, j0 = list(self.entries)[i]
+            raise ValueError(f"entry x[{q0},{j0}]={float(v[i])} outside [0, 1]")
+        keep = v > 0.0  # also drops NaN, which no bound above rejects
+        q, j, v = q[keep], j[keep], np.minimum(v[keep], 1.0)
+        if j.size and not 0 <= j.min() <= j.max() < self.n:
+            raise ValueError("entry point index outside [0, n)")
+        object.__setattr__(self, "entries", dict(zip(zip(q.tolist(), j.tolist()), v.tolist())))
         sums = np.zeros(self.n)
-        for (q, j), v in snapped.items():
-            sums[j] += v
+        np.add.at(sums, j, v)  # in the entries' order, as a loop over them would
         if np.any(np.abs(sums - 1.0) > 1e-6):
             bad = int(np.argmax(np.abs(sums - 1.0)))
             raise ValueError(f"assignment row for point {bad} sums to {sums[bad]}")
 
+    def arrays(self):
+        """(centers, points, values) of the entries as arrays, in dict order."""
+        num = len(self.entries)
+        qj = np.fromiter(chain.from_iterable(self.entries), dtype=int, count=2 * num)
+        return qj[0::2], qj[1::2], np.fromiter(self.entries.values(), dtype=float, count=num)
+
     def marginals(self, inst: Instance, Q: Sequence[int]):
         """Per-center totals and per-(center, color) totals of x."""
         Q = list(Q)
-        pos = {q: t for t, q in enumerate(Q)}
+        q, j, v = self.arrays()
+        t = positions_in(Q, q)
         tot = np.zeros(len(Q))
         by_color = np.zeros((len(Q), inst.m))
-        for (q, j), v in self.entries.items():
-            t = pos[q]
-            tot[t] += v
-            by_color[t, inst.colors[j]] += v
+        np.add.at(tot, t, v)
+        np.add.at(by_color, (t, inst.colors[j]), v)
         return tot, by_color
+
+
+def positions_in(Q: Sequence[int], q: np.ndarray) -> np.ndarray:
+    """Index in Q (distinct ids) of every entry of q; KeyError for one Q lacks."""
+    Q = np.fromiter(Q, dtype=int)
+    order = np.argsort(Q)
+    t = order[np.minimum(np.searchsorted(Q[order], q), Q.size - 1)]
+    missing = Q[t] != q
+    if missing.any():
+        raise KeyError(int(q[np.argmax(missing)]))
+    return t
 
 
 @dataclass(frozen=True)
@@ -376,10 +399,8 @@ def nearest_center_assignment(inst: Instance, centers: Sequence[int]) -> np.ndar
     the lowest center index.  Self-assignment keeps every center active even
     between coinciding points.
     """
-    ordered = sorted(int(c) for c in centers)
-    sub = inst.dist[:, ordered]
-    best = np.argmin(sub, axis=1)  # first minimum wins: lowest center index
-    assign = np.asarray([ordered[b] for b in best], dtype=int)
-    for c in ordered:
-        assign[c] = c
+    ordered = np.sort(np.fromiter(centers, dtype=int))
+    best = np.argmin(inst.dist[:, ordered], axis=1)  # first minimum: lowest center index
+    assign = ordered[best]
+    assign[ordered] = ordered
     return assign

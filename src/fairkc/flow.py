@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FairKCError, FractionalAssignment, Instance
+from .core import FairKCError, FractionalAssignment, Instance, positions_in
 
 MARGINAL_SNAP = 1e-7
 SUPPORT_EPS = 1e-9
@@ -146,12 +146,14 @@ def feasible_integral_flow(
     return flows
 
 
-def _int_window(value: float):
-    """Floor/ceiling window, snapping near-integral marginals first."""
-    r = round(value)
-    if abs(value - r) <= MARGINAL_SNAP:
-        return int(r), int(r)
-    return int(np.floor(value)), int(np.ceil(value))
+def _int_window(value):
+    """Floor/ceiling window, snapping near-integral marginals first; takes
+    a marginal or an array of them and gives int arrays of the same shape."""
+    r = np.round(value)  # half to even, as Python's round
+    snap = np.abs(value - r) <= MARGINAL_SNAP
+    lo = np.where(snap, r, np.floor(value)).astype(int)
+    hi = np.where(snap, r, np.ceil(value)).astype(int)
+    return lo, hi
 
 
 def max_flow_gf(
@@ -178,19 +180,24 @@ def max_flow_gf(
 
 
 def _support(x: FractionalAssignment, inst: Instance, Q: Sequence[int]):
-    """Each point's support centers, with per-center and per-(center, color)
-    marginals summed over entries of at least SUPPORT_EPS."""
-    qpos = {q: t for t, q in enumerate(Q)}
-    support = [[] for _ in range(inst.n)]
+    """Each point's support centers, in increasing order, with per-center and
+    per-(center, color) marginals summed over entries of at least SUPPORT_EPS.
+
+    The sums run over the entries in sorted (center, point) order, so the
+    marginals, and with them the windows, do not depend on the dict's order.
+    """
+    q, j, v = x.arrays()
+    order = np.lexsort((j, q))  # by center, then point
+    order = order[v[order] >= SUPPORT_EPS]
+    q, j, v = q[order], j[order], v[order]
+    t = positions_in(Q, q)
     tot = np.zeros(len(Q))
     by_color = np.zeros((len(Q), inst.m))
-    for (q, j), v in sorted(x.entries.items()):
-        if v < SUPPORT_EPS:
-            continue
-        t = qpos[q]
-        support[j].append(q)
-        tot[t] += v
-        by_color[t, inst.colors[j]] += v
+    np.add.at(tot, t, v)
+    np.add.at(by_color, (t, inst.colors[j]), v)
+    by_point = q[np.argsort(j, kind="stable")].tolist()  # by point, then center
+    ends = np.cumsum(np.bincount(j, minlength=inst.n)).tolist()
+    support = [by_point[a:b] for a, b in zip([0] + ends[:-1], ends)]
     return support, tot, by_color
 
 
@@ -199,19 +206,13 @@ _REJECTED = "rounding network rejected a unit-row-sum input"
 
 def _forced_assignment(inst, Q, support, tot, by_color) -> np.ndarray:
     """The only candidate flow of a single-support input, if its counts fit."""
-    qpos = {q: t for t, q in enumerate(Q)}
-    assign = np.asarray([s[0] for s in support], dtype=int)
-    pos = np.asarray([qpos[q] for q in assign.tolist()], dtype=int)
+    assign = np.array(support, dtype=int).reshape(inst.n)
     count = np.zeros((len(Q), inst.m), dtype=int)
-    np.add.at(count, (pos, inst.colors), 1)
-    for t in range(len(Q)):
-        lo, hi = _int_window(tot[t])
-        if not lo <= count[t].sum() <= hi:
+    np.add.at(count, (positions_in(Q, assign), inst.colors), 1)
+    for counted, marginal in ((count.sum(axis=1), tot), (count, by_color)):
+        lo, hi = _int_window(marginal)
+        if np.any(counted < lo) or np.any(counted > hi):
             raise InternalInfeasible(_REJECTED)
-        for h in range(inst.m):
-            lo, hi = _int_window(by_color[t, h])
-            if not lo <= count[t, h] <= hi:
-                raise InternalInfeasible(_REJECTED)
     return assign
 
 
@@ -244,12 +245,13 @@ def _round_by_network(inst, Q, support, tot, by_color) -> np.ndarray:
         for q in support[j]:
             assign_arc[(q, j)] = len(arcs)
             arcs.append(Arc(point_node(j), pair_node[(q, h)], 0, 1))
+    pair_lo, pair_hi = _int_window(by_color)
     for (q, h), node in pair_node.items():
-        lo, hi = _int_window(by_color[qpos[q], h])
-        arcs.append(Arc(node, center_node[q], lo, hi))
+        ti = qpos[q]
+        arcs.append(Arc(node, center_node[q], int(pair_lo[ti, h]), int(pair_hi[ti, h])))
+    center_lo, center_hi = _int_window(tot)
     for q in Q:
-        lo, hi = _int_window(tot[qpos[q]])
-        arcs.append(Arc(center_node[q], t, lo, hi))
+        arcs.append(Arc(center_node[q], t, int(center_lo[qpos[q]]), int(center_hi[qpos[q]])))
 
     net = BoundedFlowNetwork(num_nodes=nid, source=s, sink=t, arcs=tuple(arcs))
     flows = feasible_integral_flow(net, n)
