@@ -87,10 +87,12 @@ def build_parser():
     return ap
 
 
-def _config(args, k):
-    """The bound knobs of one command; a value out of range is a parse error."""
+def _config(args, k, inst, p=1):
+    """The knobs of one command on inst; a value out of range is a parse error."""
     try:
-        return ExperimentConfig(k_values=(k,), delta=args.delta, theta=args.theta)
+        if k > inst.n:
+            raise ValueError(f"k={k} exceeds the instance's {inst.n} points")
+        return ExperimentConfig(k_values=(k,), delta=args.delta, theta=args.theta, p=p)
     except ValueError as exc:
         raise harness.ParseError(str(exc)) from None
 
@@ -114,7 +116,7 @@ def _cmd_generate(args):
 
 def _cmd_solve(args):
     inst = harness.load_instance(args.input)
-    cfg = _config(args, args.k)
+    cfg = _config(args, args.k, inst)
     gfb = cfg.gf_bounds(inst)
     dsb = None
     if args.algo in ("alg-ds", "gf-to-gfds", "ds-to-gfds"):
@@ -135,7 +137,7 @@ def _cmd_evaluate(args):
     inst = harness.load_instance(args.input)
     sol = harness.load_solution(args.solution)
     k = args.k if args.k is not None else len(sol.centers)
-    cfg = _config(args, k)
+    cfg = _config(args, k, inst, p=args.p)
     gfb = cfg.gf_bounds(inst)
     dsb = cfg.ds_bounds(inst, k)
     out = {
@@ -144,14 +146,14 @@ def _cmd_evaluate(args):
         "ds_violation": ds_violation(sol, dsb, inst),
         "inactive_centers": list(sol.inactive_centers()),
     }
-    out.update(audit.audit_all(inst, sol, k, p=args.p))
+    out.update(audit.audit_all(inst, sol, k, p=cfg.p))
     print(json.dumps(harness.sanitize(out), indent=2))
     return EXIT_OK
 
 
 def _cmd_oracle(args):
     inst = harness.load_instance(args.input)
-    cfg = _config(args, args.k)
+    cfg = _config(args, args.k, inst)
     gfb = cfg.gf_bounds(inst) if args.gf else None
     dsb = None
     if args.ds:

@@ -312,6 +312,8 @@ class ExperimentConfig:
             raise ValueError("delta must lie in [0, 1)")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
+        if self.p < 1:
+            raise ValueError("exponent p must be at least 1")
 
     def gf_bounds(self, inst: Instance) -> GFBounds:
         r = inst.color_counts() / inst.n

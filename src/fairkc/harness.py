@@ -225,9 +225,12 @@ def run_experiment(inst: Instance, cfg: ExperimentConfig) -> ExperimentReport:
     gfb = cfg.gf_bounds(inst)
     for k in cfg.k_values:
         try:
-            dsb = cfg.ds_bounds(inst, k)
+            dsb = cfg.ds_bounds(inst, k) if k <= inst.n else None
         except ValueError:
-            # derived center quotas exceed the budget: no DS problem exists at this k
+            dsb = None
+        if dsb is None:
+            # more centers than points, or derived center quotas above the
+            # budget: no problem exists at this k
             for name in ALGORITHMS:
                 report.rows.append(ReportRow(k=k, algorithm=name, status="infeasible"))
             continue

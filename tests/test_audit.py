@@ -283,6 +283,13 @@ class TestMinAlphaProportional:
                 seen.add(1.0 if got == 1.0 else INF if got == INF else 0.5)
         assert seen == {0.5, 1.0, INF}
 
+    @pytest.mark.parametrize("k", [0, -1, 9])
+    def test_k_outside_one_to_n_rejected(self, k):
+        inst = gen_l_community(2, 4, 1.0, "alternating")
+        sol = Solution(centers=(0, 4), assign=[0] * 4 + [4] * 4)
+        with pytest.raises(ValueError, match="need 1 <= k <= n"):
+            min_alpha_proportional(inst, sol, k)
+
 
 # sha256 of repr(sorted(audit_all(...).items())) for Gonzalez on the
 # uniform-2k instance: a change that claims exact audits must keep these

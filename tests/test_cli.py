@@ -1,9 +1,13 @@
 import json
+from importlib import resources
 
 import pytest
 
 from fairkc import solvers
 from fairkc.cli import main
+
+
+ADULT = str(resources.files("fairkc") / "data" / "adult_mini.csv")
 
 
 def run(argv):
@@ -216,3 +220,26 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("infeasible:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, word",
+        [
+            (["solve", "--algo", "color-blind", "--k", "501"], "k=501"),
+            (["oracle", "--k", "501"], "k=501"),
+            (["evaluate", "--k", "501"], "k=501"),
+            (["evaluate", "--p", "0"], "exponent p"),
+        ],
+    )
+    def test_k_above_n_and_p_below_one_are_three(self, tmp_path, capsys, argv, word):
+        # adult_mini has 500 points; the audits need 1 <= k <= n and p >= 1
+        sol_p = str(tmp_path / "s.json")
+        assert run(["solve", "--algo", "color-blind", "--k", "4",
+                    "--input", ADULT, "--output", sol_p]) == 0
+        capsys.readouterr()
+        files = {"solve": ["--output", str(tmp_path / "s2.json")],
+                 "oracle": [], "evaluate": ["--solution", sol_p]}[argv[0]]
+        assert run(argv + ["--input", ADULT] + files) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and word in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "s2.json").exists()

@@ -6,6 +6,7 @@ from fairkc.core import (
     TOL,
     DSBounds,
     ExperimentConfig,
+    FractionalAssignment,
     GFBounds,
     Instance,
     Solution,
@@ -111,6 +112,11 @@ class TestBounds:
     def test_config_theta_outside_unit_interval_rejected(self, theta):
         with pytest.raises(ValueError, match="theta"):
             ExperimentConfig(k_values=(3,), theta=theta)
+
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_config_p_below_one_rejected(self, p):
+        with pytest.raises(ValueError, match="exponent p"):
+            ExperimentConfig(k_values=(3,), p=p)
 
     def test_config_largest_delta_gives_bounds(self):
         inst = gen_l_community(2, 4, 1.0, "alternating")
@@ -276,6 +282,94 @@ class TestNearestAssignment:
                 other_assign[c] = c
             other = Solution(centers=tuple(centers), assign=other_assign)
             assert cost(inst, near) <= cost(inst, other) + 1e-12
+
+
+class TestSolutionValidation:
+    def test_unselected_center_rejected(self):
+        with pytest.raises(ValueError, match="selected center"):
+            Solution(centers=(0, 2), assign=[0, 1, 2])
+
+    @pytest.mark.parametrize("assign", [[0, 3, 0], [0, -1, 0]])
+    def test_point_index_outside_instance_rejected(self, assign):
+        # n = 3 points; a center named 3 or -1 is no point of theirs
+        with pytest.raises(ValueError, match=r"\[0, n\)"):
+            Solution(centers=(0, 3, -1), assign=assign)
+
+    def test_centers_outside_the_points_are_inactive(self):
+        sol = Solution(centers=(7, 0, 1), assign=[1, 1, 0])
+        assert sol.active_centers() == (0, 1) and sol.inactive_centers() == (7,)
+
+
+def loop_fractional_entries(n, entries):
+    """Reference: snapping, range check and row sums one entry at a time."""
+    snapped = {}
+    for (q, j), v in entries.items():
+        v = float(v)
+        if abs(v) <= FractionalAssignment.SNAP:
+            v = 0.0
+        elif abs(v - 1.0) <= FractionalAssignment.SNAP:
+            v = 1.0
+        if v < -1e-12 or v > 1.0 + 1e-12:
+            raise ValueError(f"entry x[{q},{j}]={v} outside [0, 1]")
+        v = min(max(v, 0.0), 1.0)
+        if v > 0.0:
+            snapped[(int(q), int(j))] = v
+    sums = np.zeros(n)
+    for (q, j), v in snapped.items():
+        sums[j] += v
+    if np.any(np.abs(sums - 1.0) > 1e-6):
+        bad = int(np.argmax(np.abs(sums - 1.0)))
+        raise ValueError(f"assignment row for point {bad} sums to {sums[bad]}")
+    return snapped
+
+
+def loop_marginals(x, inst, Q):
+    pos = {q: t for t, q in enumerate(Q)}
+    tot = np.zeros(len(Q))
+    by_color = np.zeros((len(Q), inst.m))
+    for (q, j), v in x.entries.items():
+        tot[pos[q]] += v
+        by_color[pos[q], inst.colors[j]] += v
+    return tot, by_color
+
+
+def test_fractional_assignment_equals_entry_loops():
+    # entries in shuffled order, spilled below and above the snap, and now and
+    # then one outside [0, 1] or NaN: the same dict, sums and error messages
+    from conftest import random_instance
+
+    rng = np.random.default_rng(20261018)
+    outcomes = set()
+    for trial in range(300):
+        n = int(rng.integers(1, 25))
+        inst = random_instance(rng, n=n, m=min(1 + trial % 3, n))
+        Q = rng.choice(inst.n, size=int(rng.integers(1, min(inst.n, 5) + 1)), replace=False)
+        spill = [0.0, 1e-12, 5e-8, 2e-7, 1e-3][trial % 5]
+        entries = {}
+        for j in range(inst.n):
+            w = np.full(Q.size, spill) if trial % 2 else rng.dirichlet(np.ones(Q.size))
+            w[0] = 1.0 - w[1:].sum()
+            for q, wi in zip(rng.permutation(Q), w):
+                entries[(q, j)] = wi if trial % 3 else float(wi)
+        items = list(entries.items())
+        rng.shuffle(items)
+        if trial % 7 == 0:
+            items[0] = (items[0][0], [1.5, -0.1, float("nan"), 1 + 1e-12][trial % 4])
+        entries = dict(items)
+        try:
+            want = loop_fractional_entries(inst.n, entries)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                FractionalAssignment(n=inst.n, entries=entries)
+            assert str(got.value) == str(exc)
+            outcomes.add("error")
+            continue
+        x = FractionalAssignment(n=inst.n, entries=entries)
+        assert list(x.entries.items()) == list(want.items())
+        for got, ref in zip(x.marginals(inst, Q.tolist()), loop_marginals(x, inst, Q.tolist())):
+            assert got.tobytes() == ref.tobytes()
+        outcomes.add("ok")
+    assert outcomes == {"ok", "error"}
 
 
 def test_report_bundle():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairkc.core import GFBounds, Instance, Solution, gf_violation
 from fairkc.divide import InvalidSubset, divide, plan_division
@@ -129,3 +131,50 @@ class TestSplitGuarantees:
             R = float(inst.dist[0].max())
             worst = max(inst.dist[p, q] for p, q in out.items())
             assert worst <= 2.0 * R + 1e-9
+
+
+def test_split_partitions_cluster_within_fair_shares():
+    """divide on random clusters of a larger instance, anchor inside or out."""
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 40),
+        m=st.integers(1, 4),
+        anchor_outside=st.booleans(),
+        anchor_in_q=st.booleans(),
+    )
+    def check(seed, n, m, anchor_outside, anchor_in_q):
+        rng = np.random.default_rng(seed)
+        m = min(m, n)
+        inst = gen_random(n, m, 2, np.full(m, 1.0 / m), seed=seed)
+        perm = rng.permutation(n).tolist()
+        size = int(rng.integers(1, n + 1))
+        cluster, rest = perm[:size], perm[size:]
+        outside = anchor_outside and bool(rest)
+        center = rest[0] if outside else cluster[0]
+        pool = [p for p in cluster if p != center]
+        nq = int(rng.integers(1, size + 1))
+        take = nq - 1 if anchor_in_q else min(nq, len(pool))
+        if take == 0 and not anchor_in_q:
+            return  # nothing but the anchor to pick
+        Q = rng.choice(pool, size=take, replace=False).tolist() + ([center] if anchor_in_q else [])
+        Q = rng.permutation(Q).tolist()
+        seen.add((outside, anchor_in_q))
+
+        out = divide(inst, cluster, center, Q)
+        # the cluster's points are partitioned exactly among Q, and every
+        # sub-center but the anchor lies inside the cluster
+        assert sorted(out) == sorted(cluster)
+        assert set(out.values()) == set(Q)
+        assert set(Q) - {center} <= set(cluster)
+        # every color within one point of its fair share at each sub-center
+        mat = counts_matrix(inst, out, Q)
+        color_tot = np.bincount(inst.colors[cluster], minlength=m)
+        for h in range(m):
+            assert np.all(np.abs(mat[:, h] - color_tot[h] / len(Q)) < 1.0)
+        assert np.all(np.abs(mat.sum(axis=1) - size / len(Q)) < 1.0)
+
+    check()
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}

@@ -251,6 +251,37 @@ class TestIntegralEarlyReturn:
                 path(inst, [0], *parts)
 
 
+def loop_support(x, inst, Q):
+    """Reference: the support scan one sorted entry at a time."""
+    qpos = {q: t for t, q in enumerate(Q)}
+    support = [[] for _ in range(inst.n)]
+    tot = np.zeros(len(Q))
+    by_color = np.zeros((len(Q), inst.m))
+    for (q, j), v in sorted(x.entries.items()):
+        if v < SUPPORT_EPS:
+            continue
+        support[j].append(q)
+        tot[qpos[q]] += v
+        by_color[qpos[q], inst.colors[j]] += v
+    return support, tot, by_color
+
+
+def test_support_equals_sorted_entry_loop(rng):
+    # the marginals are summed in sorted order whatever the dict's order
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        m = int(rng.integers(1, min(n, 3) + 1))
+        inst = gen_random(n, m, 2, np.full(m, 1.0 / m), seed=int(rng.integers(2**31)))
+        Q = rng.choice(n, size=int(rng.integers(1, min(n, 6) + 1)), replace=False).tolist()
+        items = list(random_fractional(rng, inst, Q).entries.items())
+        rng.shuffle(items)
+        x = FractionalAssignment(n=n, entries=dict(items))
+        support, tot, by_color = _support(x, inst, Q)
+        want = loop_support(x, inst, Q)
+        assert support == want[0]
+        assert tot.tobytes() == want[1].tobytes() and by_color.tobytes() == want[2].tobytes()
+
+
 def test_run_experiment_exercises_both_rounding_paths(monkeypatch):
     calls = {"forced": 0, "network": 0}
 

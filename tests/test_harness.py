@@ -146,6 +146,19 @@ class TestExperiment:
         assert all(r.status == "infeasible" for r in k3)
         assert all(r.status == "ok" for r in k4)
 
+    def test_k_above_n_recorded_not_raised(self):
+        inst = gen_random(10, 2, 2, [0.5, 0.5], seed=3)
+        cfg = ExperimentConfig(k_values=(11, 3, 10), delta=0.5, theta=0.5)
+        report = run_experiment(inst, cfg)
+        assert [(r.k, r.algorithm) for r in report.rows] == [
+            (k, name) for k in (11, 3, 10) for name in harness.ALGORITHMS
+        ]
+        assert all(r.status == "infeasible" and r.cost is None
+                   for r in report.rows if r.k == 11)
+        blind = {r.k: r for r in report.rows if r.algorithm == "color-blind"}
+        assert blind[3].status == "ok"
+        assert blind[10].status == "ok" and blind[10].cost == 0.0  # k = n: every point a center
+
     def test_json_roundtrip_and_schema(self, small_report, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
         _, _, report = small_report
