@@ -90,10 +90,10 @@ def min_alpha_proportional(inst: Instance, sol: Solution, k: int) -> float:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = dphi / dy  # entries with dy <= 0 are overwritten next
         np.copyto(ratios, at_zero, where=dy <= 0.0)
-        live = ratios[np.count_nonzero(ratios > worst, axis=1) >= t]
+        live = ratios[np.count_nonzero(ratios > worst, axis=1) >= t]  # a copy
         if live.shape[0]:
-            kth = np.partition(live, inst.n - t, axis=1)[:, inst.n - t]
-            worst = max(worst, float(kth.max()))
+            live.partition(inst.n - t, axis=1)
+            worst = max(worst, float(live[:, inst.n - t].max()))
         if worst == INF:
             return INF
     return worst

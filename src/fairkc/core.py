@@ -166,8 +166,9 @@ class Solution:
     """Ordered center set plus an explicit point-to-center assignment.
 
     assign[j] is the point index of j's center and must be a member of
-    centers.  Centers with empty clusters are permitted (they are reported as
-    inactive and ignored by the violation metrics).
+    centers; every index lies in [0, n), n being the length of assign.
+    Centers with empty clusters are permitted (they are reported as inactive
+    and ignored by the violation metrics).
     """
 
     centers: tuple
@@ -182,10 +183,11 @@ class Solution:
         if not self.centers:
             raise ValueError("a solution needs at least one center")
         n = self.n
-        if self.assign.size and not 0 <= self.assign.min() <= self.assign.max() < n:
-            raise ValueError("every point must be assigned to a point index in [0, n)")
+        if not (0 <= min(self.centers) and max(self.centers) < n  # so n > 0
+                and 0 <= self.assign.min() and self.assign.max() < n):
+            raise ValueError("centers and assignments must be point indices in [0, n)")
         selected = np.zeros(n, dtype=bool)
-        selected[[c for c in self.centers if 0 <= c < n]] = True
+        selected[list(self.centers)] = True
         if not selected[self.assign].all():
             raise ValueError("every point must be assigned to a selected center")
 

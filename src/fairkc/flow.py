@@ -247,11 +247,12 @@ def _round_by_network(inst, Q, support, tot, by_color) -> np.ndarray:
             arcs.append(Arc(point_node(j), pair_node[(q, h)], 0, 1))
     pair_lo, pair_hi = _int_window(by_color)
     for (q, h), node in pair_node.items():
-        ti = qpos[q]
-        arcs.append(Arc(node, center_node[q], int(pair_lo[ti, h]), int(pair_hi[ti, h])))
+        lo, hi = int(pair_lo[qpos[q], h]), int(pair_hi[qpos[q], h])
+        arcs.append(Arc(node, center_node[q], lo, hi))
     center_lo, center_hi = _int_window(tot)
     for q in Q:
-        arcs.append(Arc(center_node[q], t, int(center_lo[qpos[q]]), int(center_hi[qpos[q]])))
+        lo, hi = int(center_lo[qpos[q]]), int(center_hi[qpos[q]])
+        arcs.append(Arc(center_node[q], t, lo, hi))
 
     net = BoundedFlowNetwork(num_nodes=nid, source=s, sink=t, arcs=tuple(arcs))
     flows = feasible_integral_flow(net, n)

@@ -289,15 +289,13 @@ class TestSolutionValidation:
         with pytest.raises(ValueError, match="selected center"):
             Solution(centers=(0, 2), assign=[0, 1, 2])
 
-    @pytest.mark.parametrize("assign", [[0, 3, 0], [0, -1, 0]])
-    def test_point_index_outside_instance_rejected(self, assign):
-        # n = 3 points; a center named 3 or -1 is no point of theirs
+    @pytest.mark.parametrize(
+        "centers, assign", [((0, 3), [0, 3, 0]), ((0, -1), [0, -1, 0]), ((0, 7), [0, 0, 0])]
+    )
+    def test_index_outside_the_points_rejected(self, centers, assign):
+        # n = 3 points; a center named 3, -1 or 7 is none of them
         with pytest.raises(ValueError, match=r"\[0, n\)"):
-            Solution(centers=(0, 3, -1), assign=assign)
-
-    def test_centers_outside_the_points_are_inactive(self):
-        sol = Solution(centers=(7, 0, 1), assign=[1, 1, 0])
-        assert sol.active_centers() == (0, 1) and sol.inactive_centers() == (7,)
+            Solution(centers=centers, assign=assign)
 
 
 def loop_fractional_entries(n, entries):
