@@ -298,6 +298,12 @@ class TestSolutionValidation:
             Solution(centers=centers, assign=assign)
 
 
+@pytest.mark.parametrize("j", [2, -1])
+def test_fractional_point_index_outside_the_points_rejected(j):
+    with pytest.raises(ValueError, match=r"\[0, n\)"):
+        FractionalAssignment(n=2, entries={(0, 0): 1.0, (0, 1): 0.5, (1, 1): 0.5, (0, j): 0.5})
+
+
 def loop_fractional_entries(n, entries):
     """Reference: snapping, range check and row sums one entry at a time."""
     snapped = {}
