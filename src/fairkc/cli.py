@@ -118,12 +118,8 @@ def _cmd_solve(args):
     inst = harness.load_instance(args.input)
     cfg = _config(args, args.k, inst)
     gfb = cfg.gf_bounds(inst)
-    dsb = None
-    if args.algo in ("alg-ds", "gf-to-gfds", "ds-to-gfds"):
-        try:
-            dsb = cfg.ds_bounds(inst, args.k)
-        except ValueError as exc:
-            raise InfeasibleError(str(exc)) from None
+    needs_ds = args.algo in ("alg-ds", "gf-to-gfds", "ds-to-gfds")
+    dsb = cfg.ds_bounds(inst, args.k) if needs_ds else None
     table = harness.ALGORITHM_TABLE
     stage, step = table[args.algo]
     base = table[stage][1](inst, args.k, gfb, dsb, args.seed, None) if stage else None
@@ -155,12 +151,7 @@ def _cmd_oracle(args):
     inst = harness.load_instance(args.input)
     cfg = _config(args, args.k, inst)
     gfb = cfg.gf_bounds(inst) if args.gf else None
-    dsb = None
-    if args.ds:
-        try:
-            dsb = cfg.ds_bounds(inst, args.k)
-        except ValueError as exc:
-            raise InfeasibleError(str(exc)) from None
+    dsb = cfg.ds_bounds(inst, args.k) if args.ds else None
     got = oracle.brute_force_opt(
         inst, args.k, gfb=gfb, dsb=dsb, rho_allow=args.rho_allow
     )

@@ -9,8 +9,7 @@ bounds on each color (GF) and per-color counts on the selected centers (DS).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -210,55 +209,66 @@ class Solution:
         return tuple(c for c in self.centers if c not in present)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FractionalAssignment:
-    """Sparse LP assignment matrix x[(center, point)] in [0, 1].
+    """Sparse LP assignment matrix: x[pairs[e]] = values[e] in (0, 1].
 
-    Absent entries are zero.  Row sums over centers must be 1 for every
-    point; values within 1e-7 of 0 or 1 are snapped on construction and
-    anything outside [-1e-12, 1+1e-12] after snapping is rejected.
+    pairs holds (center, point) indices in [0, n), no pair twice; absent
+    pairs are zero.  Values within 1e-7 of 0 or 1 are snapped on
+    construction, anything outside [-1e-12, 1+1e-12] after snapping is
+    rejected and zeros are dropped.  Row sums over centers must be 1 for
+    every point.  The kept entries are stored read-only in increasing
+    (center, point) order, whatever the order given, so every sum over
+    them has the same bits for the same entries.
     """
 
     n: int
-    entries: dict = field(default_factory=dict)
+    pairs: np.ndarray   # (entries, 2): center, point
+    values: np.ndarray  # (entries,)
 
     SNAP = 1e-7
 
     def __post_init__(self):
-        q, j, v = self.arrays()  # still the entries as given
+        pairs = np.asarray(self.pairs, dtype=np.intp)
+        v = np.asarray(self.values, dtype=np.float64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or v.shape != pairs.shape[:1]:
+            raise ValueError("need pairs (entries, 2) and values (entries,)")
+        if pairs.size and not (0 <= pairs.min() and pairs.max() < self.n):
+            raise ValueError("entry index outside [0, n)")
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))  # by center, then point
+        pairs, v = pairs[order], v[order]
+        repeat = (pairs[1:] == pairs[:-1]).all(axis=1)
+        if repeat.any():
+            q0, j0 = pairs[int(np.argmax(repeat))].tolist()
+            raise ValueError(f"pair ({q0}, {j0}) given twice")
         v = np.where(np.abs(v) <= self.SNAP, 0.0,
                      np.where(np.abs(v - 1.0) <= self.SNAP, 1.0, v))
         bad = (v < -1e-12) | (v > 1.0 + 1e-12)
         if bad.any():
             i = int(np.argmax(bad))
-            q0, j0 = list(self.entries)[i]
+            q0, j0 = pairs[i].tolist()
             raise ValueError(f"entry x[{q0},{j0}]={float(v[i])} outside [0, 1]")
         keep = v > 0.0  # also drops NaN, which no bound above rejects
-        q, j, v = q[keep], j[keep], np.minimum(v[keep], 1.0)
-        if j.size and not 0 <= j.min() <= j.max() < self.n:
-            raise ValueError("entry point index outside [0, n)")
-        object.__setattr__(self, "entries", dict(zip(zip(q.tolist(), j.tolist()), v.tolist())))
+        pairs, v = pairs[keep], np.minimum(v[keep], 1.0)
         sums = np.zeros(self.n)
-        np.add.at(sums, j, v)  # in the entries' order, as a loop over them would
+        np.add.at(sums, pairs[:, 1], v)
         if np.any(np.abs(sums - 1.0) > 1e-6):
             bad = int(np.argmax(np.abs(sums - 1.0)))
             raise ValueError(f"assignment row for point {bad} sums to {sums[bad]}")
-
-    def arrays(self):
-        """(centers, points, values) of the entries as arrays, in dict order."""
-        num = len(self.entries)
-        qj = np.fromiter(chain.from_iterable(self.entries), dtype=int, count=2 * num)
-        return qj[0::2], qj[1::2], np.fromiter(self.entries.values(), dtype=float, count=num)
+        for name, arr in (("pairs", pairs), ("values", v)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def marginals(self, inst: Instance, Q: Sequence[int]):
-        """Per-center totals and per-(center, color) totals of x."""
+        """Per-center totals and per-(center, color) totals of x, summed in
+        the stored (center, point) order."""
         Q = list(Q)
-        q, j, v = self.arrays()
+        q, j = self.pairs.T
         t = positions_in(Q, q)
         tot = np.zeros(len(Q))
         by_color = np.zeros((len(Q), inst.m))
-        np.add.at(tot, t, v)
-        np.add.at(by_color, (t, inst.colors[j]), v)
+        np.add.at(tot, t, self.values)
+        np.add.at(by_color, (t, inst.colors[j]), self.values)
         return tot, by_color
 
 
@@ -326,8 +336,12 @@ class ExperimentConfig:
         return GFBounds(beta=beta, alpha=alpha)
 
     def ds_bounds(self, inst: Instance, k: int) -> DSBounds:
+        """Center bounds at budget k; InfeasibleError when the derived lower
+        bounds sum past k, since then no center set meets them."""
         r = inst.color_counts() / inst.n
         k_lo = np.ceil(self.theta * r * k - TOL).astype(int)
+        if int(k_lo.sum()) > k:
+            raise InfeasibleError("sum of lower center bounds exceeds the budget k")
         k_hi = np.full(inst.m, k, dtype=int)
         return DSBounds(k_lo=k_lo, k_hi=k_hi, k=k)
 

@@ -8,40 +8,13 @@ sub-center receives at least one point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .core import FairKCError, Instance
 
 
 class InvalidSubset(FairKCError):
     """Q must be a nonempty subset of the cluster, no larger than it."""
-
-
-@dataclass(frozen=True)
-class DivisionPlan:
-    """Per-color quotas for splitting a cluster among |Q| sub-centers.
-
-    quota[h] is |C^h| / |Q|; surplus[h] counts how many sub-centers take the
-    ceiling share; first_index is where the rotating deal starts.
-    """
-
-    quota: np.ndarray
-    surplus: np.ndarray
-    first_index: int = 0
-
-    def __post_init__(self):
-        if np.any(self.surplus < 0):
-            raise ValueError("surplus counts cannot be negative")
-
-
-def plan_division(color_counts: Sequence[int], q: int) -> DivisionPlan:
-    counts = np.asarray(color_counts, dtype=int)
-    quota = counts / q
-    surplus = counts - q * (counts // q)  # remainder of each count mod |Q|
-    return DivisionPlan(quota=quota, surplus=surplus)
 
 
 def divide(
@@ -76,27 +49,16 @@ def divide(
     for p in sorted(members):
         by_color.setdefault(int(inst.colors[p]), []).append(p)
 
-    plan = plan_division(
-        [len(by_color.get(h, ())) for h in range(inst.m)], nq
-    )
     assign = {}
-    first_index = plan.first_index
+    start = 0  # where this color's deal begins; it moves past each surplus
     for h in range(inst.m):
         pts = by_color.get(h, [])
-        if not pts:
-            continue
-        share = len(pts) // nq
-        surplus = int(plan.surplus[h])
+        share, surplus = divmod(len(pts), nq)
         cursor = 0
-        q = first_index
-        for _ in range(nq):
-            take = share
-            if surplus > 0:
-                take += 1
-                surplus -= 1
-                first_index = (first_index + 1) % nq
+        for i in range(nq):  # the first `surplus` sub-centers take one more
+            take = share + (i < surplus)
             for p in pts[cursor : cursor + take]:
-                assign[p] = subs[q]
+                assign[p] = subs[(start + i) % nq]
             cursor += take
-            q = (q + 1) % nq
+        start = (start + surplus) % nq
     return assign

@@ -4,6 +4,9 @@ Rounding turns a fractional assignment with unit row sums into an integral
 one whose per-center totals and per-(center, color) totals are the floor or
 ceiling of the fractional marginals.  Points only ever move along pairs the
 fractional solution already used, so the clustering radius cannot grow.
+The marginals are `FractionalAssignment.marginals`, summed in its stored
+(center, point) order, so the windows do not depend on the order in which
+the entries were given.
 
 An input that is already integral, with one support center per point, is
 not sent through the network.  There every source-to-point arc must carry
@@ -25,7 +28,6 @@ import numpy as np
 from .core import FairKCError, FractionalAssignment, Instance, positions_in
 
 MARGINAL_SNAP = 1e-7
-SUPPORT_EPS = 1e-9
 
 
 class InternalInfeasible(FairKCError):
@@ -163,50 +165,31 @@ def max_flow_gf(
 
     The result assigns every point to a center in its fractional support and
     keeps every per-center total and per-(center, color) total inside the
-    floor/ceiling window of the fractional marginal.
+    floor/ceiling window of the fractional marginal.  The support is every
+    stored pair of x, whose values all exceed its 1e-7 snap.
 
-    When every point has a single support center the input is already
-    integral and is returned after a check of the windows, without building
-    the network (see the module docstring for why that is exact).
+    Every row of x sums to 1, so every point has a support pair; with n
+    pairs each point has exactly one, the input is already integral, and it
+    is returned after a check of the windows, without building the network
+    (see the module docstring for why that is exact).
 
     Raises InternalInfeasible if the rounding network has no feasible flow,
     which cannot happen for a unit-row-sum input.
     """
     Q = [int(q) for q in Q]
-    support, tot, by_color = _support(x, inst, Q)
-    if all(len(s) == 1 for s in support):
-        return _forced_assignment(inst, Q, support, tot, by_color)
-    return _round_by_network(inst, Q, support, tot, by_color)
-
-
-def _support(x: FractionalAssignment, inst: Instance, Q: Sequence[int]):
-    """Each point's support centers, in increasing order, with per-center and
-    per-(center, color) marginals summed over entries of at least SUPPORT_EPS.
-
-    The sums run over the entries in sorted (center, point) order, so the
-    marginals, and with them the windows, do not depend on the dict's order.
-    """
-    q, j, v = x.arrays()
-    order = np.lexsort((j, q))  # by center, then point
-    order = order[v[order] >= SUPPORT_EPS]
-    q, j, v = q[order], j[order], v[order]
-    t = positions_in(Q, q)
-    tot = np.zeros(len(Q))
-    by_color = np.zeros((len(Q), inst.m))
-    np.add.at(tot, t, v)
-    np.add.at(by_color, (t, inst.colors[j]), v)
-    by_point = q[np.argsort(j, kind="stable")].tolist()  # by point, then center
-    ends = np.cumsum(np.bincount(j, minlength=inst.n)).tolist()
-    support = [by_point[a:b] for a, b in zip([0] + ends[:-1], ends)]
-    return support, tot, by_color
+    tot, by_color = x.marginals(inst, Q)
+    if x.pairs.shape[0] == inst.n:
+        return _forced_assignment(inst, Q, x.pairs, tot, by_color)
+    return _round_by_network(inst, Q, x.pairs, tot, by_color)
 
 
 _REJECTED = "rounding network rejected a unit-row-sum input"
 
 
-def _forced_assignment(inst, Q, support, tot, by_color) -> np.ndarray:
+def _forced_assignment(inst, Q, pairs, tot, by_color) -> np.ndarray:
     """The only candidate flow of a single-support input, if its counts fit."""
-    assign = np.array(support, dtype=int).reshape(inst.n)
+    assign = np.empty(inst.n, dtype=int)
+    assign[pairs[:, 1]] = pairs[:, 0]
     count = np.zeros((len(Q), inst.m), dtype=int)
     np.add.at(count, (positions_in(Q, assign), inst.colors), 1)
     for counted, marginal in ((count.sum(axis=1), tot), (count, by_color)):
@@ -216,7 +199,7 @@ def _forced_assignment(inst, Q, support, tot, by_color) -> np.ndarray:
     return assign
 
 
-def _round_by_network(inst, Q, support, tot, by_color) -> np.ndarray:
+def _round_by_network(inst, Q, pairs, tot, by_color) -> np.ndarray:
     """Round through the bounded-flow network over the support pairs."""
     n = inst.n
     qpos = {q: t for t, q in enumerate(Q)}
@@ -240,11 +223,10 @@ def _round_by_network(inst, Q, support, tot, by_color) -> np.ndarray:
     assign_arc = {}
     for j in range(n):
         arcs.append(Arc(s, point_node(j), 0, 1))
-    for j in range(n):
-        h = int(inst.colors[j])
-        for q in support[j]:
-            assign_arc[(q, j)] = len(arcs)
-            arcs.append(Arc(point_node(j), pair_node[(q, h)], 0, 1))
+    colors = inst.colors.tolist()
+    for q, j in pairs[np.lexsort(pairs.T)].tolist():  # by point, then center
+        assign_arc[(q, j)] = len(arcs)
+        arcs.append(Arc(point_node(j), pair_node[(q, colors[j])], 0, 1))
     pair_lo, pair_hi = _int_window(by_color)
     for (q, h), node in pair_node.items():
         lo, hi = int(pair_lo[qpos[q], h]), int(pair_hi[qpos[q], h])

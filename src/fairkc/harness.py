@@ -172,7 +172,10 @@ def load_solution(path: str) -> Solution:
     for key in ("centers", "assign"):
         if key not in obj:
             raise ParseError(f"{path}: missing key {key!r}")
-    return Solution(centers=tuple(obj["centers"]), assign=np.asarray(obj["assign"]))
+    try:
+        return Solution(centers=tuple(obj["centers"]), assign=np.asarray(obj["assign"]))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -226,7 +229,7 @@ def run_experiment(inst: Instance, cfg: ExperimentConfig) -> ExperimentReport:
     for k in cfg.k_values:
         try:
             dsb = cfg.ds_bounds(inst, k) if k <= inst.n else None
-        except ValueError:
+        except InfeasibleError:
             dsb = None
         if dsb is None:
             # more centers than points, or derived center quotas above the

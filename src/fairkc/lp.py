@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -210,11 +209,17 @@ def solve_feasibility(
 
     start_at_upper optionally lists variables whose initial nonbasic value is
     the upper bound instead of the lower one; it changes only the pivot path,
-    never the feasible/infeasible verdict.  Deterministic for fixed input.
+    never the feasible/infeasible verdict, and neither its order nor a
+    repeated index matters.  An index outside [0, vars) is a ValueError.
+    Deterministic for fixed input.
     """
     A, b, is_eq = lp.constraints, lp.rhs, lp.is_eq
     m, n = A.shape
     lo, hi = lp.var_bounds.T
+    given = () if start_at_upper is None else start_at_upper
+    up = np.unique(np.fromiter(given, dtype=np.intp))  # start at their upper bound
+    if up.size and not (0 <= up[0] and up[-1] < n):
+        raise ValueError("start_at_upper names a variable outside [0, vars)")
     if m == 0:
         return lo.copy()
 
@@ -222,9 +227,7 @@ def solve_feasibility(
     slack_lo = np.zeros(m)
     slack_hi = np.where(is_eq, 0.0, np.inf)
     x0 = lo.copy()
-    if start_at_upper is not None:
-        idx = np.asarray(sorted(set(int(i) for i in start_at_upper)), dtype=int)
-        x0[idx] = hi[idx]
+    x0[up] = hi[up]
     resid = b - A @ x0  # slack value if the slack were basic
     violated = np.where(is_eq, np.abs(resid) > PIV_TOL, resid < -PIV_TOL)
     art_rows = np.flatnonzero(violated)
@@ -247,8 +250,7 @@ def solve_feasibility(
     col_hi = np.concatenate([hi, slack_hi, np.full(n_art, np.inf)])
 
     pos = np.full(ncols, _LO, dtype=np.int8)
-    if start_at_upper is not None:
-        pos[idx] = _HI
+    pos[up] = _HI
     basis = np.empty(m, dtype=int)
     xb = np.empty(m)
     for i in range(m):
@@ -357,7 +359,7 @@ def build_assignment_lp(
 
     Variables exist only for pairs with d <= R, which enforces the radius
     restriction structurally.  Returns the program plus the (center, point)
-    pair backing each variable.
+    pair backing each variable, as a (vars, 2) int array.
 
     The LP ranges over classes of points.  Without `aggregate` every point is
     its own class, which gives the point-level LP of Bera et al.  With it, a
@@ -392,7 +394,7 @@ def build_assignment_lp(
 
     # One variable per admissible (center, class), numbered center by center.
     center_of, cls_of = np.nonzero(adm)
-    pairs = list(zip(np.asarray(S)[center_of].tolist(), reps[cls_of].tolist()))
+    pairs = np.column_stack((np.asarray(S)[center_of], reps[cls_of]))
     color, weight = inst.colors[reps][cls_of], size[cls_of]
     ind = (color == np.arange(gfb.m)[:, None]).astype(float)  # (colors, vars)
     per = 2 * gfb.m  # rows per center: the lower, then the upper row of each color
@@ -430,20 +432,16 @@ def build_assignment_lp(
     return lp, pairs
 
 
-def nearest_admissible_start(inst: Instance, pairs: Sequence[tuple]) -> list:
+def nearest_admissible_start(inst: Instance, pairs: np.ndarray) -> np.ndarray:
     """Crash start: each point's nearest admissible center set to 1.
 
-    Satisfies every unit-assignment row exactly, leaving the simplex to
-    repair only proportion rows.  Ties in distance go to the lower center
-    id; the variables come in the order their points first appear in pairs.
+    pairs is the (vars, 2) array of (center, point) from
+    `build_assignment_lp`.  The start satisfies every unit-assignment row
+    exactly, leaving the simplex to repair only proportion rows.  Ties in
+    distance go to the lower center id, and a repeated pair to its first
+    variable.  Returns the chosen variables in increasing order.
     """
-    if not pairs:
-        return []
-    flat = np.fromiter(chain.from_iterable(pairs), dtype=np.intp, count=2 * len(pairs))
-    centers, points = flat[0::2], flat[1::2]
+    centers, points = pairs.T
     # by point, then distance, then center id; stable, so a repeated pair keeps its first
     order = np.lexsort((centers, inst.dist[centers, points], points))
-    by_point = points[order]
-    starts = np.concatenate(([0], (by_point[1:] != by_point[:-1]).nonzero()[0] + 1))
-    first_seen = np.minimum.reduceat(order, starts)  # each point's first index in pairs
-    return order[starts[first_seen.argsort()]].tolist()
+    return np.sort(order[np.flatnonzero(np.diff(points[order], prepend=-1))])

@@ -152,7 +152,7 @@ def assignment_gf(
         raise NumericFailure(
             f"point-level LP infeasible at radius {R}; the aggregated LP is feasible"
         )
-    frac = FractionalAssignment(n=inst.n, entries=dict(zip(pairs, x)))
+    frac = FractionalAssignment(n=inst.n, pairs=pairs, values=x)
     assign = max_flow_gf(frac, inst, S)
     return Solution(centers=tuple(S), assign=assign), R
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fairkc.core import DSBounds, GFBounds, Instance, Solution
+from fairkc.core import DSBounds, FractionalAssignment, GFBounds, Instance, Solution
 from fairkc.instances import gen_random
 
 
@@ -41,6 +41,13 @@ def solution_from_labels(inst, centers, labels):
     centers = [int(c) for c in centers]
     assign = np.asarray([centers[t] for t in labels], dtype=int)
     return Solution(centers=tuple(centers), assign=assign)
+
+
+def from_entries(n, entries):
+    """FractionalAssignment of a {(center, point): value} dict, in the dict's order."""
+    pairs = np.array(list(entries), dtype=np.intp).reshape(-1, 2)
+    values = np.array(list(entries.values()), dtype=float)
+    return FractionalAssignment(n=n, pairs=pairs, values=values)
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ from fairkc.core import (
 )
 from fairkc.divide import divide
 from fairkc.flow import max_flow_gf
-from fairkc.core import FractionalAssignment
+from conftest import from_entries
 from fairkc.instances import gen_l_community, gen_random
 from fairkc.oracle import brute_force_opt
 from fairkc.solvers import (
@@ -157,7 +157,7 @@ def test_criterion_03_rounding_sandwich_suite():
             w /= w.sum()
             for t, wi in zip(picks, w):
                 entries[(Q[t], j)] = float(wi)
-        x = FractionalAssignment(n=n, entries=entries)
+        x = from_entries(n, entries)
         beta = np.full(m, float(rng.uniform(0.05, 1.0 / m)))
         alpha = np.full(m, float(rng.uniform(1.0 / m, 1.0)))
 
@@ -190,7 +190,7 @@ def test_criterion_03_rounding_sandwich_suite():
                         counts[h] - alpha[h] * members.size,
                     )
         ok &= rho_int <= max(rho_frac, 0.0) + 2.0 + 1e-9
-        support_cost = max(inst.dist[q, j] for (q, j) in x.entries)
+        support_cost = max(inst.dist[q, j] for (q, j) in x.pairs.tolist())
         ok &= max(inst.dist[assign[j], j] for j in range(n)) <= support_cost + 1e-12
         failures += not ok
     dt = time.perf_counter() - t0

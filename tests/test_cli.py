@@ -221,6 +221,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("infeasible:") and "Traceback" not in err
 
+    def test_evaluate_quotas_above_k_is_two(self, tmp_path, capsys):
+        # k defaults to the one center, and theta 0.8 asks for one of each color
+        inst_p, sol_p = str(tmp_path / "inst.json"), str(tmp_path / "s.json")
+        run(["generate", "--family", "random", "--n", "12", "--m", "2",
+             "--seed", "1", "--output", inst_p])
+        assert run(["solve", "--algo", "color-blind", "--k", "1",
+                    "--input", inst_p, "--output", sol_p]) == 0
+        capsys.readouterr()
+        assert run(["evaluate", "--solution", sol_p, "--input", inst_p]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible:") and "budget" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_malformed_solution_is_three(self, tmp_path, capsys):
+        # assign names point 5, which is not one of the centers
+        inst_p, sol_p = str(tmp_path / "inst.json"), tmp_path / "s.json"
+        run(["generate", "--family", "random", "--n", "12", "--m", "2",
+             "--seed", "1", "--output", inst_p])
+        sol_p.write_text(json.dumps({"centers": [0, 1], "assign": [0] * 11 + [5]}))
+        capsys.readouterr()
+        assert run(["evaluate", "--solution", str(sol_p), "--input", inst_p]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and "selected center" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv, word",
         [

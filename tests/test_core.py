@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import from_entries
 from fairkc.core import (
     ROW_BLOCK,
     TOL,
@@ -8,6 +9,7 @@ from fairkc.core import (
     ExperimentConfig,
     FractionalAssignment,
     GFBounds,
+    InfeasibleError,
     Instance,
     Solution,
     cost,
@@ -101,6 +103,14 @@ class TestBounds:
     def test_ds_lower_sum_over_budget_rejected(self):
         with pytest.raises(ValueError):
             DSBounds(k_lo=[2, 2], k_hi=[3, 3], k=3)
+
+    def test_derived_quotas_over_budget_are_infeasible(self):
+        # theta 0.8 asks for one center of each of two colors at k = 1
+        inst = Instance(dist=np.zeros((4, 4)), colors=[0, 0, 1, 1], m=2)
+        cfg = ExperimentConfig(k_values=(1,), theta=0.8)
+        with pytest.raises(InfeasibleError, match="exceeds the budget k"):
+            cfg.ds_bounds(inst, 1)
+        assert cfg.ds_bounds(inst, 2).k_lo.tolist() == [1, 1]
 
     @pytest.mark.parametrize("delta", [1.0, 1.5, -0.1, float("nan")])
     def test_config_delta_outside_unit_interval_rejected(self, delta):
@@ -301,13 +311,26 @@ class TestSolutionValidation:
 @pytest.mark.parametrize("j", [2, -1])
 def test_fractional_point_index_outside_the_points_rejected(j):
     with pytest.raises(ValueError, match=r"\[0, n\)"):
-        FractionalAssignment(n=2, entries={(0, 0): 1.0, (0, 1): 0.5, (1, 1): 0.5, (0, j): 0.5})
+        from_entries(2, {(0, 0): 1.0, (0, 1): 0.5, (1, 1): 0.5, (0, j): 0.5})
+
+
+@pytest.mark.parametrize("q", [2, -1])
+def test_fractional_center_index_outside_the_points_rejected(q):
+    with pytest.raises(ValueError, match=r"\[0, n\)"):
+        from_entries(2, {(0, 0): 1.0, (0, 1): 0.5, (q, 1): 0.5})
+
+
+def test_fractional_repeated_pair_rejected():
+    # two halves of one pair would pass the row sums; a dict could not hold them
+    with pytest.raises(ValueError, match=r"pair \(1, 0\) given twice"):
+        FractionalAssignment(n=2, pairs=[[1, 0], [0, 1], [1, 0]], values=[0.5, 1.0, 0.5])
 
 
 def loop_fractional_entries(n, entries):
-    """Reference: snapping, range check and row sums one entry at a time."""
+    """Reference: snapping, range check and row sums one entry at a time, in
+    sorted (center, point) order."""
     snapped = {}
-    for (q, j), v in entries.items():
+    for (q, j), v in sorted(entries.items()):
         v = float(v)
         if abs(v) <= FractionalAssignment.SNAP:
             v = 0.0
@@ -327,11 +350,11 @@ def loop_fractional_entries(n, entries):
     return snapped
 
 
-def loop_marginals(x, inst, Q):
+def loop_marginals(entries, inst, Q):
     pos = {q: t for t, q in enumerate(Q)}
     tot = np.zeros(len(Q))
     by_color = np.zeros((len(Q), inst.m))
-    for (q, j), v in x.entries.items():
+    for (q, j), v in entries.items():
         tot[pos[q]] += v
         by_color[pos[q], inst.colors[j]] += v
     return tot, by_color
@@ -339,7 +362,7 @@ def loop_marginals(x, inst, Q):
 
 def test_fractional_assignment_equals_entry_loops():
     # entries in shuffled order, spilled below and above the snap, and now and
-    # then one outside [0, 1] or NaN: the same dict, sums and error messages
+    # then one outside [0, 1] or NaN: the same entries, sums and error messages
     from conftest import random_instance
 
     rng = np.random.default_rng(20261018)
@@ -364,13 +387,14 @@ def test_fractional_assignment_equals_entry_loops():
             want = loop_fractional_entries(inst.n, entries)
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
-                FractionalAssignment(n=inst.n, entries=entries)
+                from_entries(inst.n, entries)
             assert str(got.value) == str(exc)
             outcomes.add("error")
             continue
-        x = FractionalAssignment(n=inst.n, entries=entries)
-        assert list(x.entries.items()) == list(want.items())
-        for got, ref in zip(x.marginals(inst, Q.tolist()), loop_marginals(x, inst, Q.tolist())):
+        x = from_entries(inst.n, entries)
+        assert x.pairs.tolist() == [list(pair) for pair in want]
+        assert x.values.tolist() == list(want.values())
+        for got, ref in zip(x.marginals(inst, Q.tolist()), loop_marginals(want, inst, Q.tolist())):
             assert got.tobytes() == ref.tobytes()
         outcomes.add("ok")
     assert outcomes == {"ok", "error"}

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairkc.core import GFBounds, Instance, Solution, gf_violation
-from fairkc.divide import InvalidSubset, divide, plan_division
+from fairkc.divide import InvalidSubset, divide
 from fairkc.instances import gen_random
 
 
@@ -32,11 +32,6 @@ class TestGoldenExample:
         assert mat[:, 1].tolist() == [4, 3, 3, 4]
         assert mat[:, 2].tolist() == [2, 3, 2, 2]
         assert mat.sum(axis=1).tolist() == [10, 10, 9, 9]
-
-    def test_surplus_bookkeeping(self):
-        plan = plan_division([15, 14, 9], 4)
-        assert plan.surplus.tolist() == [3, 2, 1]
-        assert np.allclose(plan.quota, [3.75, 3.5, 2.25])
 
 
 class TestSmallCases:

@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import from_entries
 from fairkc import flow, harness
 from fairkc.core import ExperimentConfig, FractionalAssignment, GFBounds, Instance
 from fairkc.flow import (
-    SUPPORT_EPS,
     Arc,
     BoundedFlowNetwork,
     InternalInfeasible,
     _forced_assignment,
     _round_by_network,
-    _support,
     feasible_integral_flow,
     max_flow_gf,
 )
@@ -31,7 +30,7 @@ def random_fractional(rng, inst, Q):
         w /= w.sum()
         for t, wi in zip(chosen, w):
             entries[(Q[t], j)] = entries.get((Q[t], j), 0.0) + float(wi)
-    return FractionalAssignment(n=inst.n, entries=entries)
+    return from_entries(inst.n, entries)
 
 
 def fractional_violation(x, inst, Q, gfb):
@@ -102,7 +101,7 @@ class TestMaxFlowGF:
             q = Q[int(rng.integers(2))]
             entries[(q, j)] = 1.0
             want[j] = q
-        fa = FractionalAssignment(n=inst.n, entries=entries)
+        fa = from_entries(inst.n, entries)
         assign = max_flow_gf(fa, inst, Q)
         assert {j: int(assign[j]) for j in range(inst.n)} == want
 
@@ -111,9 +110,7 @@ class TestMaxFlowGF:
             dist=np.zeros((4, 4)), colors=[0, 0, 1, 1], m=2
         )
         Q = [0, 2]
-        fa = FractionalAssignment(
-            n=4, entries={(q, j): 0.5 for q in Q for j in range(4)}
-        )
+        fa = from_entries(4, {(q, j): 0.5 for q in Q for j in range(4)})
         assign = max_flow_gf(fa, inst, Q)
         for q in Q:
             members = np.flatnonzero(assign == q)
@@ -124,9 +121,7 @@ class TestMaxFlowGF:
         # a center with 3.75 expected blue points receives 3 or 4
         inst = Instance(dist=np.zeros((15, 15)), colors=[0] * 15, m=1)
         Q = [0, 1, 2, 3]
-        fa = FractionalAssignment(
-            n=15, entries={(q, j): 0.25 for q in Q for j in range(15)}
-        )
+        fa = from_entries(15, {(q, j): 0.25 for q in Q for j in range(15)})
         assign = max_flow_gf(fa, inst, Q)
         for q in Q:
             assert int(np.sum(assign == q)) in (3, 4)
@@ -137,9 +132,7 @@ class TestMaxFlowGF:
         colors = np.array([0] * 15 + [1] * 14 + [2] * 9)
         inst = Instance(dist=np.zeros((38, 38)), colors=colors, m=3)
         Q = [0, 15, 29, 37]
-        fa = FractionalAssignment(
-            n=38, entries={(q, j): 0.25 for q in Q for j in range(38)}
-        )
+        fa = from_entries(38, {(q, j): 0.25 for q in Q for j in range(38)})
         assign = max_flow_gf(fa, inst, Q)
         windows = {0: (3, 4), 1: (3, 4), 2: (2, 3)}
         per_color_totals = np.zeros(3, dtype=int)
@@ -192,17 +185,16 @@ class TestMaxFlowGF:
             assert rho_int <= rho_frac + 2.0 + 1e-9
 
             # cost preservation: stay inside the fractional support
-            support_cost = max(
-                inst.dist[q, j] for (q, j) in x.entries
-            )
+            support = set(map(tuple, x.pairs.tolist()))
+            support_cost = max(inst.dist[q, j] for (q, j) in support)
             assigned_cost = max(inst.dist[assign[j], j] for j in range(n))
             assert assigned_cost <= support_cost + 1e-12
-            assert all((int(assign[j]), j) in x.entries for j in range(n))
+            assert all((int(assign[j]), j) in support for j in range(n))
 
 
 def random_integral(rng, inst, Q):
-    """One support center per point, weight 1 or 1 - 1e-8, plus entries below
-    SUPPORT_EPS on other centers that the rounding ignores."""
+    """One support center per point, weight 1 or 1 - 1e-8, plus entries of
+    1e-10 on other centers, which the snap drops."""
     entries = {}
     for j in range(inst.n):
         main = int(rng.integers(len(Q)))
@@ -210,7 +202,7 @@ def random_integral(rng, inst, Q):
         for t in range(len(Q)):
             if t != main and rng.random() < 0.2:
                 entries[(Q[t], j)] = 1e-10
-    return FractionalAssignment(n=inst.n, entries=entries)
+    return from_entries(inst.n, entries)
 
 
 class TestIntegralEarlyReturn:
@@ -221,14 +213,15 @@ class TestIntegralEarlyReturn:
             nq = int(rng.integers(1, min(n, 6) + 1))
             Q = sorted(rng.choice(n, size=nq, replace=False).tolist())
             x = random_integral(rng, inst, Q)
-            parts = _support(x, inst, Q)
-            assert all(len(s) == 1 for s in parts[0])
+            assert sorted(x.pairs[:, 1].tolist()) == list(range(n))  # one pair a point
+            parts = (x.pairs, *x.marginals(inst, Q))
             forced = _forced_assignment(inst, Q, *parts)
             assert np.array_equal(forced, _round_by_network(inst, Q, *parts))
             assert np.array_equal(forced, max_flow_gf(x, inst, Q))
 
     # FractionalAssignment rejects rows that do not sum to one, so these
-    # single-support inputs reach both paths as (colors, weights, marginals).
+    # single-support inputs reach both paths as (colors, weights, marginals),
+    # every point paired with center 0.
     @pytest.mark.parametrize(
         "colors, weights, by_color",
         [
@@ -245,41 +238,56 @@ class TestIntegralEarlyReturn:
     def test_window_break_raises_on_both_paths(self, colors, weights, by_color):
         n = len(colors)
         inst = Instance(dist=np.zeros((n, n)), colors=colors, m=len(by_color))
-        parts = ([[0]] * n, np.array([sum(weights)]), np.array([by_color]))
+        pairs = np.column_stack((np.zeros(n, dtype=int), np.arange(n)))
+        parts = (pairs, np.array([sum(weights)]), np.array([by_color]))
         for path in (_forced_assignment, _round_by_network):
             with pytest.raises(InternalInfeasible, match="rejected a unit-row-sum"):
                 path(inst, [0], *parts)
 
 
-def loop_support(x, inst, Q):
-    """Reference: the support scan one sorted entry at a time."""
+def loop_marginals(entries, inst, Q):
+    """Reference: the marginals one entry at a time, in sorted (center, point) order."""
     qpos = {q: t for t, q in enumerate(Q)}
-    support = [[] for _ in range(inst.n)]
     tot = np.zeros(len(Q))
     by_color = np.zeros((len(Q), inst.m))
-    for (q, j), v in sorted(x.entries.items()):
-        if v < SUPPORT_EPS:
-            continue
-        support[j].append(q)
+    for (q, j), v in sorted(entries.items()):
         tot[qpos[q]] += v
         by_color[qpos[q], inst.colors[j]] += v
-    return support, tot, by_color
+    return tot, by_color
 
 
-def test_support_equals_sorted_entry_loop(rng):
-    # the marginals are summed in sorted order whatever the dict's order
+def random_case(rng):
+    n = int(rng.integers(1, 60))
+    m = int(rng.integers(1, min(n, 3) + 1))
+    inst = gen_random(n, m, 2, np.full(m, 1.0 / m), seed=int(rng.integers(2**31)))
+    Q = rng.choice(n, size=int(rng.integers(1, min(n, 6) + 1)), replace=False).tolist()
+    return inst, Q, random_fractional(rng, inst, Q)
+
+
+def test_marginals_equal_sorted_entry_loop(rng):
+    # stored and summed in sorted order whatever the order given
     for _ in range(200):
-        n = int(rng.integers(1, 60))
-        m = int(rng.integers(1, min(n, 3) + 1))
-        inst = gen_random(n, m, 2, np.full(m, 1.0 / m), seed=int(rng.integers(2**31)))
-        Q = rng.choice(n, size=int(rng.integers(1, min(n, 6) + 1)), replace=False).tolist()
-        items = list(random_fractional(rng, inst, Q).entries.items())
+        inst, Q, x = random_case(rng)
+        items = list(zip(map(tuple, x.pairs.tolist()), x.values.tolist()))
         rng.shuffle(items)
-        x = FractionalAssignment(n=n, entries=dict(items))
-        support, tot, by_color = _support(x, inst, Q)
-        want = loop_support(x, inst, Q)
-        assert support == want[0]
-        assert tot.tobytes() == want[1].tobytes() and by_color.tobytes() == want[2].tobytes()
+        y = from_entries(inst.n, dict(items))
+        assert y.pairs.tolist() == sorted(map(list, dict(items)))
+        assert y.values.tolist() == [v for _, v in sorted(items)]
+        tot, by_color = y.marginals(inst, Q)
+        want = loop_marginals(dict(items), inst, Q)
+        assert tot.tobytes() == want[0].tobytes() and by_color.tobytes() == want[1].tobytes()
+
+
+def test_permuted_input_gives_identical_assignment_and_rounding(rng):
+    for _ in range(200):
+        inst, Q, x = random_case(rng)
+        perm = rng.permutation(x.values.size)
+        y = FractionalAssignment(n=inst.n, pairs=x.pairs[perm], values=x.values[perm])
+        assert y.pairs.dtype == x.pairs.dtype and y.pairs.tobytes() == x.pairs.tobytes()
+        assert y.values.tobytes() == x.values.tobytes()
+        for got, want in zip(y.marginals(inst, Q), x.marginals(inst, Q)):
+            assert got.tobytes() == want.tobytes()
+        assert max_flow_gf(y, inst, Q).tobytes() == max_flow_gf(x, inst, Q).tobytes()
 
 
 def test_run_experiment_exercises_both_rounding_paths(monkeypatch):
@@ -334,12 +342,12 @@ def test_rounding_stays_in_support_and_windows():
                 w[0] = 1.0 - spill * (len(Q) - 1)
             for t, wi in zip(chosen, w):
                 entries[(Q[t], j)] = float(wi)
-        x = FractionalAssignment(n=n, entries=entries)
+        x = from_entries(n, entries)
 
         assign = max_flow_gf(x, inst, Q)
-        seen.add(all(len(s) == 1 for s in _support(x, inst, Q)[0]))
+        seen.add(np.bincount(x.pairs[:, 1], minlength=n).max() == 1)
         for j in range(n):
-            assert entries.get((int(assign[j]), j), 0.0) >= SUPPORT_EPS
+            assert entries.get((int(assign[j]), j), 0.0) > FractionalAssignment.SNAP
         tot, by_color = x.marginals(inst, Q)
         for t, q in enumerate(Q):
             members = np.flatnonzero(assign == q)

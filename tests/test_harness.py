@@ -84,6 +84,15 @@ class TestMatrixJson:
         assert np.allclose(back.dist, inst.dist)
         assert np.array_equal(back.colors, inst.colors)
 
+    @pytest.mark.parametrize(
+        "obj", [{"centers": [0, 1], "assign": [0, 0, 5]}, {"centers": 3, "assign": [0]}]
+    )
+    def test_malformed_solution_rejected(self, tmp_path, obj):
+        # a point outside the centers, or centers that are not a list
+        p = write(tmp_path, "s.json", json.dumps(obj))
+        with pytest.raises(ParseError, match="s.json"):
+            load_solution(p)
+
     def test_asymmetric_rejected(self, tmp_path):
         obj = {"n": 2, "m": 2, "colors": [0, 1], "dist": [[0, 1], [2, 0]]}
         p = write(tmp_path, "bad.json", json.dumps(obj))

@@ -296,6 +296,20 @@ class TestSolver:
         x = solve_feasibility(one_var_lp(0.3, 0.7), start_at_upper=[0])
         assert x is not None and 0.3 - 1e-7 <= x[0] <= 0.7 + 1e-7
 
+    @pytest.mark.parametrize("start", [[-2], [2], [0, 2]])
+    def test_start_outside_the_variables_rejected(self, start):
+        # x0 + x1 = 1, x0 <= 0: a wrapped -2 started x0 at 1 and lost the
+        # verdict, and 2 raised IndexError
+        lp = LinearProgram(
+            constraints=SparseRows.from_dense([[1.0, 1.0], [1.0, 0.0]]),
+            rhs=[1.0, 0.0],
+            is_eq=[True, False],
+            var_bounds=[[0.0, 1.0], [0.0, 1.0]],
+        )
+        assert solve_feasibility(lp, start_at_upper=[0]).tolist() == [0.0, 1.0]
+        with pytest.raises(ValueError, match=r"outside \[0, vars\)"):
+            solve_feasibility(lp, start_at_upper=start)
+
 
 class TestAssignmentLp:
     def balanced_pairs(self):
@@ -316,11 +330,10 @@ class TestAssignmentLp:
         lp, pairs = build_assignment_lp(inst, [0, 2], 0.0, gfb)
         x = solve_feasibility(lp)
         assert x is not None
-        fa = FractionalAssignment(
-            n=inst.n, entries={pairs[v]: x[v] for v in range(len(pairs))}
-        )
+        fa = FractionalAssignment(n=inst.n, pairs=pairs, values=x)
         # indicator assignment pairing each point with its co-located center
-        assert fa.entries == {(0, 0): 1.0, (0, 1): 1.0, (2, 2): 1.0, (2, 3): 1.0}
+        assert fa.pairs.tolist() == [[0, 0], [0, 1], [2, 2], [2, 3]]
+        assert fa.values.tolist() == [1.0] * 4
 
     def test_unreachable_point_raises(self):
         inst = self.balanced_pairs()
@@ -378,11 +391,10 @@ class TestAssignmentLp:
             lp, pairs = build_assignment_lp(inst, S, R, gfb)
             x = solve_feasibility(lp, start_at_upper=nearest_admissible_start(inst, pairs))
             assert x is not None
-            fa = FractionalAssignment(
-                n=inst.n, entries={pairs[v]: x[v] for v in range(len(pairs))}
-            )
+            fa = FractionalAssignment(n=inst.n, pairs=pairs, values=x)
             tot, by_color = fa.marginals(inst, S)
-            assert np.all(np.abs(sum(fa.entries.get((q, j), 0.0) for q in S) - 1.0) <= 1e-6 for j in range(inst.n))
+            rows = np.bincount(fa.pairs[:, 1], weights=fa.values, minlength=inst.n)
+            assert np.all(np.abs(rows - 1.0) <= 1e-6)
             for t in range(len(S)):
                 for h in range(inst.m):
                     assert by_color[t, h] >= gfb.beta[h] * tot[t] - 1e-6
@@ -491,7 +503,7 @@ def point_level_search(inst, S, gfb):
         else:
             best, hi = (mid, pairs, x), mid - 1
     mid, pairs, x = best
-    frac = FractionalAssignment(n=inst.n, entries=dict(zip(pairs, x)))
+    frac = FractionalAssignment(n=inst.n, pairs=pairs, values=x)
     return float(radii[mid]), max_flow_gf(frac, inst, S)
 
 
@@ -511,7 +523,7 @@ class TestClassAggregation:
         ] + [(getattr(agg, f), getattr(pt, f)) for f in ("rhs", "is_eq", "var_bounds")]:
             assert a.shape == b.shape and a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
-        assert agg_pairs == pt_pairs
+        assert agg_pairs.tolist() == pt_pairs.tolist()
 
     def test_matrix_matches_row_by_row_reference(self):
         for inst, S, gfb in seeded_random_cases():
@@ -521,7 +533,7 @@ class TestClassAggregation:
                 for aggregate in (False, True):
                     lp, pairs = build_assignment_lp(inst, S, float(R), gfb, aggregate=aggregate)
                     A, b, is_eq, want_pairs = reference_lp(inst, S, float(R), gfb, aggregate)
-                    assert pairs == want_pairs
+                    assert pairs.tolist() == [list(pair) for pair in want_pairs]
                     dense = lp.constraints.toarray()
                     for got, want in ((dense, A), (lp.rhs, b), (lp.is_eq, is_eq)):
                         assert got.shape == want.shape and got.dtype == want.dtype
@@ -535,7 +547,7 @@ class TestClassAggregation:
         inst = Instance(dist=dist, colors=[0, 0, 1, 1, 1, 0], m=2)
         gfb = GFBounds(beta=[0.3, 0.3], alpha=[0.7, 0.7])
         lp, pairs = build_assignment_lp(inst, [0, 3], 0.0, gfb, aggregate=True)
-        assert pairs == [(0, 0), (0, 2), (3, 3), (3, 5)]
+        assert pairs.tolist() == [[0, 0], [0, 2], [3, 3], [3, 5]]
         assert lp.constraints.shape == (4 + 4 + 4, 4)  # 2 blocks of 2m rows, 4 classes
         assert lp.constraints.toarray()[:2].tolist() == [
             [2 * (0.3 - 1.0), 0.3, 0.0, 0.0],
@@ -559,12 +571,12 @@ class TestClassAggregation:
             agg, agg_pairs = build_assignment_lp(inst, S, R, gfb, aggregate=True)
             x, y = solve_feasibility(pt), solve_feasibility(agg)
             assert x is not None and y is not None
-            share = {pair: y[v] for v, pair in enumerate(agg_pairs)}
+            share = {pair: y[v] for v, pair in enumerate(map(tuple, agg_pairs.tolist()))}
             spread = np.asarray([share[(i, cls[j])] for i, j in pt_pairs])
             assert satisfies(pt, spread)
             members = np.bincount(cls, minlength=inst.n)
             mean = np.zeros(agg.num_vars)
-            index = {pair: v for v, pair in enumerate(agg_pairs)}
+            index = {pair: v for v, pair in enumerate(map(tuple, agg_pairs.tolist()))}
             for v, (i, j) in enumerate(pt_pairs):
                 mean[index[(i, cls[j])]] += x[v] / members[cls[j]]
             assert satisfies(agg, mean)
@@ -636,16 +648,17 @@ class TestNearestStart:
             for R in radii[:: max(1, len(radii) // 4)]:
                 for aggregate in (False, True):
                     _, pairs = build_assignment_lp(inst, S, float(R), gfb, aggregate=aggregate)
-                    assert nearest_admissible_start(inst, pairs) == loop_nearest_start(inst, pairs)
+                    got = nearest_admissible_start(inst, pairs).tolist()
+                    assert got == sorted(loop_nearest_start(inst, pairs))
 
     def test_ties_go_to_the_lower_center_id(self):
         # all distances equal: center 1 beats center 3 whatever their order in
-        # pairs, a repeated pair keeps its first index, points keep first-seen order
+        # pairs, a repeated pair keeps its first index
         inst = Instance(dist=np.zeros((4, 4)), colors=[0, 1, 0, 1], m=2)
-        pairs = [(3, 2), (3, 0), (1, 0), (1, 2), (0, 2), (1, 0)]
+        pairs = np.array([(3, 2), (3, 0), (1, 0), (1, 2), (0, 2), (1, 0)])
         assert loop_nearest_start(inst, pairs) == [4, 2]
-        assert nearest_admissible_start(inst, pairs) == [4, 2]
-        assert nearest_admissible_start(inst, []) == []
+        assert nearest_admissible_start(inst, pairs).tolist() == [2, 4]
+        assert nearest_admissible_start(inst, np.empty((0, 2), dtype=np.intp)).tolist() == []
 
 
 # ---------------------------------------------------------------------------
