@@ -1,3 +1,4 @@
+import hashlib
 from importlib import resources
 
 import numpy as np
@@ -359,3 +360,27 @@ def test_rounding_stays_in_support_and_windows():
 
     check()
     assert seen == {True, False}
+
+
+def pinned_rounding_inputs():
+    """About 400 seeded network inputs with many split points."""
+    rng = np.random.default_rng(20191209)
+    for _ in range(400):
+        n = int(rng.integers(6, 61))
+        m = int(rng.integers(2, 5))
+        inst = gen_random(n, m, 2, np.full(m, 1.0 / m), seed=int(rng.integers(2**31)))
+        Q = sorted(rng.choice(n, size=int(rng.integers(2, 7)), replace=False).tolist())
+        x = random_fractional(rng, inst, Q)
+        yield inst, Q, x.pairs, *x.marginals(inst, Q)
+
+
+# sha256 over the `_round_by_network` assignments of `pinned_rounding_inputs()`:
+# a faster max-flow must find the same augmenting paths, hence these bytes
+ROUNDING_SHA256 = "bc13c3dd41233087e650d44fd66803ee894b63314a2dcfb47217e4e8da542108"
+
+
+def test_round_by_network_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for inst, Q, *parts in pinned_rounding_inputs():
+        digest.update(_round_by_network(inst, Q, *parts).astype("<i8").tobytes())
+    assert digest.hexdigest() == ROUNDING_SHA256
