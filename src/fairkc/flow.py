@@ -15,10 +15,21 @@ is the only candidate flow, and it is feasible exactly when its per-center
 and per-(center, color) counts lie inside their windows.  Checking those
 counts and returning the support therefore gives the network's answer, and
 its InternalInfeasible when a window fails, without one augmenting path.
+
+The max-flow augments along exactly the paths of a breadth-first
+Edmonds-Karp search over the frozen adjacency lists, in the same order, so
+every flow, assignment and report keeps its bytes; it finds them with
+Dinic's level graphs and current-arc pointers instead of one search from
+the source per path.  Within a phase of Dinic's algorithm a level arc only
+loses capacity, so an arc that is saturated or leads to a dead end stays
+useless until the next phase, and the first path a depth-first search finds
+in list order is the least shortest path, the one breadth-first search
+returns.  `_Residual.max_flow` gives the argument in full.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -42,6 +53,8 @@ class Arc:
     upper: int
 
     def __post_init__(self):
+        for name in ("tail", "head", "lower", "upper"):  # ints only, numpy's too
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if not 0 <= self.lower <= self.upper:
             raise ValueError("need 0 <= lower <= upper on every arc")
 
@@ -54,13 +67,21 @@ class BoundedFlowNetwork:
     arcs: tuple
 
     def __post_init__(self):
+        if not (0 <= self.source < self.num_nodes and 0 <= self.sink < self.num_nodes):
+            raise ValueError("source or sink out of range")
+        if self.source == self.sink:
+            raise ValueError("source and sink must differ")
         for a in self.arcs:
             if not (0 <= a.tail < self.num_nodes and 0 <= a.head < self.num_nodes):
                 raise ValueError("arc endpoint out of range")
 
 
 class _Residual:
-    """Forward/backward arc pairs; adjacency kept sorted by head node."""
+    """Forward/backward arc pairs (arc e's reverse is e ^ 1).
+
+    `freeze` sorts each node's arcs by (head, arc id) once; that order
+    decides which augmenting path `max_flow` takes among equally short ones.
+    """
 
     def __init__(self, num_nodes):
         self.adj = [[] for _ in range(num_nodes)]
@@ -80,34 +101,73 @@ class _Residual:
             lst.sort(key=lambda e: (self.to[e], e))  # lowest head first
 
     def max_flow(self, s, t):
-        """Edmonds-Karp: shortest augmenting paths via BFS."""
+        """Maximum s->t flow along Edmonds-Karp's augmenting paths, found
+        with Dinic's level graphs and current-arc pointers (Dinitz 1970).
+
+        Edmonds-Karp augments along the path of a FIFO breadth-first search
+        that scans each node's frozen arc list in order and keeps a node's
+        first discoverer as its parent.  Compare two paths by the positions
+        of their arcs in each node's list, first arc first.  By induction on
+        the level, that search discovers the nodes of one level in the order
+        of their least shortest paths from s, and its parent arcs trace
+        exactly those paths; so it returns the least shortest s->t path.
+
+        A phase here runs that breadth-first search once, stopping when t is
+        reached, and keeps each node's level.  A level arc has capacity left
+        and goes from level i to level i + 1.  Augmenting lowers the capacity
+        of level arcs and raises that of their reverses, which point one
+        level down, so within a phase a level arc never regains capacity, no
+        other arc becomes one, and while the s->t distance stays the same
+        every shortest residual path uses level arcs only.  A depth-first
+        search from s that follows level arcs only, in list order, therefore
+        meets the least shortest path first.  Each node's current arc moves
+        past an arc only when the arc is not a level arc, is saturated, or
+        leads to a node from which no level path reaches t; none of these
+        changes back within the phase, so skipping such arcs drops no path.
+        After each augmentation the search starts again at s; when it finds
+        no path the distance has grown, and a new phase begins.
+        """
         total = 0
         to, cap, adj = self.to, self.cap, self.adj
         while True:
-            parent_arc = {s: -1}
+            level = [-1] * len(adj)
+            level[s] = 0
             queue = deque([s])
-            while queue and t not in parent_arc:
+            while queue and level[t] < 0:
                 u = queue.popleft()
+                up = level[u] + 1
                 for e in adj[u]:
                     v = to[e]
-                    if cap[e] > 0 and v not in parent_arc:
-                        parent_arc[v] = e
+                    if cap[e] > 0 and level[v] < 0:
+                        level[v] = up
                         queue.append(v)
-            if t not in parent_arc:
+            if level[t] < 0:
                 return total
-            bottleneck = None
-            v = t
-            while v != s:
-                e = parent_arc[v]
-                bottleneck = cap[e] if bottleneck is None else min(bottleneck, cap[e])
-                v = to[e ^ 1]
-            v = t
-            while v != s:
-                e = parent_arc[v]
-                cap[e] -= bottleneck
-                cap[e ^ 1] += bottleneck
-                v = to[e ^ 1]
-            total += bottleneck
+            ptr = [0] * len(adj)  # current arc of each node
+            path = []  # arcs from s to u
+            u = s
+            while True:
+                if u == t:
+                    bottleneck = min(cap[e] for e in path)
+                    for e in path:
+                        cap[e] -= bottleneck
+                        cap[e ^ 1] += bottleneck
+                    total += bottleneck
+                    path.clear()
+                    u = s
+                arcs = adj[u]
+                i, end, up = ptr[u], len(arcs), level[u] + 1
+                while i < end and not (cap[arcs[i]] > 0 and level[to[arcs[i]]] == up):
+                    i += 1
+                ptr[u] = i
+                if i < end:
+                    path.append(arcs[i])
+                    u = to[arcs[i]]
+                elif u == s:
+                    break
+                else:  # dead end: retreat and skip the arc that led here
+                    u = to[path.pop() ^ 1]
+                    ptr[u] += 1
 
 
 def feasible_integral_flow(
@@ -117,7 +177,9 @@ def feasible_integral_flow(
 
     Uses the textbook transform: strip lower bounds into node excesses, close
     the circulation with a fixed-value sink->source arc, then run max-flow
-    from a super source to a super sink and demand saturation.
+    from a super source to a super sink and demand saturation.  The flows
+    returned are those of Edmonds-Karp over the frozen residual network
+    (see `_Residual.max_flow`).
     """
     n = net.num_nodes
     excess = [0] * n

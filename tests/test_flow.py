@@ -1,4 +1,5 @@
 import hashlib
+from collections import deque
 from importlib import resources
 
 import numpy as np
@@ -13,6 +14,7 @@ from fairkc.flow import (
     Arc,
     BoundedFlowNetwork,
     InternalInfeasible,
+    _Residual,
     _forced_assignment,
     _round_by_network,
     feasible_integral_flow,
@@ -90,6 +92,81 @@ class TestBoundedFlow:
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
             Arc(0, 1, 3, 2)
+
+    def test_numpy_ints_accepted_and_floats_rejected(self):
+        arc = Arc(np.int64(0), np.int32(1), np.int64(0), np.int64(2))
+        assert all(type(v) is int for v in (arc.tail, arc.head, arc.lower, arc.upper))
+        with pytest.raises(TypeError):
+            Arc(0, 1, 0.5, 2.5)  # used to give the flow [1.0] for value 1
+
+    def test_negative_source_rejected(self):
+        # -1 used to wrap round to the sink and report [0] for value 1
+        with pytest.raises(ValueError, match="out of range"):
+            BoundedFlowNetwork(num_nodes=2, source=-1, sink=1, arcs=(Arc(0, 1, 0, 3),))
+
+    def test_source_equal_to_sink_rejected(self):
+        # used to report [0] for a required value of 2
+        with pytest.raises(ValueError, match="must differ"):
+            BoundedFlowNetwork(num_nodes=2, source=1, sink=1, arcs=(Arc(0, 1, 0, 3),))
+
+    def test_source_past_last_node_rejected(self):
+        # used to raise a bare IndexError in feasible_integral_flow
+        with pytest.raises(ValueError, match="out of range"):
+            BoundedFlowNetwork(num_nodes=2, source=5, sink=1, arcs=(Arc(0, 1, 0, 3),))
+
+
+class EdmondsKarp(_Residual):
+    """Reference: the breadth-first Edmonds-Karp loop that `_Residual.max_flow`
+    must match path for path."""
+
+    def max_flow(self, s, t):
+        """Edmonds-Karp: shortest augmenting paths via BFS."""
+        total = 0
+        to, cap, adj = self.to, self.cap, self.adj
+        while True:
+            parent_arc = {s: -1}
+            queue = deque([s])
+            while queue and t not in parent_arc:
+                u = queue.popleft()
+                for e in adj[u]:
+                    v = to[e]
+                    if cap[e] > 0 and v not in parent_arc:
+                        parent_arc[v] = e
+                        queue.append(v)
+            if t not in parent_arc:
+                return total
+            bottleneck = None
+            v = t
+            while v != s:
+                e = parent_arc[v]
+                bottleneck = cap[e] if bottleneck is None else min(bottleneck, cap[e])
+                v = to[e ^ 1]
+            v = t
+            while v != s:
+                e = parent_arc[v]
+                cap[e] -= bottleneck
+                cap[e ^ 1] += bottleneck
+                v = to[e ^ 1]
+            total += bottleneck
+
+
+def test_max_flow_matches_edmonds_karp_on_random_networks():
+    # 2-14 nodes; arcs drawn with replacement give parallel and antiparallel
+    # pairs, cycles and self-loops; about a fifth of the capacities are zero
+    rng = np.random.default_rng(1970)
+    for _ in range(3000):
+        n = int(rng.integers(2, 15))
+        s, t = (int(v) for v in rng.choice(n, size=2, replace=False))
+        ends = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2)).tolist()
+        caps = np.where(rng.random(len(ends)) < 0.2, 0, rng.integers(1, 5, len(ends)))
+        nets = _Residual(n), EdmondsKarp(n)
+        for res in nets:
+            for (u, v), c in zip(ends, caps.tolist()):
+                res.add(u, v, c)
+            res.freeze()
+        got, want = (res.max_flow(s, t) for res in nets)
+        assert got == want
+        assert nets[0].cap == nets[1].cap
 
 
 class TestMaxFlowGF:
