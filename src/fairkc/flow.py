@@ -54,7 +54,9 @@ class Arc:
 
     def __post_init__(self):
         for name in ("tail", "head", "lower", "upper"):  # ints only, numpy's too
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            value = getattr(self, name)
+            if type(value) is not int:
+                object.__setattr__(self, name, operator.index(value))
         if not 0 <= self.lower <= self.upper:
             raise ValueError("need 0 <= lower <= upper on every arc")
 

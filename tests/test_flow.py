@@ -440,7 +440,7 @@ def test_rounding_stays_in_support_and_windows():
 
 
 def pinned_rounding_inputs():
-    """About 400 seeded network inputs with many split points."""
+    """400 seeded network inputs, most of their points split."""
     rng = np.random.default_rng(20191209)
     for _ in range(400):
         n = int(rng.integers(6, 61))
