@@ -98,18 +98,23 @@ def _config(args, k, inst, p=1):
 
 
 def _cmd_generate(args):
-    if args.family == "l-community":
-        inst = instances.gen_l_community(args.l, args.size, args.R, args.pattern)
-    elif args.family == "proportional-gadget":
-        inst = instances.gen_proportional_gadget(
-            args.k, args.group_size, args.R, args.alpha_ap
-        )
-    else:
-        if args.proportions is None:
-            props = [1.0 / args.m] * args.m
+    try:
+        if args.family == "l-community":
+            inst = instances.gen_l_community(args.l, args.size, args.R, args.pattern)
+        elif args.family == "proportional-gadget":
+            inst = instances.gen_proportional_gadget(
+                args.k, args.group_size, args.R, args.alpha_ap
+            )
         else:
-            props = [float(t) for t in args.proportions.split(",")]
-        inst = instances.gen_random(args.n, args.m, args.dim, props, args.seed)
+            if args.m < 1:
+                raise ValueError("need at least one color")
+            if args.proportions is None:
+                props = [1.0 / args.m] * args.m
+            else:
+                props = [float(t) for t in args.proportions.split(",")]
+            inst = instances.gen_random(args.n, args.m, args.dim, props, args.seed)
+    except (ValueError, instances.PatternArity) as exc:
+        raise harness.ParseError(str(exc)) from None
     harness.save_instance(inst, args.output)
     return EXIT_OK
 
@@ -209,6 +214,10 @@ def main(argv=None):
         return EXIT_INFEASIBLE
     except (harness.ParseError, harness.ColorCardinality) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:  # a file that cannot be read or written
+        reason = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"parse error: {reason}", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -268,3 +268,38 @@ class TestExitCodes:
         assert err.startswith("parse error:") and word in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "s2.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "random", "--m", "0"],
+            ["--family", "random", "--n", "3", "--m", "5"],
+            ["--family", "random", "--proportions", "x,y"],
+            ["--family", "random", "--proportions", "0.5"],
+            ["--family", "random", "--proportions", "0.5,0.7"],
+            ["--family", "random", "--dim", "-1"],
+            ["--family", "l-community", "--l", "0"],
+            ["--family", "l-community", "--size", "0"],
+            ["--family", "l-community", "--R", "-1.0"],
+            ["--family", "l-community", "--l", "2", "--size", "3",
+             "--pattern", "odd-mixed-last"],
+            ["--family", "proportional-gadget", "--k", "4"],
+            ["--family", "proportional-gadget", "--alpha-ap", "0.1"],
+        ],
+    )
+    def test_bad_generate_arguments_are_three(self, tmp_path, capsys, argv):
+        out_p = tmp_path / "inst.json"
+        assert run(["generate", *argv, "--output", str(out_p)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out_p.exists()
+
+    @pytest.mark.parametrize("missing", ["--input", "--output"])
+    def test_unreadable_or_unwritable_file_is_three(self, tmp_path, capsys, missing):
+        files = {"--input": ADULT, "--output": str(tmp_path / "s.json")}
+        files[missing] = str(tmp_path / "no-such-dir" / "x.json")
+        argv = ["solve", "--algo", "color-blind", "--k", "4"]
+        assert run(argv + [part for kv in files.items() for part in kv]) == 3
+        err = capsys.readouterr().err
+        assert err == f"parse error: {files[missing]}: No such file or directory\n"

@@ -11,13 +11,12 @@ from conftest import from_entries
 from fairkc import flow, harness
 from fairkc.core import ExperimentConfig, FractionalAssignment, GFBounds, Instance
 from fairkc.flow import (
-    Arc,
-    BoundedFlowNetwork,
     InternalInfeasible,
-    _Residual,
     _forced_assignment,
+    _residual,
     _round_by_network,
     feasible_integral_flow,
+    max_flow,
     max_flow_gf,
 )
 from fairkc.instances import gen_random
@@ -51,122 +50,236 @@ def fractional_violation(x, inst, Q, gfb):
 
 class TestBoundedFlow:
     def test_single_arc_meets_requirement(self):
-        net = BoundedFlowNetwork(
-            num_nodes=2, source=0, sink=1, arcs=(Arc(0, 1, 0, 3),)
-        )
-        assert feasible_integral_flow(net, 3) == [3]
+        assert feasible_integral_flow(2, 0, 1, [0], [1], [0], [3], 3).tolist() == [3]
 
     def test_forced_lower_bound_conflicts_with_requirement(self):
-        net = BoundedFlowNetwork(
-            num_nodes=2, source=0, sink=1, arcs=(Arc(0, 1, 2, 2),)
-        )
-        assert feasible_integral_flow(net, 1) is None
+        assert feasible_integral_flow(2, 0, 1, [0], [1], [2], [2], 1) is None
 
     def test_flow_conservation_and_bounds_exact(self, rng):
         for _ in range(50):
             n_mid = int(rng.integers(1, 5))
-            arcs = []
+            tails, heads, lower, upper = [], [], [], []
             for t in range(n_mid):
                 hi = int(rng.integers(1, 5))
                 lo = int(rng.integers(0, hi + 1))
-                arcs.append(Arc(0, 2 + t, lo, hi))
-                arcs.append(Arc(2 + t, 1, lo, hi))
-            net = BoundedFlowNetwork(
-                num_nodes=2 + n_mid, source=0, sink=1, arcs=tuple(arcs)
-            )
+                for tail, head in ((0, 2 + t), (2 + t, 1)):
+                    tails.append(tail)
+                    heads.append(head)
+                    lower.append(lo)
+                    upper.append(hi)
+            tails, heads = np.array(tails), np.array(heads)
             for need in range(0, 2 * n_mid + 1):
-                flows = feasible_integral_flow(net, need)
+                flows = feasible_integral_flow(
+                    2 + n_mid, 0, 1, tails, heads, lower, upper, need
+                )
                 if flows is None:
                     continue
-                for arc, f in zip(arcs, flows):
-                    assert arc.lower <= f <= arc.upper
-                    assert isinstance(f, int)
+                assert flows.dtype == np.int64
+                assert np.all((lower <= flows) & (flows <= upper))
                 # conservation at middle nodes and exact value at source
-                out0 = sum(f for a, f in zip(arcs, flows) if a.tail == 0)
-                assert out0 == need
+                assert flows[tails == 0].sum() == need
                 for t in range(n_mid):
-                    innode = sum(f for a, f in zip(arcs, flows) if a.head == 2 + t)
-                    outnode = sum(f for a, f in zip(arcs, flows) if a.tail == 2 + t)
-                    assert innode == outnode
+                    assert flows[heads == 2 + t].sum() == flows[tails == 2 + t].sum()
 
     def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            Arc(0, 1, 3, 2)
+        with pytest.raises(ValueError, match="lower <= upper"):
+            feasible_integral_flow(2, 0, 1, [0], [1], [3], [2], 1)
 
     def test_numpy_ints_accepted_and_floats_rejected(self):
-        arc = Arc(np.int64(0), np.int32(1), np.int64(0), np.int64(2))
-        assert all(type(v) is int for v in (arc.tail, arc.head, arc.lower, arc.upper))
-        with pytest.raises(TypeError):
-            Arc(0, 1, 0.5, 2.5)  # used to give the flow [1.0] for value 1
+        flows = feasible_integral_flow(
+            np.int64(2), np.int32(0), np.int64(1),
+            np.array([0], dtype=np.int32), np.array([1], dtype=np.uint8),
+            np.array([0]), np.array([2], dtype=np.int16), np.int64(2),
+        )
+        assert flows.tolist() == [2]
+        with pytest.raises(TypeError):  # used to give the flow [1.0] for value 1
+            feasible_integral_flow(2, 0, 1, [0], [1], [0.5], [2.5], 1)
 
     def test_negative_source_rejected(self):
         # -1 used to wrap round to the sink and report [0] for value 1
         with pytest.raises(ValueError, match="out of range"):
-            BoundedFlowNetwork(num_nodes=2, source=-1, sink=1, arcs=(Arc(0, 1, 0, 3),))
+            feasible_integral_flow(2, -1, 1, [0], [1], [0], [3], 1)
 
     def test_source_equal_to_sink_rejected(self):
         # used to report [0] for a required value of 2
         with pytest.raises(ValueError, match="must differ"):
-            BoundedFlowNetwork(num_nodes=2, source=1, sink=1, arcs=(Arc(0, 1, 0, 3),))
+            feasible_integral_flow(2, 1, 1, [0], [1], [0], [3], 2)
 
     def test_source_past_last_node_rejected(self):
-        # used to raise a bare IndexError in feasible_integral_flow
+        # used to raise a bare IndexError
         with pytest.raises(ValueError, match="out of range"):
-            BoundedFlowNetwork(num_nodes=2, source=5, sink=1, arcs=(Arc(0, 1, 0, 3),))
+            feasible_integral_flow(2, 5, 1, [0], [1], [0], [3], 1)
+
+    @pytest.mark.parametrize("tail, head", [(0, 2), (-1, 1)])
+    def test_arc_endpoint_out_of_range_rejected(self, tail, head):
+        with pytest.raises(ValueError, match="arc endpoint out of range"):
+            feasible_integral_flow(2, 0, 1, [tail], [head], [0], [3], 1)
+
+    def test_unequal_arc_arrays_rejected(self):
+        with pytest.raises(ValueError, match="equal lengths"):
+            feasible_integral_flow(3, 0, 1, [0, 2], [2, 1], [0], [3, 3], 1)
 
 
-class EdmondsKarp(_Residual):
-    """Reference: the breadth-first Edmonds-Karp loop that `_Residual.max_flow`
-    must match path for path."""
+class AddAndFreeze:
+    """Reference: the list builder that `_residual` replaced.  `add` appends
+    arc e and its reverse e ^ 1; `freeze` sorts each node's arcs by
+    (head, arc id) once."""
 
-    def max_flow(self, s, t):
-        """Edmonds-Karp: shortest augmenting paths via BFS."""
-        total = 0
-        to, cap, adj = self.to, self.cap, self.adj
-        while True:
-            parent_arc = {s: -1}
-            queue = deque([s])
-            while queue and t not in parent_arc:
-                u = queue.popleft()
-                for e in adj[u]:
-                    v = to[e]
-                    if cap[e] > 0 and v not in parent_arc:
-                        parent_arc[v] = e
-                        queue.append(v)
-            if t not in parent_arc:
-                return total
-            bottleneck = None
-            v = t
-            while v != s:
-                e = parent_arc[v]
-                bottleneck = cap[e] if bottleneck is None else min(bottleneck, cap[e])
-                v = to[e ^ 1]
-            v = t
-            while v != s:
-                e = parent_arc[v]
-                cap[e] -= bottleneck
-                cap[e ^ 1] += bottleneck
-                v = to[e ^ 1]
-            total += bottleneck
+    def __init__(self, num_nodes):
+        self.adj = [[] for _ in range(num_nodes)]
+        self.to = []
+        self.cap = []
+
+    def add(self, u, v, cap):
+        idx = len(self.to)
+        self.to.extend([v, u])
+        self.cap.extend([cap, 0])
+        self.adj[u].append(idx)
+        self.adj[v].append(idx + 1)
+        return idx
+
+    def freeze(self):
+        for lst in self.adj:
+            lst.sort(key=lambda e: (self.to[e], e))  # lowest head first
+
+    def csr(self):
+        """(to, cap, start, order) over the frozen lists, for `max_flow`."""
+        start = np.cumsum([0] + [len(lst) for lst in self.adj]).tolist()
+        return self.to, self.cap, start, [e for lst in self.adj for e in lst]
 
 
-def test_max_flow_matches_edmonds_karp_on_random_networks():
-    # 2-14 nodes; arcs drawn with replacement give parallel and antiparallel
-    # pairs, cycles and self-loops; about a fifth of the capacities are zero
+def edmonds_karp(to, cap, start, order, s, t):
+    """Reference: the breadth-first Edmonds-Karp loop that `max_flow` must
+    match path for path."""
+    total = 0
+    while True:
+        parent_arc = {s: -1}
+        queue = deque([s])
+        while queue and t not in parent_arc:
+            u = queue.popleft()
+            for e in order[start[u]:start[u + 1]]:
+                v = to[e]
+                if cap[e] > 0 and v not in parent_arc:
+                    parent_arc[v] = e
+                    queue.append(v)
+        if t not in parent_arc:
+            return total
+        bottleneck = None
+        v = t
+        while v != s:
+            e = parent_arc[v]
+            bottleneck = cap[e] if bottleneck is None else min(bottleneck, cap[e])
+            v = to[e ^ 1]
+        v = t
+        while v != s:
+            e = parent_arc[v]
+            cap[e] -= bottleneck
+            cap[e ^ 1] += bottleneck
+            v = to[e ^ 1]
+        total += bottleneck
+
+
+def random_networks():
+    """3,000 seeded networks of 2-14 nodes; arcs drawn with replacement give
+    parallel and antiparallel pairs, cycles and self-loops; about a fifth of
+    the capacities are zero."""
     rng = np.random.default_rng(1970)
     for _ in range(3000):
         n = int(rng.integers(2, 15))
         s, t = (int(v) for v in rng.choice(n, size=2, replace=False))
-        ends = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2)).tolist()
+        ends = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))
         caps = np.where(rng.random(len(ends)) < 0.2, 0, rng.integers(1, 5, len(ends)))
-        nets = _Residual(n), EdmondsKarp(n)
-        for res in nets:
-            for (u, v), c in zip(ends, caps.tolist()):
-                res.add(u, v, c)
-            res.freeze()
-        got, want = (res.max_flow(s, t) for res in nets)
-        assert got == want
-        assert nets[0].cap == nets[1].cap
+        yield n, s, t, ends, caps
+
+
+def test_residual_matches_add_and_freeze():
+    for n, s, t, ends, caps in random_networks():
+        ref = AddAndFreeze(n)
+        for (u, v), c in zip(ends.tolist(), caps.tolist()):
+            ref.add(u, v, c)
+        ref.freeze()
+        assert _residual(n, ends[:, 0], ends[:, 1], caps) == ref.csr()
+
+
+def test_max_flow_matches_edmonds_karp_on_random_networks():
+    for n, s, t, ends, caps in random_networks():
+        got, want = (_residual(n, ends[:, 0], ends[:, 1], caps) for _ in range(2))
+        assert max_flow(*got, s, t) == edmonds_karp(*want, s, t)
+        assert got[1] == want[1]
+
+
+def reference_feasible_flow(num_nodes, source, sink, arcs, required_value):
+    """Reference: the list-built `feasible_integral_flow` that the array one
+    replaced, over (tail, head, lower, upper) arcs."""
+    n = num_nodes
+    excess = [0] * n
+    res = AddAndFreeze(n + 2)
+    arc_ids = []
+    for tail, head, lower, upper in arcs:
+        arc_ids.append(res.add(tail, head, upper - lower))
+        excess[head] += lower
+        excess[tail] -= lower
+    excess[source] += required_value
+    excess[sink] -= required_value
+
+    ss, tt = n, n + 1
+    demand = 0
+    for w in range(n):
+        if excess[w] > 0:
+            res.add(ss, w, excess[w])
+            demand += excess[w]
+        elif excess[w] < 0:
+            res.add(w, tt, -excess[w])
+    res.freeze()
+    if edmonds_karp(*res.csr(), ss, tt) < demand:
+        return None
+    return [upper - res.cap[e] for (_, _, _, upper), e in zip(arcs, arc_ids)]
+
+
+def random_bounded_network(rng):
+    """Planted walk flows from s to t plus idle arcs (self-loops, parallel
+    arcs and cycles among them), bounds around the planted flow; half the
+    time a value or some lower bounds are redrawn, which is mostly
+    infeasible."""
+    n = int(rng.integers(2, 11))
+    s, t = (int(v) for v in rng.choice(n, size=2, replace=False))
+    tails, heads, flow = [], [], []
+    value = 0
+    for _ in range(int(rng.integers(0, 4))):
+        walk = [s, *rng.integers(0, n, size=int(rng.integers(0, 3))).tolist(), t]
+        units = int(rng.integers(1, 3))
+        tails += walk[:-1]
+        heads += walk[1:]
+        flow += [units] * (len(walk) - 1)
+        value += units
+    idle = int(rng.integers(0, 2 * n))
+    tails += rng.integers(0, n, size=idle).tolist()
+    heads += rng.integers(0, n, size=idle).tolist()
+    flow = np.array(flow + [0] * idle, dtype=int)
+    lower = np.maximum(flow - rng.integers(0, 2, flow.size), 0)
+    upper = flow + rng.integers(0, 3, flow.size)
+    if rng.random() < 0.5:
+        value += int(rng.integers(-2, 3))
+        redraw = rng.random(flow.size) < 0.2
+        lower[redraw] = rng.integers(0, upper[redraw] + 1)
+    return n, s, t, tails, heads, lower.tolist(), upper.tolist(), value
+
+
+def test_feasible_integral_flow_matches_list_reference():
+    rng = np.random.default_rng(2019)
+    feasible = 0
+    for _ in range(2000):
+        n, s, t, tails, heads, lower, upper, value = random_bounded_network(rng)
+        got = feasible_integral_flow(n, s, t, tails, heads, lower, upper, value)
+        want = reference_feasible_flow(
+            n, s, t, list(zip(tails, heads, lower, upper)), value
+        )
+        if want is None:
+            assert got is None
+        else:
+            assert got.tolist() == want
+            feasible += 1
+    assert feasible >= 2000 // 3
 
 
 class TestMaxFlowGF:
