@@ -137,6 +137,8 @@ def _cmd_solve(args):
 def _cmd_evaluate(args):
     inst = harness.load_instance(args.input)
     sol = harness.load_solution(args.solution)
+    if sol.n != inst.n:
+        raise harness.ParseError(f"{args.solution}: assigns {sol.n} points, not {inst.n}")
     k = args.k if args.k is not None else len(sol.centers)
     cfg = _config(args, k, inst, p=args.p)
     gfb = cfg.gf_bounds(inst)
@@ -171,14 +173,9 @@ def _cmd_oracle(args):
 
 
 def _cmd_experiment(args):
-    with open(args.config) as fh:
-        try:
-            cfg_obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise harness.ParseError(f"{args.config}: {exc}") from None
-    for key in ("input", "k_values", "output"):
-        if key not in cfg_obj:
-            raise harness.ParseError(f"{args.config}: missing key {key!r}")
+    cfg_obj = harness.load_json_object(args.config, ("input", "k_values", "output"))
+    if not all(isinstance(cfg_obj[key], str) for key in ("input", "output")):
+        raise harness.ParseError(f"{args.config}: input and output must be strings")
     inst = harness.load_instance(cfg_obj["input"])
     try:
         cfg = ExperimentConfig(
@@ -212,7 +209,7 @@ def main(argv=None):
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (harness.ParseError, harness.ColorCardinality) as exc:
+    except (harness.ParseError, harness.ColorCardinality, oracle.TooLarge) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:  # a file that cannot be read or written

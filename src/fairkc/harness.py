@@ -120,27 +120,38 @@ def _load_csv(path: str) -> Instance:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _load_matrix_json(path: str) -> Instance:
+def load_json_object(path: str, keys) -> dict:
+    """The JSON object a file holds, once it has each of `keys`."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from None
-    for key in ("n", "m", "colors", "dist"):
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: need a JSON object, found {type(obj).__name__}")
+    for key in keys:
         if key not in obj:
             raise ParseError(f"{path}: missing key {key!r}")
-    if obj["m"] < 2:
-        raise ColorCardinality(f"{path}: m={obj['m']}, need >= 2")
+    return obj
+
+
+def _load_matrix_json(path: str) -> Instance:
+    obj = load_json_object(path, ("n", "m", "colors", "dist"))
+    n, m = obj["n"], obj["m"]
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, m)):
+        raise ParseError(f"{path}: n and m must be integers")
+    if m < 2:
+        raise ColorCardinality(f"{path}: m={m}, need >= 2")
     try:
         inst = Instance(
             dist=np.asarray(obj["dist"], dtype=float),
             colors=np.asarray(obj["colors"], dtype=int),
-            m=int(obj["m"]),
+            m=m,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from None
-    if inst.n != int(obj["n"]):
-        raise ParseError(f"{path}: n={obj['n']} but dist is {inst.n}x{inst.n}")
+    if inst.n != n:
+        raise ParseError(f"{path}: n={n} but dist is {inst.n}x{inst.n}")
     return inst
 
 
@@ -164,14 +175,7 @@ def save_solution(sol: Solution, path: str) -> None:
 
 
 def load_solution(path: str) -> Solution:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from None
-    for key in ("centers", "assign"):
-        if key not in obj:
-            raise ParseError(f"{path}: missing key {key!r}")
+    obj = load_json_object(path, ("centers", "assign"))
     try:
         return Solution(centers=tuple(obj["centers"]), assign=np.asarray(obj["assign"]))
     except (TypeError, ValueError) as exc:

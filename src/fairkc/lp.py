@@ -10,13 +10,12 @@ builder writes only the terms and the finiteness check reads only those;
 the solver scatters them into a dense tableau only when the start breaks a
 row, and all arrays are read-only.
 
-`SparseRows @ x` keeps the bits of the dense product, because `b - A @ x0`
-seeds the tableau and a different last bit can change the pivot path.  A
-per-term sum rounds differently, so the rows are densified a block at a
-time and multiplied by the same BLAS call as the dense matrix.  Blocks
-start at multiples of `PRODUCT_ROWS` and never hold fewer rows than that
-unless the matrix does: BLAS groups rows in a fixed stride, and numpy
-hands a one-row product to its dot kernel.
+`SparseRows @ x` sums each row's terms in column order, which can round
+differently from the dense (BLAS) product.  Those bits matter only in
+`b - A @ x0` as the tableau's seed, where a last bit can change the pivot
+path.  So the solver screens its start with the per-term residual, within
+a bound that covers any summation order and the subtraction from b, and
+takes the dense product's residual only when some row may be broken.
 
 The solver is a dense bounded-variable primal simplex, phase 1 only (the
 problems here carry a dummy zero objective).  Pricing takes the steepest
@@ -60,7 +59,6 @@ from .core import FairKCError, GFBounds, Instance
 
 FEAS_TOL = 1e-7
 PIV_TOL = 1e-9
-PRODUCT_ROWS = 64  # rows densified per block of `SparseRows @ x`
 
 
 class NumericFailure(FairKCError):
@@ -130,11 +128,9 @@ class SparseRows:
     def shape(self) -> tuple:
         return (len(self), self.num_cols)
 
-    def term_rows(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
-        """Row of each term of rows lo:hi, counted from lo."""
-        bounds = self.indptr[lo : (len(self) if hi is None else hi) + 1]
-        lengths = bounds[1:] - bounds[:-1]
-        return np.repeat(np.arange(lengths.size), lengths)
+    def term_rows(self) -> np.ndarray:
+        """Row of each term."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
     def toarray(self) -> np.ndarray:
         dense = np.zeros(self.shape)
@@ -142,20 +138,9 @@ class SparseRows:
         return dense
 
     def __matmul__(self, x) -> np.ndarray:
-        """The dense product's bits, a block of rows at a time (see module)."""
+        """Each row's terms summed in column order (see module)."""
         x = np.asarray(x, dtype=np.float64)
-        m = len(self)
-        starts = list(range(0, max(m - PRODUCT_ROWS, 0) + 1, PRODUCT_ROWS))
-        stops = starts[1:] + [m]  # the last block takes the rest
-        block = np.zeros((stops[-1] - starts[-1], self.num_cols))
-        out = np.empty(m)
-        for lo, hi in zip(starts, stops):
-            terms = slice(self.indptr[lo], self.indptr[hi])
-            at = self.term_rows(lo, hi), self.indices[terms]
-            block[at] = self.data[terms]
-            out[lo:hi] = block[: hi - lo] @ x
-            block[at] = 0.0
-        return out
+        return np.bincount(self.term_rows(), self.data * x[self.indices], minlength=len(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,6 +187,29 @@ def _verified(A, b, is_eq, x):
     return x
 
 
+def _start_clears(A, b, is_eq, x0):
+    """True when no rounding of `A @ x0` can break a row by more than PIV_TOL.
+
+    The per-term residual is compared with PIV_TOL less `err`, a bound on its
+    distance from the residual of any other summation order, the dense
+    product's included.  With u = eps / 2, a sum of k products p_i computed
+    in any order, with fused multiply-adds or not, is within k u / (1 - k u)
+    * sum |p_i| of the exact sum (adding an exact zero rounds nothing), and
+    the subtraction from b rounds by at most u |b - sum|.  So two residuals
+    differ by at most (k + 1) eps sum |p_i| + eps |b| to first order.  The
+    rest of err = (k + 2) eps (sum |t_i| + |b|), t_i the computed terms,
+    covers higher orders and the rounding of err and of the comparisons, as
+    a residual near PIV_TOL needs sum |t_i| + |b| of about PIV_TOL.
+    """
+    rows = A.term_rows()
+    terms = A.data * x0[A.indices]
+    resid = b - np.bincount(rows, terms, minlength=len(A))
+    size = np.bincount(rows, np.abs(terms), minlength=len(A)) + np.abs(b)
+    err = (np.diff(A.indptr) + 2) * np.finfo(float).eps * size
+    broken = np.where(is_eq, np.abs(resid) > PIV_TOL - err, resid < -PIV_TOL + err)
+    return not broken.any()
+
+
 def solve_feasibility(
     lp: LinearProgram, start_at_upper: Optional[Iterable[int]] = None
 ) -> Optional[np.ndarray]:
@@ -223,50 +231,41 @@ def solve_feasibility(
     if m == 0:
         return lo.copy()
 
-    # Columns: structural | one slack per row | artificials for violated rows.
-    slack_lo = np.zeros(m)
-    slack_hi = np.where(is_eq, 0.0, np.inf)
     x0 = lo.copy()
     x0[up] = hi[up]
-    resid = b - A @ x0  # slack value if the slack were basic
+    if _start_clears(A, b, is_eq, x0):
+        return x0  # phase 1 would stop at once, and FEAS_TOL holds
+    # Slack values if the slacks were basic.  They seed T, so they take the
+    # dense product's bits (see module); the dense matrix is gone before T.
+    resid = b - A.toarray() @ x0
     violated = np.where(is_eq, np.abs(resid) > PIV_TOL, resid < -PIV_TOL)
     art_rows = np.flatnonzero(violated)
     n_art = art_rows.size
     if n_art == 0:
-        # The start is feasible: phase 1 would stop before a pivot.  No row is
-        # off by more than PIV_TOL, so the FEAS_TOL residual check holds.
         return x0
-    ncols = n + m + n_art
 
+    # Columns: structural | one slack per row | artificials for violated rows.
+    ncols = n + m + n_art
     T = np.zeros((m, ncols))
     T[A.term_rows(), A.indices] = A.data
     T[:, n : n + m] = np.eye(m)
-    art_sign = np.sign(resid[art_rows])
-    for t, r in enumerate(art_rows):
-        T[r, n + m + t] = art_sign[t]
-        T[r, :] *= art_sign[t]  # basis column becomes +1; B^{-1} stays diagonal
+    # An artificial row is multiplied by the sign of its residual, so its
+    # basis column becomes +1 and B^{-1} stays diagonal.
+    T[art_rows] *= np.sign(resid[art_rows])[:, None]
+    T[art_rows, n + m + np.arange(n_art)] = 1.0
 
-    col_lo = np.concatenate([lo, slack_lo, np.zeros(n_art)])
-    col_hi = np.concatenate([hi, slack_hi, np.full(n_art, np.inf)])
+    col_lo = np.concatenate([lo, np.zeros(m + n_art)])
+    col_hi = np.concatenate([hi, np.where(is_eq, 0.0, np.inf), np.full(n_art, np.inf)])
 
+    basis = np.arange(n, n + m)
+    basis[art_rows] = n + m + np.arange(n_art)  # violated slacks park at zero
+    xb = np.where(violated, np.abs(resid), resid)
     pos = np.full(ncols, _LO, dtype=np.int8)
     pos[up] = _HI
-    basis = np.empty(m, dtype=int)
-    xb = np.empty(m)
-    for i in range(m):
-        basis[i] = n + i
-        xb[i] = resid[i]
-    for t, r in enumerate(art_rows):
-        pos[n + r] = _LO  # violated slack parks at zero
-        basis[r] = n + m + t
-        xb[r] = abs(resid[r])
-    for i in range(m):
-        pos[basis[i]] = _BASIC
-    row_lo = col_lo[basis].copy()
-    row_hi = col_hi[basis].copy()
+    pos[basis] = _BASIC
+    row_lo, row_hi = col_lo[basis], col_hi[basis]
 
-    is_art = np.zeros(ncols, dtype=bool)
-    is_art[n + m :] = True
+    is_art = np.arange(ncols) >= n + m
     # Fixed vars never enter, nor does an artificial once it has left.
     movable = col_hi - col_lo > PIV_TOL
 

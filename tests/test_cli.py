@@ -303,3 +303,66 @@ class TestExitCodes:
         assert run(argv + [part for kv in files.items() for part in kv]) == 3
         err = capsys.readouterr().err
         assert err == f"parse error: {files[missing]}: No such file or directory\n"
+
+    @pytest.mark.parametrize(
+        "role, content",
+        [
+            ("config", "5"),
+            ("config", {"output": 1}),
+            ("config", {"input": 1}),
+            ("solution", "5"),
+            ("instance", "5"),
+            ("instance", {"m": "2"}),
+            ("instance", {"n": "x"}),
+        ],
+        ids=["config-5", "config-output-1", "config-input-1", "solution-5",
+             "instance-5", "instance-m-string", "instance-n-string"],
+    )
+    def test_malformed_json_file_is_three(self, tmp_path, capsys, role, content):
+        # a whole-file string replaces the file; a dict replaces some of its keys
+        paths = {name: tmp_path / f"{name}.json" for name in ("instance", "solution", "config")}
+        inst_p, sol_p, cfg_p = (str(paths[name]) for name in ("instance", "solution", "config"))
+        report_p = tmp_path / "report.json"
+        run(["generate", "--family", "random", "--n", "12", "--m", "2",
+             "--seed", "1", "--output", inst_p])
+        assert run(["solve", "--algo", "color-blind", "--k", "2",
+                    "--input", inst_p, "--output", sol_p]) == 0
+        paths["config"].write_text(json.dumps(
+            {"input": inst_p, "k_values": [2], "output": str(report_p)}
+        ))
+        if isinstance(content, dict):
+            content = json.dumps({**json.loads(paths[role].read_text()), **content})
+        paths[role].write_text(content)
+        capsys.readouterr()
+        if role == "config":
+            argv = ["experiment", "--config", cfg_p]
+        else:
+            argv = ["evaluate", "--solution", sol_p, "--input", inst_p]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and role in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not report_p.exists()
+
+    @pytest.mark.parametrize("n, k", [(16, 2), (12, 4)])
+    def test_oracle_beyond_its_caps_is_three(self, tmp_path, capsys, n, k):
+        inst_p = str(tmp_path / "inst.json")
+        run(["generate", "--family", "random", "--n", str(n), "--m", "2",
+             "--seed", "1", "--output", inst_p])
+        capsys.readouterr()
+        assert run(["oracle", "--input", inst_p, "--k", str(k)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and "caps" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("points", [11, 13])
+    def test_solution_of_another_size_is_three(self, tmp_path, capsys, points):
+        inst_p, sol_p = str(tmp_path / "inst.json"), tmp_path / "s.json"
+        run(["generate", "--family", "random", "--n", "12", "--m", "2",
+             "--seed", "1", "--output", inst_p])
+        sol_p.write_text(json.dumps({"centers": [0, 1], "assign": [0] * points}))
+        capsys.readouterr()
+        assert run(["evaluate", "--solution", str(sol_p), "--input", inst_p]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and f"assigns {points} points" in err
+        assert err.count("\n") == 1 and "Traceback" not in err

@@ -15,10 +15,12 @@ from fairkc.harness import load_instance
 from fairkc.instances import gen_l_community, gen_random
 from fairkc import solvers
 from fairkc.lp import (
+    PIV_TOL,
     EmptyRow,
     LinearProgram,
     NumericFailure,
     SparseRows,
+    _start_clears,
     build_assignment_lp,
     nearest_admissible_start,
     solve_feasibility,
@@ -775,7 +777,7 @@ def test_pinned_vertices():
 
 
 # ---------------------------------------------------------------------------
-# the blocked product
+# the per-term product and the start screen
 # ---------------------------------------------------------------------------
 
 
@@ -787,40 +789,86 @@ def start_corner(lp, start):
     return x
 
 
-def assert_dense_bits(A, x):
-    got, want = A @ x, A.toarray() @ x
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+def dense_breaks_a_row(lp, x):
+    """Whether the dense product's residual breaks a row by more than PIV_TOL."""
+    resid = lp.rhs - lp.constraints.toarray() @ x
+    return bool(np.where(lp.is_eq, np.abs(resid) > PIV_TOL, resid < -PIV_TOL).any())
+
+
+def screen_outcomes(lp, points):
+    """How many points the screen clears; fails on one the dense product breaks."""
+    cleared = 0
+    for x in points:
+        if _start_clears(lp.constraints, lp.rhs, lp.is_eq, x):
+            assert not dense_breaks_a_row(lp, x)
+            cleared += 1
+    return cleared
 
 
 class TestBlockedProduct:
-    """`SparseRows @ x` has the bits of the dense product: `b - A @ x0` seeds
-    the tableau, so a last-bit difference could move a pivot."""
+    """`SparseRows @ x` against the dense product, which BLAS sums in blocks.
+
+    Their last bits may differ, which matters only where the residual seeds
+    the tableau: a start the screen clears must be one that the dense
+    product's residual would clear too."""
 
     def test_pinned_programs(self):
-        rng = np.random.default_rng(7)
+        cleared = held = 0
         for lp, start in pinned_programs():
-            assert_dense_bits(lp.constraints, start_corner(lp, start))
-            assert_dense_bits(lp.constraints, rng.random(lp.num_vars))
+            x = solve_feasibility(lp, start_at_upper=start)
+            points = [start_corner(lp, start)] + ([] if x is None else [x])
+            cleared += screen_outcomes(lp, points)
+            held += len(points)
+        assert 0 < cleared < held
 
     def test_adult_point_lps(self):
         inst = load_instance(ADULT_CSV)
         cfg = ExperimentConfig(k_values=(4, 8, 12), delta=0.2, theta=0.8)
         gfb = cfg.gf_bounds(inst)
-        rng = np.random.default_rng(8)
         for k in cfg.k_values:
             S = list(gonzalez(inst, k).centers)
             _, R = assignment_gf(inst, S, gfb)
             lp, pairs = build_assignment_lp(inst, S, R, gfb)
-            start = nearest_admissible_start(inst, pairs)
-            assert_dense_bits(lp.constraints, start_corner(lp, start))
-            assert_dense_bits(lp.constraints, rng.random(lp.num_vars))
+            start = start_corner(lp, nearest_admissible_start(inst, pairs))
+            x = solve_feasibility(lp, start_at_upper=np.flatnonzero(start))
+            assert screen_outcomes(lp, [start]) == 0  # the start breaks a row
+            assert screen_outcomes(lp, [x]) == 1
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 63, 64, 65, 127, 128, 129, 255, 256, 257, 513])
     def test_row_counts_across_block_edges(self, rows):
         rng = np.random.default_rng(rows)
+        eps = np.finfo(float).eps
         for cols, density in ((7, 0.6), (50, 0.5), (300, 0.02), (1000, 0.005)):
             shape = (rows, cols)
             dense = np.where(rng.random(shape) < density, rng.normal(size=shape), 0.0)
             A = SparseRows.from_dense(dense)
             assert A.shape == shape and A.toarray().tobytes() == dense.tobytes()
-            assert_dense_bits(A, rng.random(cols))
+            # two summation orders of k terms differ by at most k eps sum |terms|
+            x = rng.random(cols)
+            bound = np.diff(A.indptr) * eps * (np.abs(dense) @ x)
+            assert np.all(np.abs(A @ x - dense @ x) <= bound)
+
+    def test_row_broken_only_by_the_dense_bits_builds_a_tableau(self):
+        """A row whose dense residual is -PIV_TOL - d/2 and whose per-term
+        residual is -PIV_TOL + d/2, d the gap between the two sums."""
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            coef = rng.normal(scale=1e4, size=300)
+            per_term = np.bincount(np.zeros(coef.size, dtype=int), coef)[0]
+            dense = (coef[None, :] @ np.ones(coef.size))[0]
+            if dense > per_term:
+                break
+        else:
+            pytest.fail("no row whose dense sum exceeds its per-term sum")
+        b = dense - PIV_TOL - (dense - per_term) / 2
+        lp = LinearProgram(
+            constraints=SparseRows.from_dense(coef[None, :]),
+            rhs=[b],
+            is_eq=[False],
+            var_bounds=np.tile([0.0, 1.0], (coef.size, 1)),
+        )
+        x0 = np.ones(coef.size)
+        assert dense_breaks_a_row(lp, x0)
+        assert (lp.rhs - lp.constraints @ x0)[0] >= -PIV_TOL  # unbroken per term
+        x = solve_feasibility(lp, start_at_upper=range(coef.size))
+        assert x is not None and x.tobytes() != x0.tobytes()
