@@ -177,13 +177,16 @@ def _cmd_experiment(args):
     if not all(isinstance(cfg_obj[key], str) for key in ("input", "output")):
         raise harness.ParseError(f"{args.config}: input and output must be strings")
     inst = harness.load_instance(cfg_obj["input"])
+    k_values = harness.json_int_list(args.config, cfg_obj, "k_values")
+    p, seed = cfg_obj.get("p", 1), cfg_obj.get("seed", 0)
+    if not (harness.json_int(p) and harness.json_int(seed)):
+        raise harness.ParseError(f"{args.config}: p and seed must be integers")
+    delta, theta = cfg_obj.get("delta", 0.2), cfg_obj.get("theta", 0.8)
+    if not all(harness.json_int(v) or isinstance(v, float) for v in (delta, theta)):
+        raise harness.ParseError(f"{args.config}: delta and theta must be numbers")
     try:
         cfg = ExperimentConfig(
-            k_values=tuple(cfg_obj["k_values"]),
-            delta=float(cfg_obj.get("delta", 0.2)),
-            theta=float(cfg_obj.get("theta", 0.8)),
-            p=int(cfg_obj.get("p", 1)),
-            seed=int(cfg_obj.get("seed", 0)),
+            k_values=tuple(k_values), delta=float(delta), theta=float(theta), p=p, seed=seed
         )
     except (TypeError, ValueError) as exc:
         raise harness.ParseError(f"{args.config}: {exc}") from None

@@ -61,14 +61,12 @@ class Instance:
     """Point set with pairwise distances and per-point colors.
 
     dist is an n-by-n symmetric matrix with zero diagonal; colors maps each
-    point index to a color index in [0, m).  feature_vectors is present only
-    for instances ingested from CSV, where dist is Euclidean.
+    point index to a color index in [0, m).
     """
 
     dist: np.ndarray
     colors: np.ndarray
     m: int
-    feature_vectors: Optional[np.ndarray] = None
 
     def __post_init__(self):
         object.__setattr__(self, "dist", _as_float_matrix(self.dist))

@@ -115,7 +115,7 @@ def _load_csv(path: str) -> Instance:
         raise ParseError(f"{path}: row {bad + 2} has a non-finite feature")
     dist = euclidean_distances(pts)
     try:
-        return Instance(dist=dist, colors=colors, m=len(order), feature_vectors=pts)
+        return Instance(dist=dist, colors=colors, m=len(order))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -135,20 +135,33 @@ def load_json_object(path: str, keys) -> dict:
     return obj
 
 
+def json_int(value) -> bool:
+    """Whether a parsed JSON value is an integer; true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def json_int_list(path: str, obj: dict, key: str) -> list:
+    """obj[key], once it is a JSON list of integers."""
+    value = obj[key]
+    if not (isinstance(value, list) and all(json_int(v) for v in value)):
+        raise ParseError(f"{path}: {key} must be a list of integers")
+    return value
+
+
 def _load_matrix_json(path: str) -> Instance:
     obj = load_json_object(path, ("n", "m", "colors", "dist"))
     n, m = obj["n"], obj["m"]
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, m)):
+    if not (json_int(n) and json_int(m)):
         raise ParseError(f"{path}: n and m must be integers")
     if m < 2:
         raise ColorCardinality(f"{path}: m={m}, need >= 2")
     try:
         inst = Instance(
             dist=np.asarray(obj["dist"], dtype=float),
-            colors=np.asarray(obj["colors"], dtype=int),
+            colors=np.asarray(json_int_list(path, obj, "colors"), dtype=int),
             m=m,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     if inst.n != n:
         raise ParseError(f"{path}: n={n} but dist is {inst.n}x{inst.n}")
@@ -176,9 +189,10 @@ def save_solution(sol: Solution, path: str) -> None:
 
 def load_solution(path: str) -> Solution:
     obj = load_json_object(path, ("centers", "assign"))
+    centers, assign = (json_int_list(path, obj, key) for key in ("centers", "assign"))
     try:
-        return Solution(centers=tuple(obj["centers"]), assign=np.asarray(obj["assign"]))
-    except (TypeError, ValueError) as exc:
+        return Solution(centers=tuple(centers), assign=np.asarray(assign, dtype=int))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 

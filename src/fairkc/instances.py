@@ -151,6 +151,4 @@ def gen_random(
     colors = np.repeat(np.arange(m), counts)
     rng.shuffle(colors)
 
-    return Instance(
-        dist=euclidean_distances(pts), colors=colors, m=m, feature_vectors=pts
-    )
+    return Instance(dist=euclidean_distances(pts), colors=colors, m=m)

@@ -26,6 +26,13 @@ that pass a good starting corner (e.g. nearest-center assignments) pay for
 few pivots, and a corner that violates no row by more than PIV_TOL is
 returned as it is, without building the tableau or a second residual check.
 
+A column's state is one number, `way`: +1 at its lower bound, -1 at its
+upper one, 0 while basic.  A nonbasic column moves by way * t, so it may
+enter where way * d < -PIV_TOL, d its reduced cost.  One ratio test bounds
+each basic value by the bound its step heads for.  Among the basic columns
+that block within 1e-12 of the step, and the entering one if its own bound
+does, the lowest index leaves; the entering one leaving is a bound flip.
+
 Each pivot's rank-one update touches only the rows with a nonzero in the
 entering column.  That is exact: a skipped row would have had a signed zero
 subtracted from each entry, which can flip the sign of a zero and nothing
@@ -50,7 +57,7 @@ solve at the radius found.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -82,6 +89,7 @@ class SparseRows:
     indices: np.ndarray  # (terms,): column of each term
     data: np.ndarray     # (terms,): value of each term
     num_cols: int
+    term_rows: np.ndarray = field(init=False, repr=False)  # (terms,): row of each term
 
     def __post_init__(self):
         indptr = np.asarray(self.indptr, dtype=np.intp)
@@ -105,7 +113,10 @@ class SparseRows:
             steps[edges[(edges > 0) & (edges < indices.size)] - 1] = 1  # a new row may start lower
             if (steps <= 0).any():
                 raise ValueError("columns must strictly increase within a row")
-        for name, arr in (("indptr", indptr), ("indices", indices), ("data", data)):
+        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        for name, arr in (
+            ("indptr", indptr), ("indices", indices), ("data", data), ("term_rows", rows)
+        ):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "num_cols", num_cols)
@@ -128,19 +139,15 @@ class SparseRows:
     def shape(self) -> tuple:
         return (len(self), self.num_cols)
 
-    def term_rows(self) -> np.ndarray:
-        """Row of each term."""
-        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
-
     def toarray(self) -> np.ndarray:
         dense = np.zeros(self.shape)
-        dense[self.term_rows(), self.indices] = self.data
+        dense[self.term_rows, self.indices] = self.data
         return dense
 
     def __matmul__(self, x) -> np.ndarray:
         """Each row's terms summed in column order (see module)."""
         x = np.asarray(x, dtype=np.float64)
-        return np.bincount(self.term_rows(), self.data * x[self.indices], minlength=len(self))
+        return np.bincount(self.term_rows, self.data * x[self.indices], minlength=len(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,9 +182,6 @@ class LinearProgram:
         return self.constraints.num_cols
 
 
-_LO, _HI, _BASIC = 0, 1, 2
-
-
 def _verified(A, b, is_eq, x):
     """x, once every row holds at it within FEAS_TOL."""
     res = A @ x - b
@@ -201,7 +205,7 @@ def _start_clears(A, b, is_eq, x0):
     covers higher orders and the rounding of err and of the comparisons, as
     a residual near PIV_TOL needs sum |t_i| + |b| of about PIV_TOL.
     """
-    rows = A.term_rows()
+    rows = A.term_rows
     terms = A.data * x0[A.indices]
     resid = b - np.bincount(rows, terms, minlength=len(A))
     size = np.bincount(rows, np.abs(terms), minlength=len(A)) + np.abs(b)
@@ -228,8 +232,6 @@ def solve_feasibility(
     up = np.unique(np.fromiter(given, dtype=np.intp))  # start at their upper bound
     if up.size and not (0 <= up[0] and up[-1] < n):
         raise ValueError("start_at_upper names a variable outside [0, vars)")
-    if m == 0:
-        return lo.copy()
 
     x0 = lo.copy()
     x0[up] = hi[up]
@@ -247,7 +249,7 @@ def solve_feasibility(
     # Columns: structural | one slack per row | artificials for violated rows.
     ncols = n + m + n_art
     T = np.zeros((m, ncols))
-    T[A.term_rows(), A.indices] = A.data
+    T[A.term_rows, A.indices] = A.data
     T[:, n : n + m] = np.eye(m)
     # An artificial row is multiplied by the sign of its residual, so its
     # basis column becomes +1 and B^{-1} stays diagonal.
@@ -260,22 +262,20 @@ def solve_feasibility(
     basis = np.arange(n, n + m)
     basis[art_rows] = n + m + np.arange(n_art)  # violated slacks park at zero
     xb = np.where(violated, np.abs(resid), resid)
-    pos = np.full(ncols, _LO, dtype=np.int8)
-    pos[up] = _HI
-    pos[basis] = _BASIC
-    row_lo, row_hi = col_lo[basis], col_hi[basis]
+    way = np.ones(ncols)  # see module: +1 at lo, -1 at hi, 0 basic
+    way[up] = -1.0
+    way[basis] = 0.0
 
-    is_art = np.arange(ncols) >= n + m
     # Fixed vars never enter, nor does an artificial once it has left.
     movable = col_hi - col_lo > PIV_TOL
 
     # Phase-1 reduced costs: cost 1 on artificials, 0 elsewhere.
-    dvec = is_art.astype(float)
+    dvec = (np.arange(ncols) >= n + m).astype(float)
     for r in art_rows:
         dvec -= T[r, :]
 
     def extract():
-        x = np.where(pos == _HI, col_hi, col_lo)
+        x = np.where(way < 0, col_hi, col_lo)
         x[basis] = xb
         return _verified(A, b, is_eq, np.clip(x[:n], lo, hi))
 
@@ -283,25 +283,22 @@ def solve_feasibility(
     stalled = 0  # consecutive degenerate pivots; large runs trip Bland's rule
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(cap):
-            obj = float(xb[is_art[basis]].sum())
+            obj = float(xb[basis >= n + m].sum())
             if obj <= PIV_TOL:
                 return extract()
 
-            cand = movable & (
-                ((pos == _LO) & (dvec < -PIV_TOL)) | ((pos == _HI) & (dvec > PIV_TOL))
-            )
+            cand = movable & (way * dvec < -PIV_TOL)
             if not cand.any():
                 return None if obj > FEAS_TOL else extract()
             if stalled > 40:
                 j = int(cand.argmax())  # Bland: lowest improving index
             else:
                 j = int(np.where(cand, np.abs(dvec), 0.0).argmax())  # steepest, first on ties
-            direction = 1.0 if pos[j] == _LO else -1.0
 
-            eff = -direction * T[:, j]  # basic change per unit step
-            lim_up = np.where(eff > PIV_TOL, (row_hi - xb) / eff, np.inf)
-            lim_dn = np.where(eff < -PIV_TOL, (row_lo - xb) / eff, np.inf)
-            limits = np.maximum(np.minimum(lim_up, lim_dn), 0.0)
+            eff = -way[j] * T[:, j]  # basic change per unit step
+            bound = np.where(eff > 0, col_hi[basis], col_lo[basis])
+            limits = np.where(np.abs(eff) > PIV_TOL, (bound - xb) / eff, np.inf)
+            np.maximum(limits, 0.0, out=limits)
             t_flip = col_hi[j] - col_lo[j]
             t_star = min(float(limits.min()), t_flip)
             if not np.isfinite(t_star):
@@ -309,27 +306,21 @@ def solve_feasibility(
 
             stalled = 0 if t_star > 1e-12 else stalled + 1
 
-            blocking = (limits <= t_star + 1e-12).nonzero()[0]
-            leave_var = j if t_flip <= t_star + 1e-12 else ncols
-            leave_row = -1
-            for r in blocking:
-                if basis[r] < leave_var:
-                    leave_var = int(basis[r])
-                    leave_row = int(r)
-
+            reach = t_star + 1e-12
+            leave = np.where(limits <= reach, basis, ncols)  # blocking basics
+            r = int(leave.argmin())
             xb += eff * t_star
-            if leave_var == j or leave_row < 0:
-                pos[j] = _HI if pos[j] == _LO else _LO
+            if leave[r] >= (j if t_flip <= reach else ncols):
+                way[j] = -way[j]  # j reaches its other bound first
                 continue
 
-            r = leave_row
             piv = T[r, j]
             if abs(piv) <= PIV_TOL:
                 raise NumericFailure("numerically singular pivot")
-            enter_val = (col_lo[j] + t_star) if direction > 0 else (col_hi[j] - t_star)
-            out = leave_var
-            pos[out] = _HI if eff[r] > 0 else _LO
-            if is_art[out]:
+            enter_val = (col_lo[j] + t_star) if way[j] > 0 else (col_hi[j] - t_star)
+            out = basis[r]
+            way[out] = -1.0 if eff[r] > 0 else 1.0
+            if out >= n + m:
                 movable[out] = False
             # Rank-one update of the rows with a nonzero in column j only; the
             # rest would lose a signed zero, which no read of T can tell apart.
@@ -339,10 +330,8 @@ def solve_feasibility(
             T[r, :] = rowvals
             dvec -= dvec[j] * rowvals
             basis[r] = j
-            pos[j] = _BASIC
+            way[j] = 0.0
             xb[r] = enter_val
-            row_lo[r] = col_lo[j]
-            row_hi[r] = col_hi[j]
 
     raise NumericFailure(f"iteration cap {cap} exceeded")
 

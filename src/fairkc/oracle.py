@@ -14,9 +14,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import DSBounds, FairKCError, GFBounds, Instance, Solution
+from .core import TOL, DSBounds, FairKCError, GFBounds, Instance, Solution
 
-TOL = 1e-9
 MAX_N = 12
 MAX_K = 3
 

@@ -9,6 +9,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
+    TOL,
     DSBounds,
     FractionalAssignment,
     GFBounds,
@@ -25,8 +26,6 @@ from .lp import (
     nearest_admissible_start,
     solve_feasibility,
 )
-
-TOL = 1e-9
 
 
 class InfeasibleQuota(InfeasibleError):
@@ -113,9 +112,9 @@ def assignment_gf(
         return Solution(centers=(c,), assign=assign), float(inst.dist[c].max())
 
     cands = np.unique(inst.dist[S, :])
-    # No radius below the covering radius can assign every point.
+    # No radius below the covering radius (itself a candidate) assigns every point.
     r_cover = float(inst.dist[S, :].min(axis=0).max())
-    start = int(np.searchsorted(cands, r_cover - TOL))
+    start = int(np.searchsorted(cands, r_cover))
 
     def solve(R: float, aggregate: bool):
         lp, pairs = build_assignment_lp(inst, S, R, gfb, aggregate=aggregate)

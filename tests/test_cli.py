@@ -9,6 +9,15 @@ from fairkc.cli import main
 
 ADULT = str(resources.files("fairkc") / "data" / "adult_mini.csv")
 
+# Gonzalez picks centers 0 and 3, whose covering radius is 1.0; the distance
+# 0.9999999995 is a radius candidate within 1e-9 below it
+FOUR_POINTS = {
+    "n": 4,
+    "m": 2,
+    "colors": [0, 1, 0, 1],
+    "dist": [[0, 0.9999999995, 4, 5], [0.9999999995, 0, 3, 4], [4, 3, 0, 1], [5, 4, 1, 0]],
+}
+
 
 def run(argv):
     return main(argv)
@@ -314,9 +323,11 @@ class TestExitCodes:
             ("instance", "5"),
             ("instance", {"m": "2"}),
             ("instance", {"n": "x"}),
+            ("solution", {"assign": [0] * 11 + [10**30]}),
         ],
         ids=["config-5", "config-output-1", "config-input-1", "solution-5",
-             "instance-5", "instance-m-string", "instance-n-string"],
+             "instance-5", "instance-m-string", "instance-n-string",
+             "solution-assign-huge"],
     )
     def test_malformed_json_file_is_three(self, tmp_path, capsys, role, content):
         # a whole-file string replaces the file; a dict replaces some of its keys
@@ -343,6 +354,56 @@ class TestExitCodes:
         assert err.startswith("parse error:") and role in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not report_p.exists()
+
+    def test_candidate_just_below_the_covering_radius(self, tmp_path, capsys):
+        inst_p, cfg_p = tmp_path / "inst.json", tmp_path / "cfg.json"
+        report_p = tmp_path / "report.json"
+        inst_p.write_text(json.dumps(FOUR_POINTS))
+        assert run(["solve", "--algo", "alg-gf", "--k", "2", "--input", str(inst_p),
+                    "--output", str(tmp_path / "s.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["cost"] == 1.0
+        cfg_p.write_text(json.dumps(
+            {"input": str(inst_p), "k_values": [2], "output": str(report_p)}
+        ))
+        assert run(["experiment", "--config", str(cfg_p)]) == 0
+        rows = json.loads(report_p.read_text())["rows"]
+        assert [row["status"] for row in rows] == ["ok"] * 5
+
+    @pytest.mark.parametrize(
+        "role, key, value",
+        [
+            ("solution", "centers", [0.9, 3]),
+            ("solution", "assign", [0, 0, 3, 3.7]),
+            ("instance", "colors", [0, 1, 0.5, 1]),
+            ("config", "k_values", [2.9]),
+            ("config", "p", "3"),
+            ("config", "seed", 1.5),
+            ("config", "delta", "0.3"),
+            ("config", "theta", True),
+        ],
+        ids=lambda v: v if isinstance(v, str) and v.isidentifier() else None,
+    )
+    def test_non_integer_json_field_is_three(self, tmp_path, capsys, role, key, value):
+        # each value would otherwise be truncated or coerced into a valid one
+        objs = {
+            "instance": dict(FOUR_POINTS),
+            "solution": {"centers": [0, 3], "assign": [0, 0, 3, 3]},
+            "config": {"input": str(tmp_path / "instance.json"), "k_values": [2],
+                       "output": str(tmp_path / "report.json")},
+        }
+        objs[role][key] = value
+        for name, obj in objs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        if role == "config":
+            argv = ["experiment", "--config", str(tmp_path / "config.json")]
+        else:
+            argv = ["evaluate", "--solution", str(tmp_path / "solution.json"),
+                    "--input", str(tmp_path / "instance.json")]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and key in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("n, k", [(16, 2), (12, 4)])
     def test_oracle_beyond_its_caps_is_three(self, tmp_path, capsys, n, k):

@@ -224,6 +224,13 @@ class TestLinearProgram:
                 arr[0] = arr[1]
         assert solve_feasibility(lp) is not None
 
+    def test_term_rows_are_built_once_and_read_only(self):
+        A = SparseRows.from_dense([[0.0, 2.0, 3.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        assert A.term_rows.tolist() == [0, 0, 2]
+        assert A.term_rows is A.term_rows and not A.term_rows.flags.writeable
+        with pytest.raises(ValueError):
+            A.term_rows[0] = 1
+
 
 class TestSolver:
     def test_interval_feasible(self):
@@ -297,6 +304,16 @@ class TestSolver:
         assert all(lo - 1e-12 <= v <= hi + 1e-12 for v, (lo, hi) in zip(x, lp.var_bounds))
         x = solve_feasibility(one_var_lp(0.3, 0.7), start_at_upper=[0])
         assert x is not None and 0.3 - 1e-7 <= x[0] <= 0.7 + 1e-7
+
+    def test_zero_rows_return_the_start_corner(self):
+        lp = LinearProgram(
+            constraints=SparseRows([0], [], [], 3),
+            rhs=[],
+            is_eq=[],
+            var_bounds=[[0.0, 1.0], [0.25, 0.5], [0.0, 0.75]],
+        )
+        assert solve_feasibility(lp).tolist() == [0.0, 0.25, 0.0]
+        assert solve_feasibility(lp, start_at_upper=[1, 2]).tolist() == [0.0, 0.5, 0.75]
 
     @pytest.mark.parametrize("start", [[-2], [2], [0, 2]])
     def test_start_outside_the_variables_rejected(self, start):

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_instance, wide_bounds
 from fairkc.core import (
     DSBounds,
+    ExperimentConfig,
     GFBounds,
     InfeasibleError,
     Instance,
@@ -14,6 +15,7 @@ from fairkc.core import (
     ds_violation,
     gf_violation,
 )
+from fairkc.harness import run_experiment
 from fairkc.instances import gen_l_community, gen_random
 from fairkc.solvers import (
     InfeasibleQuota,
@@ -105,6 +107,24 @@ class TestAssignmentGF:
         # brute-force radius sweep: R=0 keeps clusters pure, so mixing needs 1
         assert R == 1.0
         assert gf_violation(inst, gfb, sol) == 0.0
+
+    def test_search_starts_at_the_covering_radius(self):
+        # point 2's nearest center is 1.0 away; the candidate 0.9999999995
+        # lies within TOL below that, and no center admits point 2 there
+        dist = np.array(
+            [
+                [0.0, 0.9999999995, 4.0, 5.0],
+                [0.9999999995, 0.0, 3.0, 4.0],
+                [4.0, 3.0, 0.0, 1.0],
+                [5.0, 4.0, 1.0, 0.0],
+            ]
+        )
+        inst = Instance(dist=dist, colors=[0, 1, 0, 1], m=2)
+        cfg = ExperimentConfig(k_values=(2,))
+        sol, R = assignment_gf(inst, [0, 3], cfg.gf_bounds(inst))
+        assert R == 1.0 and cost(inst, sol) == 1.0
+        report = run_experiment(inst, cfg)
+        assert [row.status for row in report.rows] == ["ok"] * 5
 
     def test_binary_search_matches_linear_scan(self, rng):
         from fairkc.lp import EmptyRow, build_assignment_lp, solve_feasibility
