@@ -182,7 +182,7 @@ def _cmd_experiment(args):
     if not (harness.json_int(p) and harness.json_int(seed)):
         raise harness.ParseError(f"{args.config}: p and seed must be integers")
     delta, theta = cfg_obj.get("delta", 0.2), cfg_obj.get("theta", 0.8)
-    if not all(harness.json_int(v) or isinstance(v, float) for v in (delta, theta)):
+    if not all(map(harness.json_number, (delta, theta))):
         raise harness.ParseError(f"{args.config}: delta and theta must be numbers")
     try:
         cfg = ExperimentConfig(

@@ -140,6 +140,11 @@ def json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def json_number(value) -> bool:
+    """Whether a parsed JSON value is a number; true and false are not."""
+    return json_int(value) or isinstance(value, float)
+
+
 def json_int_list(path: str, obj: dict, key: str) -> list:
     """obj[key], once it is a JSON list of integers."""
     value = obj[key]
@@ -155,12 +160,16 @@ def _load_matrix_json(path: str) -> Instance:
         raise ParseError(f"{path}: n and m must be integers")
     if m < 2:
         raise ColorCardinality(f"{path}: m={m}, need >= 2")
+    rows = obj["dist"]
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) and all(map(json_number, row)) for row in rows)):
+        raise ParseError(f"{path}: dist must be a list of rows of numbers")
     try:
-        inst = Instance(
-            dist=np.asarray(obj["dist"], dtype=float),
-            colors=np.asarray(json_int_list(path, obj, "colors"), dtype=int),
-            m=m,
-        )
+        dist = np.asarray(rows, dtype=float)
+        if not np.isfinite(dist).all():
+            raise ValueError("dist entries must be finite")
+        colors = np.asarray(json_int_list(path, obj, "colors"), dtype=int)
+        inst = Instance(dist=dist, colors=colors, m=m)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     if inst.n != n:

@@ -36,7 +36,7 @@ def _feasible_assignment(inst, S, radius, gfb, rho_allow):
     adm = []
     for p in range(n):
         opts = [(inst.dist[S[t], p], t) for t in range(ns)]
-        opts = [(d, t) for d, t in opts if d <= radius + TOL]
+        opts = [(d, t) for d, t in opts if d <= radius]
         if not opts:
             return None
         opts.sort()
@@ -113,7 +113,7 @@ def brute_force_opt(
     Only subsets whose every center stays active are considered; a solution
     with an empty cluster is equivalent to one on the smaller subset, which
     the enumeration also visits.  Deterministic: the first optimum in
-    lexicographic subset order wins.
+    lexicographic subset order wins, and the cost is its exact cost.
     """
     if inst.n > MAX_N or k > MAX_K:
         raise TooLarge(f"caps are n <= {MAX_N}, k <= {MAX_K}")
@@ -131,17 +131,17 @@ def brute_force_opt(
                 if np.any(counts < dsb.k_lo) or np.any(counts > dsb.k_hi):
                     continue
             r_cover = float(inst.dist[list(S), :].min(axis=0).max())
-            if r_cover >= best_cost - TOL:
+            if r_cover >= best_cost:
                 continue
             if gfb is None:
                 # nearest-center assignment is optimal and fair-agnostic
                 cost = r_cover
-                if cost < best_cost - TOL:
+                if cost < best_cost:
                     assign = _feasible_assignment(inst, S, cost, None, 0.0)
                     best_cost, best = cost, Solution(centers=S, assign=assign)
                 continue
-            lo = int(np.searchsorted(radii, r_cover - TOL))
-            hi = int(np.searchsorted(radii, best_cost - TOL, side="left")) - 1
+            lo = int(np.searchsorted(radii, r_cover))
+            hi = int(np.searchsorted(radii, best_cost)) - 1
             witness = None
             while lo <= hi:
                 mid = (lo + hi) // 2
@@ -151,7 +151,7 @@ def brute_force_opt(
                     hi = mid - 1
                 else:
                     lo = mid + 1
-            if witness is not None and witness[0] < best_cost - TOL:
+            if witness is not None and witness[0] < best_cost:
                 best_cost = witness[0]
                 best = Solution(centers=S, assign=witness[1])
 

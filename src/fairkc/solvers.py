@@ -41,6 +41,35 @@ class MissingColorInCluster(InfeasibleError):
     not meet the every-color-in-every-cluster precondition."""
 
 
+def _farthest_first(inst: Instance, k: int, seed: Optional[int], room) -> list:
+    """Up to k farthest-point-first centers among the points `room` allows.
+
+    `room(counts, picks_left)` says per color whether a point of it may be
+    picked, given the centers of each color so far and the picks left.  The
+    first center is the first allowed point, or a random one with a seed;
+    each later one is the allowed point farthest from the centers so far,
+    the lowest index among equal distances.  Stops early when no untaken
+    point is allowed.
+    """
+    taken = np.zeros(inst.n, dtype=bool)
+    counts = np.zeros(inst.m, dtype=int)
+    mind = np.full(inst.n, np.inf)  # all equal until the first pick
+    centers = []
+    while len(centers) < k:
+        allowed = np.flatnonzero(~taken & room(counts, k - len(centers))[inst.colors])
+        if allowed.size == 0:
+            break
+        if centers or seed is None:
+            nxt = int(allowed[np.argmax(mind[allowed])])
+        else:
+            nxt = int(allowed[np.random.default_rng(seed).integers(allowed.size)])
+        centers.append(nxt)
+        taken[nxt] = True
+        counts[inst.colors[nxt]] += 1
+        np.minimum(mind, inst.dist[nxt], out=mind)
+    return centers
+
+
 def gonzalez(inst: Instance, k: int, seed: Optional[int] = None) -> Solution:
     """Farthest-point-first center selection with nearest-center assignment.
 
@@ -49,18 +78,8 @@ def gonzalez(inst: Instance, k: int, seed: Optional[int] = None) -> Solution:
     """
     if not 1 <= k <= inst.n:
         raise ValueError("need 1 <= k <= n")
-    if seed is None:
-        first = 0
-    else:
-        first = int(np.random.default_rng(seed).integers(inst.n))
-    centers = [first]
-    mind = inst.dist[first].copy()
-    mind[first] = -1.0  # chosen points never re-enter (coinciding points)
-    while len(centers) < k:
-        nxt = int(np.argmax(mind))
-        centers.append(nxt)
-        np.minimum(mind, inst.dist[nxt], out=mind)
-        mind[nxt] = -1.0
+    every = np.ones(inst.m, dtype=bool)
+    centers = _farthest_first(inst, k, seed, lambda counts, picks_left: every)
     return Solution(
         centers=tuple(centers), assign=nearest_center_assignment(inst, centers)
     )
@@ -168,10 +187,10 @@ def alg_gf(
 def alg_ds(inst: Instance, dsb: DSBounds, seed: Optional[int] = None) -> Solution:
     """Quota-constrained farthest-point-first center selection.
 
-    At each step the farthest point whose color is still pickable is chosen;
-    a color is pickable while its upper bound has room and picking it leaves
-    enough slots to finish every lower bound.  Assignment is nearest-center,
-    so every center is active and the DS violation is 0.
+    `gonzalez`'s traversal over the pickable colors only (ties to the lowest
+    index): a color is pickable while its upper bound has room and picking
+    it leaves enough slots to finish every lower bound.  Assignment is
+    nearest-center, so every center is active and the DS violation is 0.
     """
     k = dsb.k
     if not 1 <= k <= inst.n:
@@ -183,46 +202,15 @@ def alg_ds(inst: Instance, dsb: DSBounds, seed: Optional[int] = None) -> Solutio
                 f"color {h} has {counts_avail[h]} points, needs {dsb.k_lo[h]} centers"
             )
 
-    chosen = []
-    taken = np.zeros(inst.n, dtype=bool)
-    counts = np.zeros(dsb.m, dtype=int)
-
-    def pickable_points() -> list:
-        """Untaken points whose color has room and leaves enough slots."""
+    def room(counts, picks_left):
+        """Colors whose upper bound has room and that leave enough slots."""
         need = np.maximum(dsb.k_lo - counts, 0).sum() - (counts < dsb.k_lo)
-        ok = (counts < dsb.k_hi) & (need <= k - len(chosen) - 1)
-        return np.flatnonzero(ok[inst.colors] & ~taken).tolist()
+        return (counts < dsb.k_hi) & (need <= picks_left - 1)
 
-    def best_candidate(score) -> int:
-        best = -1
-        for p in pickable_points():
-            if best < 0 or score[p] > score[best] + TOL:
-                best = p
-        return best
-
-    okay = pickable_points()
-    if seed is None:
-        first = okay[0] if okay else -1
-    else:
-        rng = np.random.default_rng(seed)
-        first = okay[int(rng.integers(len(okay)))] if okay else -1
-    if first < 0:
+    chosen = _farthest_first(inst, k, seed, room)
+    if not chosen:
         raise InfeasibleQuota("no color is pickable at the start")
-    chosen.append(first)
-    taken[first] = True
-    counts[inst.colors[first]] += 1
-    mind = inst.dist[first].copy()
-
-    while len(chosen) < k:
-        nxt = best_candidate(mind)
-        if nxt < 0:
-            break  # every remaining color is at its upper bound
-        chosen.append(nxt)
-        taken[nxt] = True
-        counts[inst.colors[nxt]] += 1
-        np.minimum(mind, inst.dist[nxt], out=mind)
-
-    if np.any(counts < dsb.k_lo):
+    if np.any(np.bincount(inst.colors[chosen], minlength=dsb.m) < dsb.k_lo):
         raise QuotaUnreachable("greedy selection ended below a lower bound")
     return Solution(
         centers=tuple(chosen), assign=nearest_center_assignment(inst, chosen)

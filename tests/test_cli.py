@@ -368,6 +368,27 @@ class TestExitCodes:
         assert run(["experiment", "--config", str(cfg_p)]) == 0
         rows = json.loads(report_p.read_text())["rows"]
         assert [row["status"] for row in rows] == ["ok"] * 5
+        capsys.readouterr()
+        # the oracle reports the cost of the solution it returns, not the radius
+        assert run(["oracle", "--input", str(inst_p), "--k", "2", "--gf"]) == 0
+        assert json.loads(capsys.readouterr().out)["cost"] == 1.0
+
+    @pytest.mark.parametrize(
+        "dist, word",
+        [('[["0", "1.5"], ["1.5", "0"]]', "numbers"), ("[[0, true], [true, 0]]", "numbers"),
+         ("[[0, Infinity], [Infinity, 0]]", "finite"), ("[[0, NaN], [NaN, 0]]", "finite")],
+        ids=["string", "bool", "infinity", "nan"],
+    )
+    def test_non_number_distance_is_three(self, tmp_path, capsys, dist, word):
+        inst_p, sol_p = tmp_path / "inst.json", tmp_path / "s.json"
+        inst_p.write_text(f'{{"n": 2, "m": 2, "colors": [0, 1], "dist": {dist}}}')
+        assert run(["solve", "--algo", "alg-gf", "--k", "2", "--input", str(inst_p),
+                    "--output", str(sol_p)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error:") and word in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not sol_p.exists()
 
     @pytest.mark.parametrize(
         "role, key, value",

@@ -4,7 +4,9 @@ import pytest
 from conftest import wide_bounds
 from fairkc.core import (
     DSBounds,
+    ExperimentConfig,
     GFBounds,
+    Instance,
     cost,
     ds_violation,
     gf_violation,
@@ -120,6 +122,39 @@ class TestConstrained:
                 got = brute_force_opt(inst, 2, gfb=gfb, rho_allow=rho)
                 costs.append(np.inf if got is None else got[0])
             assert costs[0] >= costs[1] >= costs[2]
+
+    def test_cost_of_the_returned_solution_on_a_near_candidate(self):
+        # the radius candidate 0.9999999995 lies within 1e-9 below the cost,
+        # 1.0, of the optimal centers (0, 2)
+        inst = Instance(
+            dist=[[0, 0.9999999995, 4, 5], [0.9999999995, 0, 3, 4], [4, 3, 0, 1], [5, 4, 1, 0]],
+            colors=[0, 1, 0, 1],
+            m=2,
+        )
+        c, sol = brute_force_opt(inst, 2, ExperimentConfig((2,)).gf_bounds(inst))
+        assert sol.centers == (0, 2)
+        assert c == cost(inst, sol) == 1.0
+
+    @pytest.mark.parametrize("gf, ds", [(True, False), (False, True), (True, True)])
+    def test_returned_cost_is_the_solution_cost(self, gf, ds):
+        rng = np.random.default_rng(20261019)
+        found = 0
+        for _ in range(12):
+            inst = gen_random(
+                int(rng.integers(5, 10)), 2, 2, [0.5, 0.5], seed=int(rng.integers(2**31))
+            )
+            k = int(rng.integers(2, 4))
+            cfg = ExperimentConfig((k,), delta=0.3, theta=0.5)
+            got = brute_force_opt(
+                inst, k,
+                gfb=cfg.gf_bounds(inst) if gf else None,
+                dsb=cfg.ds_bounds(inst, k) if ds else None,
+                rho_allow=1.0,
+            )
+            if got is not None:
+                found += 1
+                assert got[0] == cost(inst, got[1])
+        assert found >= 8
 
     def test_gonzalez_within_twice_oracle(self, rng):
         for _ in range(6):

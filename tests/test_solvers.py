@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_instance, wide_bounds
 from fairkc.core import (
+    TOL,
     DSBounds,
     ExperimentConfig,
     GFBounds,
@@ -13,6 +14,7 @@ from fairkc.core import (
     Solution,
     cost,
     ds_violation,
+    euclidean_distances,
     gf_violation,
 )
 from fairkc.harness import run_experiment
@@ -180,11 +182,13 @@ class TestAlgGF:
 
 class TestAlgDS:
     def test_zero_quotas_match_gonzalez(self, rng):
-        inst = random_instance(rng, n=12, m=2)
-        dsb = DSBounds(k_lo=[0, 0], k_hi=[3, 3], k=3)
-        a = alg_ds(inst, dsb)
-        b = gonzalez(inst, 3)
-        assert a.centers == b.centers
+        # on the near tie, point 2 is 5e-10 farther from point 0 than point 1 is
+        near_tie = Instance(
+            dist=[[0, 1, 1 + 5e-10], [1, 0, 1], [1 + 5e-10, 1, 0]], colors=[0, 1, 1], m=2
+        )
+        for inst, k in [(random_instance(rng, n=12, m=2), 3), (near_tie, 2)]:
+            dsb = DSBounds(k_lo=[0, 0], k_hi=[k, k], k=k)
+            assert alg_ds(inst, dsb).centers == gonzalez(inst, k).centers
 
     def test_quota_forces_one_of_each(self, rng):
         inst = random_instance(rng, n=10, m=2)
@@ -213,6 +217,93 @@ class TestAlgDS:
         sol = alg_ds(inst, dsb)
         picked = np.bincount(inst.colors[list(sol.centers)], minlength=2)
         assert np.all(picked <= 1)
+
+
+def best_candidate_alg_ds(inst, dsb, seed=None):
+    """ALG-DS's centers as selected before it shared `gonzalez`'s traversal:
+    a Python walk over the pickable points that keeps the first point unless
+    a later one is more than TOL farther.  Returns the centers, or the name
+    of the error raised."""
+    k = dsb.k
+    if np.any(inst.color_counts() < dsb.k_lo):
+        return "InfeasibleQuota"
+    chosen = []
+    taken = np.zeros(inst.n, dtype=bool)
+    counts = np.zeros(dsb.m, dtype=int)
+
+    def pickable_points():
+        need = np.maximum(dsb.k_lo - counts, 0).sum() - (counts < dsb.k_lo)
+        ok = (counts < dsb.k_hi) & (need <= k - len(chosen) - 1)
+        return np.flatnonzero(ok[inst.colors] & ~taken).tolist()
+
+    def best_candidate(score):
+        best = -1
+        for p in pickable_points():
+            if best < 0 or score[p] > score[best] + TOL:
+                best = p
+        return best
+
+    okay = pickable_points()
+    if not okay:
+        return "InfeasibleQuota"
+    if seed is None:
+        first = okay[0]
+    else:
+        first = okay[int(np.random.default_rng(seed).integers(len(okay)))]
+    chosen.append(first)
+    taken[first] = True
+    counts[inst.colors[first]] += 1
+    mind = inst.dist[first].copy()
+    while len(chosen) < k:
+        nxt = best_candidate(mind)
+        if nxt < 0:
+            break
+        chosen.append(nxt)
+        taken[nxt] = True
+        counts[inst.colors[nxt]] += 1
+        np.minimum(mind, inst.dist[nxt], out=mind)
+    if np.any(counts < dsb.k_lo):
+        return "QuotaUnreachable"
+    return tuple(chosen)
+
+
+def grid_instance(rng, n, m):
+    """Points on a 4 x 4 integer grid: exact distance ties and coinciding
+    points."""
+    colors = np.arange(n) % m
+    rng.shuffle(colors)
+    return Instance(
+        dist=euclidean_distances(rng.integers(0, 4, size=(n, 2))), colors=colors, m=m
+    )
+
+
+@pytest.mark.parametrize("shape", ["zero", "tight", "caps", "seeded"])
+def test_traversal_matches_best_candidate_reference(shape):
+    rng = np.random.default_rng(["zero", "tight", "caps", "seeded"].index(shape))
+    for trial in range(60):
+        n, m = int(rng.integers(4, 25)), int(rng.integers(2, 4))
+        if trial % 2:
+            inst = grid_instance(rng, n, m)
+        else:
+            inst = random_instance(rng, n=n, m=m)
+        k = int(rng.integers(1, n + 1))
+        seed = int(rng.integers(1000)) if shape == "seeded" else None
+        if shape == "zero":
+            k_lo, k_hi = np.zeros(m), np.full(m, k)
+        elif shape == "caps":
+            k_lo, k_hi = np.zeros(m), rng.integers(0, k + 1, size=m)
+        else:  # lower bounds summing to k when tight, to at most k when seeded
+            size = k if shape == "tight" else int(rng.integers(0, k + 1))
+            k_lo = np.bincount(rng.integers(0, m, size=size), minlength=m)
+            k_hi = k_lo + rng.integers(0, 2 if shape == "tight" else k + 1, size=m)
+        dsb = DSBounds(k_lo=k_lo, k_hi=k_hi, k=k)
+        try:
+            got = alg_ds(inst, dsb, seed=seed).centers
+        except InfeasibleError as exc:
+            got = type(exc).__name__
+        assert got == best_candidate_alg_ds(inst, dsb, seed=seed), (trial, n, k)
+        if shape == "zero":
+            assert got == gonzalez(inst, k).centers
 
 
 def quota_bounds(inst, k, theta=0.5):
