@@ -1,7 +1,8 @@
 """fairkc command-line interface.
 
 Subcommands: generate, solve, evaluate, oracle, experiment.
-Exit codes: 0 success, 2 infeasible, 3 parse error.
+Exit codes: 0 success, 2 infeasible (or an LP the simplex could not solve
+to within its tolerance), 3 parse error.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .core import (
     ds_violation,
     gf_violation,
 )
+from .lp import NumericFailure
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -211,6 +213,9 @@ def main(argv=None):
         return _COMMANDS[args.command](args)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except NumericFailure as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (harness.ParseError, harness.ColorCardinality, oracle.TooLarge) as exc:
         print(f"parse error: {exc}", file=sys.stderr)

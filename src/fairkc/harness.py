@@ -28,6 +28,7 @@ from .core import (
     gf_violation,
     pof,
 )
+from .lp import NumericFailure
 
 # Each algorithm as (the stage-one algorithm it post-processes, or None; its
 # step).  A step is called as step(inst, k, gfb, dsb, seed, base), base being
@@ -113,7 +114,13 @@ def _load_csv(path: str) -> Instance:
     if not np.all(np.isfinite(pts)):
         bad = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])
         raise ParseError(f"{path}: row {bad + 2} has a non-finite feature")
-    dist = euclidean_distances(pts)
+    with np.errstate(over="ignore"):  # finite features can still square past the float range
+        dist = euclidean_distances(pts)
+    if not np.isfinite(dist.max()):
+        bad = int(np.flatnonzero(~np.isfinite(dist).all(axis=1))[0])
+        raise ParseError(
+            f"{path}: row {bad + 2} lies too far from another row; their distance overflows"
+        )
     try:
         return Instance(dist=dist, colors=colors, m=len(order))
     except ValueError as exc:
@@ -239,9 +246,11 @@ class ExperimentReport:
 def run_experiment(inst: Instance, cfg: ExperimentConfig) -> ExperimentReport:
     """Run the five algorithms for every k and collect the three metrics.
 
-    Per-algorithm infeasibility is recorded in its row, never raised.  The
-    pipeline rows also carry the ratio of post-processing time to the time
-    spent obtaining the stage-one solution.
+    Per-algorithm infeasibility is recorded in its row, never raised, and so
+    is a NumericFailure, an LP that the simplex could not solve to within its
+    tolerance: `infeasible` is the only status besides `ok`.  The pipeline
+    rows also carry the ratio of post-processing time to the time spent
+    obtaining the stage-one solution.
     """
     report = ExperimentReport(
         config={
@@ -273,7 +282,7 @@ def run_experiment(inst: Instance, cfg: ExperimentConfig) -> ExperimentReport:
             t0 = time.perf_counter()
             try:
                 sol = step(inst, k, gfb, dsb, None, base)
-            except InfeasibleError:
+            except (InfeasibleError, NumericFailure):
                 sol = None
             t = time.perf_counter() - t0
             runs[name] = (sol, base_s + t, t / base_s if base_s > 0 else None)

@@ -52,6 +52,13 @@ few dozen classes where the point form has hundreds of points, decides the
 radius search.  Its vertex differs from the point-level one, though, so the
 fractional assignment handed to the rounding comes from one point-level
 solve at the radius found.
+
+Most radii a search probes below its threshold fail for a plain reason: a
+center that admits no point of some color can carry almost no mass, and
+some point admits only such dead centers.  `dead_centers_reject` checks this
+on the admissibility mask, the one `admissible` gives the builder too, and
+rejects only radii whose LP the solver rejects, so a probe it rejects needs
+no build and no solve.
 """
 
 from __future__ import annotations
@@ -336,6 +343,41 @@ def solve_feasibility(
     raise NumericFailure(f"iteration cap {cap} exceeded")
 
 
+def admissible(dist_S: np.ndarray, R: float) -> np.ndarray:
+    """adm[t, j]: the center with distances dist_S[t] admits point j at radius R."""
+    return dist_S <= R + 1e-12
+
+
+def dead_centers_reject(
+    dist_S: np.ndarray, colors: np.ndarray, R: float, gfb: GFBounds
+) -> bool:
+    """True when no assignment at radius R can pass `solve_feasibility`.
+
+    dist_S holds the rows of the distance matrix of the centers S.  A center
+    that admits no point of color h has the lower row beta_h * M_i <= 0,
+    M_i its mass, so it carries at most FEAS_TOL / beta_h; call it dead.  A
+    point (or class) whose admissible centers are all dead puts at least
+    (1 - FEAS_TOL) / |S| on one of them by its unit row, and that center's
+    row of color h then breaks by more than FEAS_TOL, which the solver's
+    residual check refuses, once
+
+        beta_h * (1 - FEAS_TOL) > |S| * FEAS_TOL.
+
+    So only the colors that meet this bound make a center dead; below it the
+    verdict is left to the LP.  A point that no center admits is rejected too.
+    Both forms of `build_assignment_lp` have these rows (class sizes only
+    scale a center's mass up), so at a radius the screen rejects the solver
+    can return no solution either, and the screen costs one pass over the
+    admissibility mask.
+    """
+    counted = gfb.beta * (1.0 - FEAS_TOL) > len(dist_S) * FEAS_TOL
+    adm = admissible(dist_S, R)
+    live = np.ones(len(dist_S), dtype=bool)
+    for h in np.flatnonzero(counted):
+        live &= adm[:, colors == h].any(axis=1)
+    return not adm[live].any(axis=0).all()
+
+
 def build_assignment_lp(
     inst: Instance,
     S: Sequence[int],
@@ -367,7 +409,7 @@ def build_assignment_lp(
     if R < 0:
         raise ValueError("radius must be nonnegative")
 
-    adm = inst.dist[S] <= R + 1e-12  # adm[t, j]: center S[t] admits point j
+    adm = admissible(inst.dist[S], R)  # adm[t, j]: center S[t] admits point j
     empty = np.flatnonzero(~adm.any(axis=0))
     if empty.size:
         raise EmptyRow(f"point {int(empty[0])} has no center within radius {R}")

@@ -23,6 +23,7 @@ from .flow import max_flow_gf
 from .lp import (
     NumericFailure,
     build_assignment_lp,
+    dead_centers_reject,
     nearest_admissible_start,
     solve_feasibility,
 )
@@ -102,12 +103,15 @@ def assignment_gf(
     solution to an integral assignment (additive violation at most 2, radius
     unchanged).
 
-    Each probe decides feasibility on the class-aggregated LP, whose verdict
-    equals the point-level one (see `build_assignment_lp`) at a fraction of
-    its size.  Its solution is not spread back over the points: that gives a
-    different fractional vertex, and the rounding would then return another
-    assignment.  So the point-level LP is solved once, at the radius found,
-    from the same nearest-center start as before.
+    Each probe first asks `dead_centers_reject`, which turns most radii
+    below the threshold down without an LP and never one whose LP the
+    solver accepts, so the probes and the radius found are the same as
+    without it.  A probe it leaves open is decided on the class-aggregated
+    LP, whose verdict equals the point-level one (see `build_assignment_lp`)
+    at a fraction of its size.  Its solution is not spread back over the
+    points: that gives a different fractional vertex, and the rounding would
+    then return another assignment.  So the point-level LP is solved once,
+    at the radius found, from the same nearest-center start as before.
 
     When that start already satisfies every row, the solve returns it as is
     and the fractional assignment is integral.  The rounding then has a
@@ -130,9 +134,10 @@ def assignment_gf(
         assign = np.full(inst.n, c, dtype=int)
         return Solution(centers=(c,), assign=assign), float(inst.dist[c].max())
 
-    cands = np.unique(inst.dist[S, :])
+    dist_S = inst.dist[S]
+    cands = np.unique(dist_S)
     # No radius below the covering radius (itself a candidate) assigns every point.
-    r_cover = float(inst.dist[S, :].min(axis=0).max())
+    r_cover = float(dist_S.min(axis=0).max())
     start = int(np.searchsorted(cands, r_cover))
 
     def solve(R: float, aggregate: bool):
@@ -142,7 +147,10 @@ def assignment_gf(
         )
 
     def feasible(idx: int) -> bool:
-        return solve(float(cands[idx]), aggregate=True)[1] is not None
+        R = float(cands[idx])
+        if dead_centers_reject(dist_S, inst.colors, R, gfb):
+            return False
+        return solve(R, aggregate=True)[1] is not None
 
     last = len(cands) - 1
     lo, hi = start, None

@@ -117,6 +117,25 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_numeric_failure_is_two(self, tmp_path, capsys):
+        inst_p = str(tmp_path / "inst.json")
+        props = "0.2137613423399095,0.3457035685624727,0.19855812982820087,0.2419769592694168"
+        assert run(["generate", "--family", "random", "--n", "6", "--m", "4", "--dim", "2",
+                    "--proportions", props, "--seed", "525994730", "--output", inst_p]) == 0
+        capsys.readouterr()
+        code = run(["solve", "--algo", "alg-gf", "--k", "6", "--delta", "0.999999",
+                    "--input", inst_p, "--output", str(tmp_path / "s.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("numeric failure: ")
+
+    def test_overflowing_csv_distance_is_three(self, tmp_path, capsys):
+        csv_p = tmp_path / "huge.csv"
+        csv_p.write_text("f0,color\n0,a\n1e200,b\n2e200,a\n")
+        code = run(["solve", "--algo", "alg-gf", "--k", "2",
+                    "--input", str(csv_p), "--output", str(tmp_path / "s.json")])
+        assert code == 3
+        assert "overflows" in capsys.readouterr().err
+
     @pytest.mark.parametrize("delta", ["1.0", "1.5"])
     def test_bad_delta_is_three(self, tmp_path, capsys, delta):
         inst_p = str(tmp_path / "inst.json")

@@ -26,6 +26,11 @@ from fairkc.solvers import gonzalez
 DATA = resources.files("fairkc") / "data"
 
 
+NUMERIC_FAILURE_PROPORTIONS = [
+    0.2137613423399095, 0.3457035685624727, 0.19855812982820087, 0.2419769592694168
+]
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -155,6 +160,22 @@ class TestExperiment:
         assert all(r.status == "infeasible" for r in k3)
         assert all(r.status == "ok" for r in k4)
 
+    def test_numeric_failure_recorded_not_raised(self):
+        # at delta 0.999999 the lower bounds (about 2e-7) sit near FEAS_TOL,
+        # and the simplex's vertex for these centers fails its residual check
+        inst = gen_random(6, 4, 2, NUMERIC_FAILURE_PROPORTIONS, seed=525994730)
+        cfg = ExperimentConfig(k_values=(6,), delta=0.999999)
+        with pytest.raises(NumericFailure):
+            solvers.alg_gf(inst, 6, cfg.gf_bounds(inst))
+        report = run_experiment(inst, cfg)
+        assert {r.algorithm: r.status for r in report.rows} == {
+            "color-blind": "ok",
+            "alg-gf": "infeasible",
+            "alg-ds": "ok",
+            "gf-to-gfds": "infeasible",
+            "ds-to-gfds": "infeasible",
+        }
+
     def test_k_above_n_recorded_not_raised(self):
         inst = gen_random(10, 2, 2, [0.5, 0.5], seed=3)
         cfg = ExperimentConfig(k_values=(11, 3, 10), delta=0.5, theta=0.5)
@@ -217,7 +238,9 @@ class TestExperiment:
     ],
 )
 def test_infeasibility_is_one_type(exc, infeasible):
-    # the bug signals must not be swallowed as infeasible rows
+    # the bug signals are not infeasibility; of them, `run_experiment` records
+    # only a NumericFailure, an LP the simplex could not settle, as an
+    # infeasible row (see TestExperiment)
     assert issubclass(exc, InfeasibleError) is infeasible
 
 
@@ -266,4 +289,12 @@ def test_non_finite_feature_is_parse_error(tmp_path):
     p = tmp_path / "nan.csv"
     p.write_text("f0,color\nnan,x\n1,y\n")
     with pytest.raises(ParseError, match="row 2"):
+        load_instance(str(p))
+
+
+def test_overflowing_distance_is_parse_error(tmp_path):
+    # finite features whose squared difference passes the float range
+    p = tmp_path / "huge.csv"
+    p.write_text("f0,color\n0,a\n1e200,b\n2e200,a\n")
+    with pytest.raises(ParseError, match="row 2 .* overflows"):
         load_instance(str(p))

@@ -1,4 +1,5 @@
 import itertools
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -17,8 +18,15 @@ from fairkc.core import (
     euclidean_distances,
     gf_violation,
 )
-from fairkc.harness import run_experiment
+from fairkc.harness import load_instance, run_experiment
 from fairkc.instances import gen_l_community, gen_random
+from fairkc.lp import (
+    FEAS_TOL,
+    build_assignment_lp,
+    dead_centers_reject,
+    nearest_admissible_start,
+    solve_feasibility,
+)
 from fairkc.solvers import (
     InfeasibleQuota,
     MissingColorInCluster,
@@ -462,3 +470,94 @@ class TestGfToGfds:
             out = gf_to_gfds(inst, gf_sol, gfb, dsb)
             assert gf_violation(inst, gfb, out) <= rho_in + 2.0 + 1e-9
             assert ds_violation(out, dsb, inst) == 0
+
+
+# ---------------------------------------------------------------------------
+# the dead-center screen rejects only radii whose class LP the solver rejects
+# ---------------------------------------------------------------------------
+
+ADULT_CSV = str(resources.files("fairkc") / "data" / "adult_mini.csv")
+
+
+def screened_radii(inst, S, gfb):
+    """How many candidate radii from the covering one the screen rejects.
+
+    Fails on a rejected radius whose class LP `solve_feasibility` accepts.
+    """
+    dist_S = inst.dist[S]
+    cands = np.unique(dist_S)
+    screened = 0
+    for R in cands[cands >= dist_S.min(axis=0).max()]:
+        if dead_centers_reject(dist_S, inst.colors, float(R), gfb):
+            lp, pairs = build_assignment_lp(inst, S, float(R), gfb, aggregate=True)
+            start = nearest_admissible_start(inst, pairs)
+            assert solve_feasibility(lp, start_at_upper=start) is None, (S, R)
+            screened += 1
+    return screened
+
+
+def center_sets(inst, cfg, k):
+    """The centers `alg_gf` and `ds_to_gfds` search from, where they exist."""
+    yield list(gonzalez(inst, k).centers)
+    try:
+        yield list(alg_ds(inst, cfg.ds_bounds(inst, k)).centers)
+    except InfeasibleError:
+        pass
+
+
+class TestDeadCenterScreen:
+    def test_fuzz_grid(self):
+        # the shapes of the fuzz-small benchmark workload: n in [4, 24],
+        # m in {2, 3, 4}, delta in {0, 0.05, 0.3}, one k in [2, min(n, 8)]
+        design, rng = np.random.default_rng(20230530), np.random.default_rng(1)
+        screened = 0
+        for i in range(54):
+            delta, m = (0.0, 0.05, 0.3)[i % 3], (2, 3, 4)[i // 3 % 3]
+            n = int(design.integers(4, 25))
+            k = int(design.integers(2, min(n, 8) + 1))
+            props = design.dirichlet(np.ones(m))
+            inst = gen_random(n, m, 2, props / props.sum(), seed=int(rng.integers(2**31)))
+            cfg = ExperimentConfig(k_values=(k,), delta=delta, theta=0.5)
+            gfb = cfg.gf_bounds(inst)
+            for S in center_sets(inst, cfg, k):
+                screened += screened_radii(inst, S, gfb)
+        assert screened > 0
+
+    def test_adult_mini(self):
+        # both colors are everywhere, so nothing is screened, and nothing may be
+        inst = load_instance(ADULT_CSV)
+        cfg = ExperimentConfig(k_values=(5,), delta=0.2, theta=0.8)
+        for S in center_sets(inst, cfg, 5):
+            assert screened_radii(inst, S, cfg.gf_bounds(inst)) == 0
+
+    def test_delta_near_one(self):
+        # beta = (1 - delta) r falls around the bound |S| FEAS_TOL / (1 - FEAS_TOL)
+        rng = np.random.default_rng(7)
+        screened, excluded = 0, 0
+        for _ in range(60):
+            m = int(rng.integers(2, 5))
+            n = int(rng.integers(max(m, 4), 13))
+            k = int(rng.integers(2, n + 1))
+            props = rng.dirichlet(np.ones(m))
+            inst = gen_random(n, m, 2, props / props.sum(), seed=int(rng.integers(2**31)))
+            delta = 1.0 - 10.0 ** rng.uniform(-6, -1)
+            gfb = ExperimentConfig(k_values=(k,), delta=delta).gf_bounds(inst)
+            S = list(gonzalez(inst, k).centers)
+            excluded += int(np.any(gfb.beta * (1 - FEAS_TOL) <= k * FEAS_TOL))
+            screened += screened_radii(inst, S, gfb)
+        assert screened > 0 and excluded > 0
+
+    def test_beta_below_the_bound_is_left_to_the_lp(self):
+        # at R = 1 center 0 admits only points 0 and 2, both of color 0, and
+        # point 2 no other center; with beta_1 = 1e-8 the LP lets center 0
+        # carry its two points (1e-8 * 2 <= FEAS_TOL), so it is no dead center
+        pts = np.array([[0.0], [10.0], [1.0], [11.0]])
+        inst = Instance(dist=euclidean_distances(pts), colors=[0, 1, 0, 0], m=2)
+        S, R = [0, 1], 1.0
+        for beta_1, infeasible in ((0.3, True), (1e-8, False)):
+            assert (beta_1 * (1 - FEAS_TOL) > len(S) * FEAS_TOL) is infeasible
+            gfb = GFBounds(beta=[0.3, beta_1], alpha=[1.0, 1.0])
+            assert dead_centers_reject(inst.dist[S], inst.colors, R, gfb) is infeasible
+            lp, pairs = build_assignment_lp(inst, S, R, gfb, aggregate=True)
+            x = solve_feasibility(lp, start_at_upper=nearest_admissible_start(inst, pairs))
+            assert (x is None) is infeasible
