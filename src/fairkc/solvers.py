@@ -287,11 +287,22 @@ def ds_to_gfds(
 ) -> Solution:
     """Post-process a DS solution to satisfy GF (violation <= 3) as well.
 
-    Runs the fair assignment over the DS centers, drops centers that end up
-    with empty clusters, then re-opens centers inside existing clusters for
-    any color that fell below its lower bound, splitting those clusters.
+    Runs the fair assignment over the DS centers, then `repair_quotas` on
+    it.  When the DS centers are Gonzalez's, in the same order, that
+    assignment is `alg_gf`'s, and `harness.run_experiment` reuses `alg_gf`'s
+    outcome instead of running it again, charging its time to this step.
     """
     sol_a, _ = assignment_gf(inst, ds_sol.centers, gfb)
+    return repair_quotas(inst, sol_a, dsb)
+
+
+def repair_quotas(inst: Instance, sol_a: Solution, dsb: DSBounds) -> Solution:
+    """The second half of `ds_to_gfds`, given its fair assignment `sol_a`.
+
+    Drops centers that end up with empty clusters, then re-opens centers
+    inside existing clusters for any color that fell below its lower bound,
+    splitting those clusters.
+    """
     active = list(sol_a.active_centers())
     clusters = {i: [int(p) for p in sol_a.cluster_of(i)] for i in active}
     s_counts = np.bincount(inst.colors[active], minlength=dsb.m)

@@ -8,9 +8,16 @@ import numpy as np
 import pytest
 
 from fairkc import solvers
-from fairkc.core import ExperimentConfig
+from fairkc.core import (
+    ExperimentConfig,
+    InfeasibleError,
+    cost,
+    ds_violation,
+    gf_violation,
+)
 from fairkc.harness import run_experiment
 from fairkc.instances import gen_random
+from fairkc.lp import NumericFailure
 
 EPS = 1e-9
 GF_BOUND = {"alg-gf": 2.0, "gf-to-gfds": 2.0, "ds-to-gfds": 3.0}
@@ -62,9 +69,13 @@ def breaches(report):
 
 @pytest.fixture
 def pipeline_outputs(monkeypatch):
-    """Every solution the two pipelines return inside run_experiment."""
+    """Every solution the two pipelines return inside run_experiment.
+
+    ds-to-gfds's solutions are taken from `repair_quotas`, which builds each
+    of them whether or not `run_experiment` reuses alg-gf's assignment.
+    """
     out = []
-    for name in ("gf_to_gfds", "ds_to_gfds"):
+    for name in ("gf_to_gfds", "repair_quotas"):
 
         def capture(*args, _solve=getattr(solvers, name), **kwargs):
             sol = _solve(*args, **kwargs)
@@ -103,3 +114,37 @@ def test_fuzz_never_raises_and_ok_rows_meet_bounds(pipeline_outputs):
     assert all(sol.inactive_centers() == () for sol in pipeline_outputs)
     for name in ("alg-gf", "alg-ds", "gf-to-gfds", "ds-to-gfds"):
         assert {(name, "ok"), (name, "infeasible")} <= seen
+
+
+def standalone_ds_to_gfds(inst, cfg, k):
+    """(status, cost, GF violation, DS violation) of ds-to-gfds run on its own."""
+    gfb = cfg.gf_bounds(inst)
+    try:
+        dsb = cfg.ds_bounds(inst, k)
+        sol = solvers.ds_to_gfds(inst, solvers.alg_ds(inst, dsb), gfb, dsb)
+    except (InfeasibleError, NumericFailure):
+        return "infeasible", None, None, None
+    return "ok", cost(inst, sol), gf_violation(inst, gfb, sol), ds_violation(sol, dsb, inst)
+
+
+def test_ds_to_gfds_rows_equal_the_standalone_pipeline():
+    # the seeded NumericFailure case first: alg-ds and Gonzalez pick the same
+    # centers and alg-gf's assignment over them fails; then a fuzz stream
+    # that mixes reused assignments with quotas that move the centers
+    numeric = gen_random(6, 4, 2, [0.2137613423399095, 0.3457035685624727,
+                                   0.19855812982820087, 0.2419769592694168], seed=525994730)
+    numeric_cfg = ExperimentConfig(k_values=(6,), delta=0.999999)
+    assert solvers.alg_ds(numeric, numeric_cfg.ds_bounds(numeric, 6)).centers == \
+        solvers.gonzalez(numeric, 6).centers == (0, 1, 4, 5, 2, 3)
+    assert standalone_ds_to_gfds(numeric, numeric_cfg, 6)[0] == "infeasible"
+    reused = {True: 0, False: 0}
+    for inst, cfg in [(numeric, numeric_cfg), *fuzz_cases(120, seed=8128)]:
+        (k,) = cfg.k_values
+        rows = {r.algorithm: r for r in run_experiment(inst, cfg).rows}
+        got = rows["ds-to-gfds"]
+        assert (got.status, got.cost, got.gf_violation, got.ds_violation) == \
+            standalone_ds_to_gfds(inst, cfg, k), (inst.n, inst.m, cfg)
+        if rows["alg-ds"].status == "ok":
+            ds_centers = solvers.alg_ds(inst, cfg.ds_bounds(inst, k)).centers
+            reused[ds_centers == solvers.gonzalez(inst, k).centers] += 1
+    assert reused[True] >= 10 and reused[False] >= 10, reused

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 from importlib import resources
 
 import numpy as np
@@ -266,6 +267,57 @@ class TestAlgorithmTable:
             for pipe, stage in (("gf-to-gfds", "alg-gf"), ("ds-to-gfds", "alg-ds")):
                 assert rows[(k, pipe)]["status"] == rows[(k, stage)]["status"] == "ok"
                 assert rows[(k, pipe)]["seconds"] >= rows[(k, stage)]["seconds"]
+
+    @staticmethod
+    def count_assignments(monkeypatch):
+        """The centers of every `solvers.assignment_gf` call, as they come."""
+        calls = []
+
+        def counted(inst, S, gfb, _solve=solvers.assignment_gf):
+            calls.append(tuple(S))
+            return _solve(inst, S, gfb)
+
+        monkeypatch.setattr(solvers, "assignment_gf", counted)
+        return calls
+
+    def test_assignment_runs_once_per_k_on_gonzalez_centers(self, monkeypatch):
+        # alg-ds picks Gonzalez's centers at every k here, so ds-to-gfds
+        # takes alg-gf's assignment instead of solving it again
+        inst = gen_random(24, 2, 2, [0.5, 0.5], seed=11)
+        cfg = ExperimentConfig(k_values=(2, 3, 4), delta=0.5, theta=0.5)
+        for k in cfg.k_values:
+            ds_centers = solvers.alg_ds(inst, cfg.ds_bounds(inst, k)).centers
+            assert ds_centers == gonzalez(inst, k).centers
+        calls = self.count_assignments(monkeypatch)
+        report = run_experiment(inst, cfg)
+        assert calls == [gonzalez(inst, k).centers for k in cfg.k_values]
+        assert all(r.status == "ok" for r in report.rows)
+
+    def test_assignment_runs_twice_when_centers_differ(self, monkeypatch):
+        inst = load_instance(str(DATA / "adult_mini.csv"))
+        cfg = ExperimentConfig(k_values=(5,), delta=0.2, theta=0.8)
+        ds_centers = solvers.alg_ds(inst, cfg.ds_bounds(inst, 5)).centers
+        assert ds_centers != gonzalez(inst, 5).centers
+        calls = self.count_assignments(monkeypatch)
+        run_experiment(inst, cfg)
+        assert calls == [gonzalez(inst, 5).centers, ds_centers]
+
+    def test_reused_assignment_time_is_charged(self, monkeypatch):
+        def slow(*args, _solve=solvers.alg_gf, **kwargs):
+            time.sleep(0.05)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "alg_gf", slow)
+        calls = self.count_assignments(monkeypatch)
+        inst = gen_random(24, 2, 2, [0.5, 0.5], seed=11)
+        cfg = ExperimentConfig(k_values=(2,), delta=0.5, theta=0.5)
+        rows = {r.algorithm: r for r in run_experiment(inst, cfg).rows}
+        assert len(calls) == 1  # ds-to-gfds reused alg-gf's assignment
+        ds = rows["ds-to-gfds"]
+        assert ds.status == "ok"
+        assert ds.seconds >= 0.05
+        assert ds.seconds - rows["alg-ds"].seconds >= 0.05
+        assert ds.post_ratio * rows["alg-ds"].seconds >= 0.05
 
     def test_alg_ds_quota_unreachable_is_infeasible_row(self, monkeypatch):
         def unreachable(*args, **kwargs):
