@@ -47,18 +47,20 @@ class of points.  At radius R, points of one color that admit the same
 centers are interchangeable (the type-grouping of Harb & Lam's KFC): any
 point-level solution averages over each class to a class-level one, and a
 class-level one spreads evenly back over its members.  So both forms have
-the same feasibility verdict at every R, and the class form, which has a
-few dozen classes where the point form has hundreds of points, decides the
-radius search.  Its vertex differs from the point-level one, though, so the
-fractional assignment handed to the rounding comes from one point-level
-solve at the radius found.
+the same feasibility verdict at every R.  The class form has a few dozen
+classes where the point form has hundreds of points, so the radius search
+probes it when the point LP fails at the first radius it tries.  Its vertex
+differs from the point-level one, though, so the fractional assignment
+handed to the rounding always comes from a point-level solve at the radius
+found.
 
 Most radii a search probes below its threshold fail for a plain reason: a
 center that admits no point of some color can carry almost no mass, and
 some point admits only such dead centers.  `dead_centers_reject` checks this
 on the admissibility mask, the one `admissible` gives the builder too, and
-rejects only radii whose LP the solver rejects, so a probe it rejects needs
-no build and no solve.
+rejects only radii whose LP the solver rejects.  Its verdict is monotone
+in R, so the radius search finds the smallest radius it lets through
+without building an LP, and tries the point LP there first.
 """
 
 from __future__ import annotations
@@ -368,7 +370,8 @@ def dead_centers_reject(
     Both forms of `build_assignment_lp` have these rows (class sizes only
     scale a center's mass up), so at a radius the screen rejects the solver
     can return no solution either, and the screen costs one pass over the
-    admissibility mask.
+    admissibility mask.  The verdict is monotone in R: admissibility only
+    grows with R, so a dead center can only come alive.
     """
     counted = gfb.beta * (1.0 - FEAS_TOL) > len(dist_S) * FEAS_TOL
     adm = admissible(dist_S, R)

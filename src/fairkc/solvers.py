@@ -93,35 +93,69 @@ def _global_proportions_ok(inst: Instance, gfb: GFBounds) -> bool:
     )
 
 
+def _first_true(ok, lo: int, last: int) -> int:
+    """Smallest index in [lo, last] where the monotone predicate `ok` holds.
+
+    Gallops upward from lo with steps 1, 2, 4, ... until `ok` holds or last
+    is reached, then bisects the bracket.  Raises InfeasibleError when
+    `ok(last)` is false.
+    """
+    probe, step = lo, 1
+    while not ok(probe):
+        if probe == last:
+            raise InfeasibleError("assignment LP infeasible at every radius")
+        lo = probe + 1
+        probe = min(probe + step, last)
+        step *= 2
+    hi = probe
+    while lo < hi:  # smallest index in [lo, hi] where ok holds; ok(hi) does
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
 def assignment_gf(
     inst: Instance, S: Sequence[int], gfb: GFBounds
 ) -> Tuple[Solution, float]:
     """Fairly assign all points to the fixed centers S at the smallest radius.
 
-    Gallops and then bisects the sorted center-to-point distances for the
-    smallest R whose assignment LP is feasible, then rounds the fractional
-    solution to an integral assignment (additive violation at most 2, radius
-    unchanged).
+    Finds the smallest R among the sorted center-to-point distances whose
+    assignment LP is feasible, then rounds the fractional solution to an
+    integral assignment (additive violation at most 2, radius unchanged).
+    The search has two stages, each a gallop then a bisection
+    (`_first_true`):
 
-    Each probe first asks `dead_centers_reject`, which turns most radii
-    below the threshold down without an LP and never one whose LP the
-    solver accepts, so the probes and the radius found are the same as
-    without it.  A probe it leaves open is decided on the class-aggregated
-    LP, whose verdict equals the point-level one (see `build_assignment_lp`)
-    at a fraction of its size.  Its solution is not spread back over the
-    points: that gives a different fractional vertex, and the rounding would
-    then return another assignment.  So the point-level LP is solved once,
-    at the radius found, from the same nearest-center start as before.
+    1. `dead_centers_reject` alone finds the boundary: the smallest radius
+       it lets through.  Its verdict is monotone in R (admissibility only
+       grows, so a dead center can only come alive), it rejects only radii
+       whose LP the solver rejects too, and it builds no LP.
+    2. The point-level LP is solved at the boundary, from the nearest-center
+       start.  Most searches end here: if it is feasible the boundary is the
+       threshold, and its vertex is the fractional assignment the rounding
+       needs, so the search makes one build and one solve.  Otherwise the
+       class-aggregated LP, whose verdict equals the point-level one (see
+       `build_assignment_lp`) at a fraction of its size, is probed from the
+       boundary upward, and the point-level LP is solved at the radius it
+       finds.  Its own vertex is not spread back over the points: that
+       would be another fractional vertex, and the rounding would then
+       return another assignment.
 
-    When that start already satisfies every row, the solve returns it as is
-    and the fractional assignment is integral.  The rounding then has a
-    single candidate flow, the assignment itself, and returns it after
-    checking its counts against the floor/ceiling windows rather than
-    running the network (see `fairkc.flow`); the result is the same.
+    When the nearest-center start already satisfies every row, the solve
+    returns it as is and the fractional assignment is integral.  The
+    rounding then has a single candidate flow, the assignment itself, and
+    returns it after checking its counts against the floor/ceiling windows
+    rather than running the network (see `fairkc.flow`); the result is the
+    same.
 
     Raises InfeasibleError when even the largest radius fails, i.e. when the
-    global color proportions fall outside the bounds, and NumericFailure when
-    the point-level LP rejects the radius the aggregated one accepted.
+    global color proportions fall outside the bounds.  Raises
+    NumericFailure when the point-level LP rejects the radius the class
+    probes accepted.  The class probes start at the boundary itself, so a
+    class LP that accepts the boundary after the point LP rejected it is
+    caught too.
     """
     S = [int(i) for i in S]
     if not S:
@@ -139,41 +173,27 @@ def assignment_gf(
     # No radius below the covering radius (itself a candidate) assigns every point.
     r_cover = float(dist_S.min(axis=0).max())
     start = int(np.searchsorted(cands, r_cover))
+    last = len(cands) - 1
 
-    def solve(R: float, aggregate: bool):
+    def solve(idx: int, aggregate: bool):
+        R = float(cands[idx])
         lp, pairs = build_assignment_lp(inst, S, R, gfb, aggregate=aggregate)
         return pairs, solve_feasibility(
             lp, start_at_upper=nearest_admissible_start(inst, pairs)
         )
 
-    def feasible(idx: int) -> bool:
-        R = float(cands[idx])
-        if dead_centers_reject(dist_S, inst.colors, R, gfb):
-            return False
-        return solve(R, aggregate=True)[1] is not None
+    def screened_in(idx: int) -> bool:
+        return not dead_centers_reject(dist_S, inst.colors, float(cands[idx]), gfb)
 
-    last = len(cands) - 1
-    lo, hi = start, None
-    step = 1
-    probe = start
-    while True:  # gallop upward to bracket the threshold
-        if feasible(probe):
-            hi = probe
-            break
-        lo = probe + 1
-        if probe == last:
-            raise InfeasibleError("assignment LP infeasible at every radius")
-        probe = min(probe + step, last)
-        step *= 2
-    while lo < hi:  # smallest feasible index in (lo-1, hi]
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid + 1
+    def class_feasible(idx: int) -> bool:
+        return solve(idx, aggregate=True)[1] is not None
 
-    R = float(cands[hi])
-    pairs, x = solve(R, aggregate=False)
+    boundary = idx = _first_true(screened_in, start, last)
+    pairs, x = solve(idx, aggregate=False)
+    if x is None:
+        idx = _first_true(class_feasible, boundary, last)
+        pairs, x = solve(idx, aggregate=False)
+    R = float(cands[idx])
     if x is None:
         raise NumericFailure(
             f"point-level LP infeasible at radius {R}; the aggregated LP is feasible"

@@ -22,6 +22,7 @@ from fairkc.lp import (
     SparseRows,
     _start_clears,
     build_assignment_lp,
+    dead_centers_reject,
     nearest_admissible_start,
     solve_feasibility,
 )
@@ -647,7 +648,39 @@ class TestClassAggregation:
         monkeypatch.setattr(solvers, "solve_feasibility", solve)
         with pytest.raises(NumericFailure):
             assignment_gf(inst, [0, 5, 9], gfb)
-        assert forms[-1] is False and all(forms[:-1])
+        # the point LP at the screen's boundary, the class probes from that
+        # boundary up (here the first accepts), the point LP where they stop
+        assert forms == [False, True, False]
+
+    def test_point_rejection_at_the_boundary_alone_is_numeric_failure(self, monkeypatch):
+        # the point LP fails only at the screen's boundary, which is the true
+        # threshold; the class probes accept it, so the search raises rather
+        # than return a larger radius
+        inst = gen_random(12, 2, 2, [0.5, 0.5], seed=5)
+        gfb = GFBounds(beta=[0.4, 0.4], alpha=[0.6, 0.6])
+        S = [0, 5, 9]
+        _, boundary = assignment_gf(inst, S, gfb)
+        dist_S = inst.dist[S]
+        cands = radii_from_cover(inst, S)
+        passed = [R for R in cands if not dead_centers_reject(dist_S, inst.colors, R, gfb)]
+        assert boundary == passed[0]
+        probes = []
+
+        def build(inst, S, R, gfb, aggregate=False):
+            probes.append((R, aggregate))
+            return build_assignment_lp(inst, S, R, gfb, aggregate=aggregate)
+
+        def solve(lp, start_at_upper=None):
+            R, aggregate = probes[-1]
+            if R == boundary and not aggregate:
+                return None
+            return solve_feasibility(lp, start_at_upper)
+
+        monkeypatch.setattr(solvers, "build_assignment_lp", build)
+        monkeypatch.setattr(solvers, "solve_feasibility", solve)
+        with pytest.raises(NumericFailure):
+            assignment_gf(inst, S, gfb)
+        assert probes == [(boundary, False), (boundary, True), (boundary, False)]
 
 
 def loop_nearest_start(inst, pairs):

@@ -1,14 +1,19 @@
 import itertools
+import math
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_instance, wide_bounds
+from fairkc import solvers
 from fairkc.core import (
     TOL,
     DSBounds,
     ExperimentConfig,
+    FractionalAssignment,
     GFBounds,
     InfeasibleError,
     Instance,
@@ -18,10 +23,12 @@ from fairkc.core import (
     euclidean_distances,
     gf_violation,
 )
+from fairkc.flow import max_flow_gf
 from fairkc.harness import load_instance, run_experiment
 from fairkc.instances import gen_l_community, gen_random
 from fairkc.lp import (
     FEAS_TOL,
+    NumericFailure,
     build_assignment_lp,
     dead_centers_reject,
     nearest_admissible_start,
@@ -30,6 +37,7 @@ from fairkc.lp import (
 from fairkc.solvers import (
     InfeasibleQuota,
     MissingColorInCluster,
+    _first_true,
     alg_ds,
     alg_gf,
     assignment_gf,
@@ -561,3 +569,139 @@ class TestDeadCenterScreen:
             lp, pairs = build_assignment_lp(inst, S, R, gfb, aggregate=True)
             x = solve_feasibility(lp, start_at_upper=nearest_admissible_start(inst, pairs))
             assert (x is None) is infeasible
+
+
+# ---------------------------------------------------------------------------
+# the radius search: screen boundary first, then point and class LP probes
+# ---------------------------------------------------------------------------
+
+
+def class_probe_search(inst, S, gfb):
+    """The radius search with class probes alone, as a reference.
+
+    Gallops and then bisects from the covering radius over probes that the
+    screen lets through and whose class LP is feasible, then solves the
+    point-level LP once at the radius found and rounds it.
+    """
+    S = [int(i) for i in S]
+    if not solvers._global_proportions_ok(inst, gfb):
+        raise InfeasibleError("global color proportions violate the bounds")
+    if len(S) == 1:
+        return float(inst.dist[S[0]].max()), np.full(inst.n, S[0], dtype=int)
+    dist_S = inst.dist[S]
+    cands = np.unique(dist_S)
+    start = int(np.searchsorted(cands, float(dist_S.min(axis=0).max())))
+
+    def solve(R, aggregate):
+        lp, pairs = build_assignment_lp(inst, S, R, gfb, aggregate=aggregate)
+        return pairs, solve_feasibility(
+            lp, start_at_upper=nearest_admissible_start(inst, pairs)
+        )
+
+    def feasible(idx):
+        R = float(cands[idx])
+        if dead_centers_reject(dist_S, inst.colors, R, gfb):
+            return False
+        return solve(R, aggregate=True)[1] is not None
+
+    last = len(cands) - 1
+    lo, probe, step = start, start, 1
+    while not feasible(probe):
+        if probe == last:
+            raise InfeasibleError("assignment LP infeasible at every radius")
+        lo = probe + 1
+        probe = min(probe + step, last)
+        step *= 2
+    hi = probe
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    R = float(cands[hi])
+    pairs, x = solve(R, aggregate=False)
+    if x is None:
+        raise NumericFailure(f"point-level LP infeasible at radius {R}")
+    frac = FractionalAssignment(n=inst.n, pairs=pairs, values=x)
+    return R, max_flow_gf(frac, inst, S)
+
+
+def search_outcome(search, inst, S, gfb):
+    """(R, assignment bytes) of a search, or the class of what it raised."""
+    try:
+        R, assign = search(inst, S, gfb)
+    except (InfeasibleError, NumericFailure) as exc:
+        return type(exc)
+    return R, np.asarray(assign, dtype=np.int64).tobytes()
+
+
+def boundary_first_search(inst, S, gfb):
+    """`assignment_gf` in the reference's (R, assignment) shape."""
+    sol, R = assignment_gf(inst, S, gfb)
+    return R, sol.assign
+
+
+class TestRadiusSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.integers(0, 40), width=st.integers(0, 300), data=st.data())
+    def test_first_true_finds_the_threshold(self, lo, width, data):
+        last = lo + width
+        threshold = data.draw(st.integers(lo, last + 1))  # last + 1: nowhere
+        calls = []
+
+        def ok(i):
+            assert lo <= i <= last
+            calls.append(i)
+            return i >= threshold
+
+        if threshold > last:
+            with pytest.raises(InfeasibleError):
+                _first_true(ok, lo, last)
+        else:
+            assert _first_true(ok, lo, last) == threshold
+        assert len(calls) <= 2 * math.ceil(math.log2(last - lo + 2)) + 1
+
+    def test_threshold_at_the_boundary_is_one_point_solve(self, monkeypatch):
+        # the screen rejects 7 of the 15 radii from the covering one, and the
+        # first radius it lets through is the threshold
+        inst = gen_random(10, 2, 2, [0.7, 0.3], seed=1)
+        gfb = ExperimentConfig(k_values=(3,), delta=0.3).gf_bounds(inst)
+        S = list(gonzalez(inst, 3).centers)
+        assert screened_radii(inst, S, gfb) == 7
+        forms, solves = [], []
+
+        def build(*args, aggregate=False):
+            forms.append(aggregate)
+            return build_assignment_lp(*args, aggregate=aggregate)
+
+        def solve(lp, start_at_upper=None):
+            solves.append(lp)
+            return solve_feasibility(lp, start_at_upper)
+
+        monkeypatch.setattr(solvers, "build_assignment_lp", build)
+        monkeypatch.setattr(solvers, "solve_feasibility", solve)
+        _, R = assignment_gf(inst, S, gfb)
+        assert forms == [False] and len(solves) == 1
+        monkeypatch.undo()
+        assert R == class_probe_search(inst, S, gfb)[0]
+
+    def test_same_outcome_as_class_probe_search(self):
+        # fuzz-small's shapes over a wider range of delta; both searches
+        # must return the same radius and assignment, or raise the same class
+        design, rng = np.random.default_rng(17), np.random.default_rng(29)
+        deltas = (0.0, 0.05, 0.3, 0.6, 0.9, 0.99)
+        cases = 0
+        for i in range(92):
+            m = int(design.integers(2, 5))
+            n = int(design.integers(max(m, 4), 25))
+            k = int(design.integers(2, min(n, 8) + 1))
+            props = design.dirichlet(np.ones(m))
+            inst = gen_random(n, m, 2, props / props.sum(), seed=int(rng.integers(2**31)))
+            cfg = ExperimentConfig(k_values=(k,), delta=deltas[i % 6], theta=0.5)
+            gfb = cfg.gf_bounds(inst)
+            for S in center_sets(inst, cfg, k):
+                got = search_outcome(boundary_first_search, inst, S, gfb)
+                assert got == search_outcome(class_probe_search, inst, S, gfb), (i, S)
+                cases += 1
+        assert cases > 160, cases
