@@ -36,17 +36,57 @@ def row_blocks(n: int):
 def euclidean_distances(pts) -> np.ndarray:
     """n-by-n Euclidean distances between the rows of pts, a block at a time.
 
-    Each block is the broadcast difference formula over its rows, so every
-    entry has the bits of the full n x n x dim product; that product is
-    exactly symmetric (d(i, j) and d(j, i) sum the same squares in the same
-    order) with a zero diagonal.
+    Each entry adds its per-coordinate squared differences in the order in
+    which numpy's `.sum(axis=-1)` adds a contiguous axis, its pairwise sum:
+    below 8 terms in sequence; from 8 to 128 terms in eight running sums
+    (term i into sum i mod 8), combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the leftover terms in sequence; above 128 terms as two halves, the
+    first rounded down to a multiple of 8, each summed the same way.  That
+    order is numpy's, so every entry has the bits of the n x n x dim
+    broadcast formula, while each pass here is one whole-block ufunc call
+    instead of one tiny reduction per entry.  Entry (i, j) and (j, i) add the
+    same squares in the same order, so each block computes the columns from
+    its own first row on and mirrors them below the diagonal: the result is
+    exactly symmetric with a zero diagonal.
     """
-    pts = np.asarray(pts, dtype=float)
-    dist = np.empty((pts.shape[0], pts.shape[0]))
-    for rows in row_blocks(pts.shape[0]):
-        diff = pts[rows, None, :] - pts[None, :, :]
-        dist[rows] = np.sqrt((diff * diff).sum(axis=-1))
+    coords = np.array(np.asarray(pts, dtype=float).T)  # one contiguous row per coordinate
+    n = coords.shape[1]
+    dist = np.empty((n, n))
+    for rows in row_blocks(n):
+
+        def square(c, out):
+            np.copyto(out, coords[c, rows, None])  # then a plain subtract: faster than a broadcast one
+            np.subtract(out, coords[c, rows.start:], out=out)
+            return np.multiply(out, out, out=out)
+
+        upper = dist[rows, rows.start:]
+        np.sqrt(_pairwise_sum(square, 0, coords.shape[0], upper), out=upper)
+        dist[rows.stop:, rows] = dist[rows, rows.stop:].T
     return dist
+
+
+def _pairwise_sum(square, lo, hi, out):
+    """Write square(lo) + ... + square(hi - 1) into out in numpy's pairwise
+    order (see euclidean_distances); square(c, buf) fills and returns buf."""
+    count = hi - lo
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        _pairwise_sum(square, lo, lo + half, out)
+        return np.add(out, _pairwise_sum(square, lo + half, hi, np.empty_like(out)), out=out)
+    if count == 0:
+        out.fill(0.0)
+        return out
+    lanes = 8 if count >= 8 else 1
+    r = [square(lo, out)] + [square(c, np.empty_like(out)) for c in range(lo + 1, lo + lanes)]
+    buf = np.empty_like(out)
+    tail = hi - count % lanes
+    for c in range(lo + lanes, tail):
+        r[(c - lo) % lanes] += square(c, buf)
+    while len(r) > 1:  # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+        r = [np.add(a, b, out=a) for a, b in zip(r[::2], r[1::2])]
+    for c in range(tail, hi):
+        out += square(c, buf)
+    return out
 
 
 def _as_float_matrix(dist) -> np.ndarray:
@@ -80,9 +120,16 @@ class Instance:
             raise ValueError("distances must be nonnegative")
         if np.any(np.abs(np.diagonal(self.dist)) > TOL):
             raise ValueError("distance matrix must have zero diagonal")
+        # Symmetric within TOL, as np.allclose(d, d.T, atol=TOL, rtol=0.0) says.
+        # Exact equality of each block's upper triangle with its mirror implies
+        # that verdict (equal infinities included) and is several times cheaper,
+        # so the allclose pass runs only when some pair differs; a NaN is never
+        # equal, so it always reaches allclose.
+        d = self.dist
         if not all(
-            np.allclose(self.dist[rows], self.dist[:, rows].T, atol=TOL, rtol=0.0)
-            for rows in row_blocks(n)
+            np.array_equal(d[rows, rows.start:], d[rows.start:, rows].T) for rows in row_blocks(n)
+        ) and not all(
+            np.allclose(d[rows], d[:, rows].T, atol=TOL, rtol=0.0) for rows in row_blocks(n)
         ):
             raise ValueError("distance matrix must be symmetric")
         if self.m < 1:

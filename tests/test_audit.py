@@ -2,8 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_instance
+from fairkc import audit
 from fairkc.audit import (
     audit_all,
     min_alpha_nr,
@@ -14,10 +17,12 @@ from fairkc.audit import (
 )
 from fairkc.core import (
     ROW_BLOCK,
+    TOL,
     Instance,
     Solution,
     euclidean_distances,
     nearest_center_assignment,
+    row_blocks,
 )
 from fairkc.instances import gen_l_community, gen_proportional_gadget, gen_random
 from fairkc.solvers import gonzalez
@@ -316,3 +321,107 @@ def test_audits_invariant_under_equidistant_swap():
         assert min_alpha_nr(inst, a, k) == min_alpha_nr(inst, b, k)
         assert min_alpha_proportional(inst, a, k) == min_alpha_proportional(inst, b, k)
     assert socially_fair_cost(inst, a, 1) == socially_fair_cost(inst, b, 1)
+
+
+def reference_min_alpha_nr(inst, sol, k):
+    """min_alpha_nr as it was before its count filter: NR of every point."""
+    t = population_threshold(inst.n, k)
+    nr = np.empty(inst.n)  # NR(j) for every j, a block of rows at a time
+    for rows in row_blocks(inst.n):
+        nr[rows] = np.partition(inst.dist[rows], t - 1, axis=1)[:, t - 1]
+    d = inst.dist[np.arange(inst.n), sol.assign]
+    spread = nr > 0.0
+    ratio = np.where(spread, d / np.where(spread, nr, 1.0), np.where(d == 0.0, 1.0, INF))
+    return float(ratio.max())
+
+
+def reference_min_alpha_proportional(inst, sol, k):
+    """min_alpha_proportional as it was before its count filter."""
+    t = population_threshold(inst.n, k)
+    dphi = inst.dist[np.arange(inst.n), sol.assign]
+    at_zero = np.where(dphi > 0.0, INF, 1.0)  # the ratio where d(i, y) = 0
+    worst = 0.0
+    for rows in row_blocks(inst.n):
+        dy = inst.dist[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = dphi / dy  # entries with dy <= 0 are overwritten next
+        np.copyto(ratios, at_zero, where=dy <= 0.0)
+        live = ratios[np.count_nonzero(ratios > worst, axis=1) >= t]  # a copy
+        if live.shape[0]:
+            live.partition(inst.n - t, axis=1)
+            worst = max(worst, float(live[:, inst.n - t].max()))
+        if worst == INF:
+            return INF
+    return worst
+
+
+def test_count_filtered_audits_equal_the_unfiltered_ones():
+    # grid points coincide, so both x/0 -> inf and 0/0 -> 1 occur
+    rng = np.random.default_rng(18)
+    seen = {"below 1": 0, "finite above 1": 0, "infinite": 0}
+    for case in range(1500):
+        n = int(rng.integers(1, 301)) if case % 10 == 0 else int(rng.integers(1, 41))
+        pts = rng.integers(0, int(rng.integers(2, 8)), size=(n, int(rng.integers(1, 4))))
+        dist = euclidean_distances(pts)
+        if case % 4 == 1:  # zeros a little below zero, as a matrix file may hold them
+            dist[dist == 0.0] = -TOL / 2
+        m = min(n, 2)
+        inst = Instance(dist=dist, colors=np.arange(n) % m, m=m)
+        centers = int(rng.integers(1, n + 1))
+        if case % 2:
+            sol = gonzalez(inst, centers)
+        else:
+            chosen = rng.choice(n, size=centers, replace=False)
+            sol = Solution(centers=chosen, assign=chosen[rng.integers(centers, size=n)])
+        for k in {1, int(rng.integers(1, n + 1)), n}:
+            for audit, reference in ((min_alpha_nr, reference_min_alpha_nr),
+                                     (min_alpha_proportional, reference_min_alpha_proportional)):
+                got = audit(inst, sol, k)
+                assert repr(got) == repr(reference(inst, sol, k)), (case, audit.__name__, k)
+                seen["below 1" if got < 1 else "infinite" if got == INF else "finite above 1"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize("size", [9, 11])
+@pytest.mark.parametrize(
+    "audit", [min_alpha_nr, socially_fair_cost, min_alpha_proportional, audit_all]
+)
+def test_wrong_size_solution_is_a_value_error(audit, size):
+    inst = gen_random(10, 2, 2, [0.5, 0.5], seed=3)
+    sol = Solution(centers=(0,), assign=np.zeros(size, dtype=int))
+    with pytest.raises(ValueError, match=f"solution assigns {size} points, instance has 10"):
+        audit(inst, sol, 2)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    num=st.floats(min_value=-TOL, allow_nan=False),
+    worst=st.floats(min_value=-1.0, allow_nan=False),
+    e=st.floats(min_value=-TOL, allow_nan=False),
+    ulps=st.one_of(st.none(), st.integers(-2, 2)),
+)
+def test_count_filter_keeps_every_entry_that_can_raise_the_maximum(num, worst, e, ulps):
+    # an entry e of a row, against an assignment distance num: the filter must
+    # count it wherever its ratio beats worst or is NaN (which np.max keeps)
+    if ulps is not None and 0.0 < worst < INF and num / worst < INF:
+        e = np.float64(num / worst)  # the rounding boundary, and a few floats either side
+        for _ in range(abs(ulps)):
+            e = np.nextafter(e, np.sign(ulps) * INF)
+    counted = audit._rows_to_check(
+        np.array([[e]]), np.array([num]), worst, 1, np.empty((1, 1), dtype=bool)
+    ).size == 1
+    for at_zero in (INF if num > 0.0 else 1.0, INF if num != 0.0 else 1.0):  # as in both audits
+        with np.errstate(all="ignore"):
+            ratio = num / e if e > 0.0 else at_zero
+        if ratio > worst or np.isnan(ratio):
+            assert counted, (num, worst, e, ratio)
+
+
+def test_ratios_past_the_float_range_are_infinite():
+    # 1 / 1e-310 overflows; the audits report inf without a RuntimeWarning
+    d = np.array([[0.0, 1e-310, 1.0], [1e-310, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    inst = Instance(dist=d, colors=[0, 1, 0], m=2)
+    sol = Solution(centers=(2,), assign=[2, 2, 2])
+    assert min_alpha_nr(inst, sol, 2) == INF
+    assert min_alpha_proportional(inst, sol, 2) == INF
+    assert min_alpha_nr(inst, sol, 1) == 1.0

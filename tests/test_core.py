@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import from_entries
 from fairkc.core import (
@@ -70,6 +72,33 @@ class TestInstanceValidation:
         else:
             with pytest.raises(ValueError, match="symmetric"):
                 Instance(dist=d, colors=colors, m=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        change=st.sampled_from(
+            ["+0", "+tol/2", "-tol/2", "+2tol", "-2tol", "nan", "inf", "-inf", "-0.0"]
+        ),
+    )
+    def test_symmetry_verdict_is_allclose_for_any_one_entry(self, n, seed, change):
+        # an exactly symmetric base with zeros and infinities, then one entry changed
+        rng = np.random.default_rng(seed)
+        d = np.triu(rng.choice([0.0, 0.5, 1.0, 3.25, np.inf], size=(n, n)), 1)
+        d = d + d.T
+        if n > 1:
+            i, j = rng.choice(n, size=2, replace=False)
+            shift = {"+0": 0.0, "+tol/2": TOL / 2, "-tol/2": -TOL / 2,
+                     "+2tol": 2 * TOL, "-2tol": -2 * TOL}
+            d[i, j] = d[i, j] + shift[change] if change in shift else float(change)
+        ok = np.allclose(d, d.T, atol=TOL, rtol=0.0)
+        colors = np.arange(n) % 2 if n > 1 else np.zeros(1, dtype=int)
+        try:
+            Instance(dist=d, colors=colors, m=min(n, 2))
+        except ValueError:
+            assert not ok
+        else:
+            assert ok
 
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(ValueError):

@@ -101,10 +101,18 @@ class TestEuclideanDistances:
     @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
     def test_bytes_equal_the_broadcast_formula(self, n):
         rng = np.random.default_rng(n)
-        for dim in range(1, 7):
+        for dim in range(0, 21):
             for pts in (rng.random((n, dim)), rng.normal(scale=1e3, size=(n, dim))):
                 got = euclidean_distances(pts)
                 assert got.tobytes() == broadcast_distances(pts).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 129])
+    @pytest.mark.parametrize("dim", [64, 127, 128, 129, 130, 200, 300])
+    def test_bytes_equal_the_broadcast_formula_in_many_dimensions(self, n, dim):
+        # past 128 terms numpy's pairwise sum splits the squares in two halves
+        rng = np.random.default_rng(dim)
+        for pts in (rng.random((n, dim)), rng.normal(scale=1e3, size=(n, dim))):
+            assert euclidean_distances(pts).tobytes() == broadcast_distances(pts).tobytes()
 
     def test_adult_mini_distances_are_pinned(self):
         inst = load_instance(str(resources.files("fairkc") / "data" / "adult_mini.csv"))
