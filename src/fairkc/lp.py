@@ -26,21 +26,48 @@ that pass a good starting corner (e.g. nearest-center assignments) pay for
 few pivots, and a corner that violates no row by more than PIV_TOL is
 returned as it is, without building the tableau or a second residual check.
 
-A column's state is one number, `way`: +1 at its lower bound, -1 at its
-upper one, 0 while basic.  A nonbasic column moves by way * t, so it may
-enter where way * d < -PIV_TOL, d its reduced cost.  One ratio test bounds
-each basic value by the bound its step heads for.  Among the basic columns
-that block within 1e-12 of the step, and the entering one if its own bound
-does, the lowest index leaves; the entering one leaving is a bound flip.
+Columns have ids: the structural ones, one slack per row, then one
+artificial per violated row.  A column's state is one number, `way`: +1 at
+its lower bound, -1 at its upper one, 0 while basic.  A nonbasic column
+moves by way * t, so it may enter where way * d < -PIV_TOL, d its reduced
+cost.  One ratio test bounds each basic value by the bound its step heads
+for.  Among the basic columns that block within 1e-12 of the step, and the
+entering one if its own bound does, the lowest id leaves; the entering one
+leaving is a bound flip.
+
+The tableau `T` stores only the columns that can enter: the structural
+ones, at positions 0..n-1, then the slacks of the '<=' rows; `cid` maps a
+stored column to its id.  An '=' row's slack is fixed at 0, and an
+artificial starts basic and never enters again once it leaves, so no pivot
+enters either kind.  A pivot reads the entering column, the pivot row and
+their own entries of the reduced costs; a column that never enters feeds
+only its own entries, so it is write-only, and dropping it changes no other
+bit.  `T[:m, :n]` is then the dense A, and the seed is `b - T[:m, :n] @ x0`,
+taken before the slacks are written.  Row m of T holds the reduced costs:
+their update `d -= d[j] * rowvals` is the product and subtraction that each
+tableau row gets, and d[j] is nonzero for an entering column, so one
+rank-one update pivots both with the same bits.
+
+Pricing is one product and one reduction.  `dirn` is `way` where a column
+may move (its box is wider than PIV_TOL) and 0 elsewhere, so `dirn * d` is
+-|d| at each candidate and at least -PIV_TOL, or NaN, elsewhere.  Its first
+minimum is the steepest candidate, the lowest id among equals, and Bland's
+rule takes its first entry below -PIV_TOL; a NaN minimum falls back to the
+largest |d| among the candidates.  Per-row arrays hold what the ratio test
+and the objective read: `blo` and `bhi` the bounds of each row's basic
+column, and `art` the rows whose basic column is artificial, so the phase-1
+objective sums the values a sum over the basic artificials would, in the
+same order.
 
 Each pivot's rank-one update touches only the rows with a nonzero in the
-entering column.  That is exact: a skipped row would have had a signed zero
-subtracted from each entry, which can flip the sign of a zero and nothing
-else, and every read of the tableau compares with PIV_TOL or takes an abs.
-Flipped zeros can reach the basic values only as ±0 steps, which again can
-flip nothing but a zero's sign, and no pivot decision sees that sign.  So
-the pivot path is the dense update's, and so is the vertex, byte for byte
-unless a lower bound is given as -0.0, which the builder never writes.
+entering column, the cost row always among them.  That is exact: a skipped
+row would have had a signed zero subtracted from each entry, which can flip
+the sign of a zero and nothing else, and every read of the tableau compares
+with PIV_TOL or takes an abs.  Flipped zeros can reach the basic values only
+as ±0 steps, which again can flip nothing but a zero's sign, and no pivot
+decision sees that sign.  So the pivot path is the dense update's, and so
+is the vertex, byte for byte unless a lower bound is given as -0.0, which
+the builder never writes.
 
 The fair-assignment LP (Bera et al. 2019) can be built per point or per
 class of points.  At radius R, points of one color that admit the same
@@ -65,6 +92,7 @@ without building an LP, and tries the point LP there first.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -213,10 +241,15 @@ def _start_clears(A, b, is_eq, x0):
     rest of err = (k + 2) eps (sum |t_i| + |b|), t_i the computed terms,
     covers higher orders and the rounding of err and of the comparisons, as
     a residual near PIV_TOL needs sum |t_i| + |b| of about PIV_TOL.
+
+    A row the per-term residual itself breaks by more than PIV_TOL is broken
+    within any err >= 0, so such a start is turned down before err is built.
     """
     rows = A.term_rows
     terms = A.data * x0[A.indices]
     resid = b - np.bincount(rows, terms, minlength=len(A))
+    if np.where(is_eq, np.abs(resid) > PIV_TOL, resid < -PIV_TOL).any():
+        return False
     size = np.bincount(rows, np.abs(terms), minlength=len(A)) + np.abs(b)
     err = (np.diff(A.indptr) + 2) * np.finfo(float).eps * size
     broken = np.where(is_eq, np.abs(resid) > PIV_TOL - err, resid < -PIV_TOL + err)
@@ -246,100 +279,113 @@ def solve_feasibility(
     x0[up] = hi[up]
     if _start_clears(A, b, is_eq, x0):
         return x0  # phase 1 would stop at once, and FEAS_TOL holds
+
+    # Column ids: structural | one slack per row | artificials for violated
+    # rows.  T stores the columns that can enter, structural | slacks of the
+    # '<=' rows, and the reduced costs as row m (see module).
+    slack_rows = np.flatnonzero(~is_eq)
+    cid = np.concatenate([np.arange(n), n + slack_rows])  # id of each stored column
+    T = np.zeros((m + 1, cid.size))
+    T[A.term_rows, A.indices] = A.data
     # Slack values if the slacks were basic.  They seed T, so they take the
-    # dense product's bits (see module); the dense matrix is gone before T.
-    resid = b - A.toarray() @ x0
+    # dense product's bits (see module).
+    resid = b - T[:m, :n] @ x0
     violated = np.where(is_eq, np.abs(resid) > PIV_TOL, resid < -PIV_TOL)
     art_rows = np.flatnonzero(violated)
     n_art = art_rows.size
     if n_art == 0:
         return x0
 
-    # Columns: structural | one slack per row | artificials for violated rows.
-    ncols = n + m + n_art
-    T = np.zeros((m, ncols))
-    T[A.term_rows, A.indices] = A.data
-    T[:, n : n + m] = np.eye(m)
+    T[slack_rows, n + np.arange(slack_rows.size)] = 1.0
     # An artificial row is multiplied by the sign of its residual, so its
     # basis column becomes +1 and B^{-1} stays diagonal.
     T[art_rows] *= np.sign(resid[art_rows])[:, None]
-    T[art_rows, n + m + np.arange(n_art)] = 1.0
+    cost = T[m]  # phase-1 reduced costs: the cost is 1 on artificials only
+    for r in art_rows:
+        cost -= T[r]
 
-    col_lo = np.concatenate([lo, np.zeros(m + n_art)])
-    col_hi = np.concatenate([hi, np.where(is_eq, 0.0, np.inf), np.full(n_art, np.inf)])
+    col_lo = np.concatenate([lo, np.zeros(slack_rows.size)])
+    col_hi = np.concatenate([hi, np.full(slack_rows.size, np.inf)])
+    nid = n + m + n_art  # above every column id
+    spos = np.full(nid, -1)  # stored column of each id, -1 if it is not stored
+    spos[cid] = np.arange(cid.size)
 
     basis = np.arange(n, n + m)
     basis[art_rows] = n + m + np.arange(n_art)  # violated slacks park at zero
+    art = violated.copy()  # rows whose basic column is artificial
+    blo = np.zeros(m)  # bounds of each row's basic column
+    bhi = np.where(is_eq & ~violated, 0.0, np.inf)
     xb = np.where(violated, np.abs(resid), resid)
-    way = np.ones(ncols)  # see module: +1 at lo, -1 at hi, 0 basic
+    way = np.ones(cid.size)  # see module: +1 at lo, -1 at hi, 0 basic
     way[up] = -1.0
-    way[basis] = 0.0
-
-    # Fixed vars never enter, nor does an artificial once it has left.
-    movable = col_hi - col_lo > PIV_TOL
-
-    # Phase-1 reduced costs: cost 1 on artificials, 0 elsewhere.
-    dvec = (np.arange(ncols) >= n + m).astype(float)
-    for r in art_rows:
-        dvec -= T[r, :]
+    way[n:][~violated[slack_rows]] = 0.0  # basic slacks
+    # way where a column may move, else 0; fixed columns never enter
+    dirn = np.where(col_hi - col_lo > PIV_TOL, way, 0.0)
 
     def extract():
-        x = np.where(way < 0, col_hi, col_lo)
-        x[basis] = xb
-        return _verified(A, b, is_eq, np.clip(x[:n], lo, hi))
+        x = np.where(way[:n] < 0, hi, lo)
+        structural = basis < n
+        x[basis[structural]] = xb[structural]
+        return _verified(A, b, is_eq, np.clip(x, lo, hi))
 
     cap = 50 * (n + m)
     stalled = 0  # consecutive degenerate pivots; large runs trip Bland's rule
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(cap):
-            obj = float(xb[basis >= n + m].sum())
+            obj = float(xb[art].sum())
             if obj <= PIV_TOL:
                 return extract()
 
-            cand = movable & (way * dvec < -PIV_TOL)
-            if not cand.any():
-                return None if obj > FEAS_TOL else extract()
+            score = dirn * cost  # -|d| where a column may enter, else >= -PIV_TOL or NaN
             if stalled > 40:
-                j = int(cand.argmax())  # Bland: lowest improving index
+                c = int((score < -PIV_TOL).argmax())  # Bland: lowest improving index
             else:
-                j = int(np.where(cand, np.abs(dvec), 0.0).argmax())  # steepest, first on ties
+                c = int(score.argmin())  # steepest, first on ties
+                if math.isnan(score[c]):
+                    c = int(np.where(score < -PIV_TOL, np.abs(cost), 0.0).argmax())
+            if not score[c] < -PIV_TOL:
+                return None if obj > FEAS_TOL else extract()
+            j, w = int(cid[c]), way[c]
 
-            eff = -way[j] * T[:, j]  # basic change per unit step
-            bound = np.where(eff > 0, col_hi[basis], col_lo[basis])
+            eff = T[:m, c] * -w  # basic change per unit step
+            bound = np.where(eff > 0, bhi, blo)
             limits = np.where(np.abs(eff) > PIV_TOL, (bound - xb) / eff, np.inf)
             np.maximum(limits, 0.0, out=limits)
-            t_flip = col_hi[j] - col_lo[j]
-            t_star = min(float(limits.min()), t_flip)
-            if not np.isfinite(t_star):
+            t_flip = col_hi[c] - col_lo[c]
+            t_star = min(float(np.minimum.reduce(limits)), t_flip)
+            if not math.isfinite(t_star):
                 raise NumericFailure("unbounded ray in phase 1")
 
             stalled = 0 if t_star > 1e-12 else stalled + 1
 
             reach = t_star + 1e-12
-            leave = np.where(limits <= reach, basis, ncols)  # blocking basics
+            leave = np.where(limits <= reach, basis, nid)  # blocking basics
             r = int(leave.argmin())
             xb += eff * t_star
-            if leave[r] >= (j if t_flip <= reach else ncols):
-                way[j] = -way[j]  # j reaches its other bound first
+            if leave[r] >= (j if t_flip <= reach else nid):
+                way[c] = dirn[c] = -w  # c reaches its other bound first
                 continue
 
-            piv = T[r, j]
+            piv = T[r, c]
             if abs(piv) <= PIV_TOL:
                 raise NumericFailure("numerically singular pivot")
-            enter_val = (col_lo[j] + t_star) if way[j] > 0 else (col_hi[j] - t_star)
-            out = basis[r]
-            way[out] = -1.0 if eff[r] > 0 else 1.0
-            if out >= n + m:
-                movable[out] = False
-            # Rank-one update of the rows with a nonzero in column j only; the
-            # rest would lose a signed zero, which no read of T can tell apart.
-            rowvals = T[r, :] / piv
-            rows = T[:, j].nonzero()[0]
-            T[rows] -= np.outer(T[rows, j], rowvals)
-            T[r, :] = rowvals
-            dvec -= dvec[j] * rowvals
+            enter_val = (col_lo[c] + t_star) if w > 0 else (col_hi[c] - t_star)
+            out = spos[basis[r]]
+            if out >= 0:  # stored, and movable: a fixed column is never basic
+                way[out] = dirn[out] = -1.0 if eff[r] > 0 else 1.0
+            # Rank-one update of the rows with a nonzero in column c only, the
+            # cost row among them; the rest would lose a signed zero, which no
+            # read of T can tell apart.
+            rowvals = T[r] / piv
+            rows = T[:, c].nonzero()[0]
+            sub = T[rows]
+            sub -= np.multiply.outer(sub[:, c], rowvals)
+            T[rows] = sub
+            T[r] = rowvals
             basis[r] = j
-            way[j] = 0.0
+            blo[r], bhi[r] = col_lo[c], col_hi[c]
+            art[r] = False
+            way[c] = dirn[c] = 0.0
             xb[r] = enter_val
 
     raise NumericFailure(f"iteration cap {cap} exceeded")
@@ -381,6 +427,24 @@ def dead_centers_reject(
     return not adm[live].any(axis=0).all()
 
 
+def group_classes(colors: np.ndarray, adm: np.ndarray):
+    """The points of one color that admit the same centers, as (reps, size).
+
+    adm[t, j] says whether center t admits point j.  A class is listed by its
+    first member, in increasing order, with its number of points.  A stable
+    sort by packed admissibility row and color puts each class in one run,
+    led by its first member.
+    """
+    key = np.vstack([np.packbits(adm, axis=0), colors])
+    order = np.lexsort(key)
+    key = key[:, order]
+    starts = np.flatnonzero(np.r_[True, (key[:, 1:] != key[:, :-1]).any(axis=0)])
+    size = np.diff(np.r_[starts, len(colors)])
+    reps = order[starts]
+    by_first = np.argsort(reps)
+    return reps[by_first], size[by_first]
+
+
 def build_assignment_lp(
     inst: Instance,
     S: Sequence[int],
@@ -417,10 +481,7 @@ def build_assignment_lp(
     if empty.size:
         raise EmptyRow(f"point {int(empty[0])} has no center within radius {R}")
     if aggregate:
-        key = np.vstack([inst.colors, np.packbits(adm, axis=0)]).T
-        _, first, size = np.unique(key, axis=0, return_index=True, return_counts=True)
-        order = np.argsort(first)
-        reps, size = first[order], size[order]
+        reps, size = group_classes(inst.colors, adm)
     else:
         reps, size = np.arange(inst.n), np.ones(inst.n, dtype=int)
     adm = adm[:, reps]

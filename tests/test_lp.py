@@ -15,14 +15,17 @@ from fairkc.harness import load_instance
 from fairkc.instances import gen_l_community, gen_random
 from fairkc import solvers
 from fairkc.lp import (
+    FEAS_TOL,
     PIV_TOL,
     EmptyRow,
     LinearProgram,
     NumericFailure,
     SparseRows,
     _start_clears,
+    _verified,
     build_assignment_lp,
     dead_centers_reject,
+    group_classes,
     nearest_admissible_start,
     solve_feasibility,
 )
@@ -578,6 +581,21 @@ class TestClassAggregation:
         assert lp.rhs[-4:].tolist() == [1.0] * 4 and lp.is_eq[-4:].all()
         assert verdict(inst, [0, 3], 0.0, gfb, aggregate=True)
 
+    def test_groups_match_unique_grouping(self):
+        """`group_classes` against `np.unique` over (color, packed mask) rows."""
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            k, n, m = int(rng.integers(1, 21)), int(rng.integers(1, 300)), int(rng.integers(1, 5))
+            adm = rng.random((k, n)) < rng.random()
+            adm[:, rng.random(n) < 0.5] = adm[:, :1]  # repeated masks form classes
+            colors = rng.integers(0, m, size=n)
+            key = np.vstack([colors, np.packbits(adm, axis=0)]).T
+            _, first, size = np.unique(key, axis=0, return_index=True, return_counts=True)
+            order = np.argsort(first)
+            reps, sizes = group_classes(colors, adm)
+            assert reps.tolist() == first[order].tolist()
+            assert sizes.tolist() == size[order].tolist()
+
     def test_solutions_map_both_ways(self, rng):
         # averaging over a class and spreading back preserve feasibility
         for _ in range(10):
@@ -824,6 +842,175 @@ def test_pinned_vertices():
         verdicts.add(x is None)
     assert verdicts == {True, False}
     assert digest.hexdigest() == PINNED_VERTICES
+
+
+# ---------------------------------------------------------------------------
+# the simplex loop against a frozen reference
+# ---------------------------------------------------------------------------
+
+# The loop as it was before the tableau kept only enterable columns and the
+# cost row, and before the start screen's early exit: a dense tableau over
+# structural | slack | artificial columns and a separate reduced-cost vector.
+# The solver must reach the same verdict and vertex bytes on every program.
+
+
+def reference_start_clears(A, b, is_eq, x0):
+    """`_start_clears` without its early exit."""
+    rows = A.term_rows
+    terms = A.data * x0[A.indices]
+    resid = b - np.bincount(rows, terms, minlength=len(A))
+    size = np.bincount(rows, np.abs(terms), minlength=len(A)) + np.abs(b)
+    err = (np.diff(A.indptr) + 2) * np.finfo(float).eps * size
+    broken = np.where(is_eq, np.abs(resid) > PIV_TOL - err, resid < -PIV_TOL + err)
+    return not broken.any()
+
+
+def reference_solve(lp, start_at_upper=None):
+    """`solve_feasibility` with every column stored and the costs apart."""
+    A, b, is_eq = lp.constraints, lp.rhs, lp.is_eq
+    m, n = A.shape
+    lo, hi = lp.var_bounds.T
+    given = () if start_at_upper is None else start_at_upper
+    up = np.unique(np.fromiter(given, dtype=np.intp))
+    x0 = lo.copy()
+    x0[up] = hi[up]
+    if reference_start_clears(A, b, is_eq, x0):
+        return x0
+    resid = b - A.toarray() @ x0
+    violated = np.where(is_eq, np.abs(resid) > PIV_TOL, resid < -PIV_TOL)
+    art_rows = np.flatnonzero(violated)
+    n_art = art_rows.size
+    if n_art == 0:
+        return x0
+    ncols = n + m + n_art
+    T = np.zeros((m, ncols))
+    T[A.term_rows, A.indices] = A.data
+    T[:, n : n + m] = np.eye(m)
+    T[art_rows] *= np.sign(resid[art_rows])[:, None]
+    T[art_rows, n + m + np.arange(n_art)] = 1.0
+    col_lo = np.concatenate([lo, np.zeros(m + n_art)])
+    col_hi = np.concatenate([hi, np.where(is_eq, 0.0, np.inf), np.full(n_art, np.inf)])
+    basis = np.arange(n, n + m)
+    basis[art_rows] = n + m + np.arange(n_art)
+    xb = np.where(violated, np.abs(resid), resid)
+    way = np.ones(ncols)
+    way[up] = -1.0
+    way[basis] = 0.0
+    movable = col_hi - col_lo > PIV_TOL
+    dvec = (np.arange(ncols) >= n + m).astype(float)
+    for r in art_rows:
+        dvec -= T[r, :]
+
+    def extract():
+        x = np.where(way < 0, col_hi, col_lo)
+        x[basis] = xb
+        return _verified(A, b, is_eq, np.clip(x[:n], lo, hi))
+
+    cap = 50 * (n + m)
+    stalled = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(cap):
+            obj = float(xb[basis >= n + m].sum())
+            if obj <= PIV_TOL:
+                return extract()
+            cand = movable & (way * dvec < -PIV_TOL)
+            if not cand.any():
+                return None if obj > FEAS_TOL else extract()
+            if stalled > 40:
+                j = int(cand.argmax())
+            else:
+                j = int(np.where(cand, np.abs(dvec), 0.0).argmax())
+            eff = -way[j] * T[:, j]
+            bound = np.where(eff > 0, col_hi[basis], col_lo[basis])
+            limits = np.where(np.abs(eff) > PIV_TOL, (bound - xb) / eff, np.inf)
+            np.maximum(limits, 0.0, out=limits)
+            t_flip = col_hi[j] - col_lo[j]
+            t_star = min(float(limits.min()), t_flip)
+            if not np.isfinite(t_star):
+                raise NumericFailure("unbounded ray in phase 1")
+            stalled = 0 if t_star > 1e-12 else stalled + 1
+            reach = t_star + 1e-12
+            leave = np.where(limits <= reach, basis, ncols)
+            r = int(leave.argmin())
+            xb += eff * t_star
+            if leave[r] >= (j if t_flip <= reach else ncols):
+                way[j] = -way[j]
+                continue
+            piv = T[r, j]
+            if abs(piv) <= PIV_TOL:
+                raise NumericFailure("numerically singular pivot")
+            enter_val = (col_lo[j] + t_star) if way[j] > 0 else (col_hi[j] - t_star)
+            out = basis[r]
+            way[out] = -1.0 if eff[r] > 0 else 1.0
+            if out >= n + m:
+                movable[out] = False
+            rowvals = T[r, :] / piv
+            rows = T[:, j].nonzero()[0]
+            T[rows] -= np.outer(T[rows, j], rowvals)
+            T[r, :] = rowvals
+            dvec -= dvec[j] * rowvals
+            basis[r] = j
+            way[j] = 0.0
+            xb[r] = enter_val
+    raise NumericFailure(f"iteration cap {cap} exceeded")
+
+
+def bounded_lp(rng):
+    """Random rows over columns of mixed boxes, where the pins have only [0, 1].
+
+    Columns are [0, 1], fixed at 0, at 1 or in between, narrower than PIV_TOL,
+    or a random [lo, hi].  About a quarter of the rows are equalities, and
+    most rows hold at a random point of the boxes.
+    """
+    nv, nc = (int(v) for v in rng.integers(1, 8, size=2))
+    kind = rng.integers(0, 6, size=nv)
+    lo = rng.random(nv)
+    hi = lo.copy()
+    lo[kind == 0], hi[kind == 0] = 0.0, 1.0
+    lo[kind == 1] = hi[kind == 1] = 0.0
+    lo[kind == 2] = hi[kind == 2] = 1.0
+    thin = kind == 4
+    hi[thin] = np.minimum(1.0, lo[thin] + PIV_TOL * rng.random(thin.sum()))
+    lo[thin] = np.maximum(0.0, hi[thin] - PIV_TOL * rng.random(thin.sum()))
+    span = kind == 5
+    ends = np.sort(rng.random((span.sum(), 2)), axis=1)
+    lo[span], hi[span] = ends.T
+    shape = (nc, nv)
+    coef = rng.integers(-4, 5, size=shape) / rng.choice([1, 2, 3], size=shape)
+    A = np.where(rng.random(shape) < 0.6, coef, 0.0)
+    is_eq = rng.random(nc) < 0.25
+    at = A @ (lo + (hi - lo) * rng.random(nv)) + np.where(is_eq, 0.0, 0.3 * rng.random(nc))
+    b = np.where(rng.random(nc) < 0.6, at, rng.integers(-3, 4, size=nc) / 2.0)
+    return LinearProgram(SparseRows.from_dense(A), b, is_eq, np.column_stack([lo, hi]))
+
+
+def solve_outcome(solve, lp, start):
+    """Vertex bytes, None when infeasible, or the NumericFailure's message."""
+    try:
+        x = solve(lp, start_at_upper=start)
+    except NumericFailure as err:
+        return str(err)
+    return None if x is None else x.tobytes()
+
+
+def test_same_vertices_as_the_reference_loop():
+    rng = np.random.default_rng(20261019)
+    programs = []
+    for _ in range(1500):
+        lp = bounded_lp(rng)
+        programs += [(lp, None), (lp, np.flatnonzero(rng.random(lp.num_vars) < 0.5))]
+    programs += assignment_programs(rng, 12, (4, 25), (0.0, 0.05, 0.3))
+    outcomes, pivoted_fixed = set(), 0
+    for lp, start in programs:
+        got = solve_outcome(solve_feasibility, lp, start)
+        assert got == solve_outcome(reference_solve, lp, start)
+        outcomes.add(type(got))
+        lo, hi = lp.var_bounds.T
+        x0 = start_corner(lp, start)
+        if (hi - lo <= PIV_TOL).any() and not _start_clears(lp.constraints, lp.rhs, lp.is_eq, x0):
+            pivoted_fixed += 1
+    assert outcomes == {bytes, type(None)}
+    assert pivoted_fixed > 500  # tableaus with fixed columns, where the pins have none
 
 
 # ---------------------------------------------------------------------------
