@@ -396,25 +396,21 @@ def cost(inst: Instance, sol: Solution) -> float:
     return float(np.max(inst.dist[np.arange(inst.n), sol.assign]))
 
 
-def _cluster_color_counts(inst: Instance, sol: Solution):
-    """Yield (center, cluster size, per-color counts) over active centers."""
-    for c in sol.active_centers():
-        members = sol.cluster_of(c)
-        counts = np.bincount(inst.colors[members], minlength=inst.m)
-        yield c, members.size, counts
-
-
 def gf_violation(inst: Instance, gfb: GFBounds, sol: Solution) -> float:
     """Smallest rho such that beta_h|C_i|-rho <= |C_i^h| <= alpha_h|C_i|+rho.
 
     Empty clusters contribute nothing.  Values within 1e-9 of zero collapse
     to exactly zero so that exact satisfaction reports rho = 0.
     """
-    rho = 0.0
-    for _, size, counts in _cluster_color_counts(inst, sol):
-        under = np.max(gfb.beta * size - counts)
-        over = np.max(counts - gfb.alpha * size)
-        rho = max(rho, under, over)
+    # counts[c, h]: points of color h assigned to point c; rows of zeros
+    # unless c is an active center
+    counts = np.bincount(sol.assign * inst.m + inst.colors, minlength=inst.n * inst.m)
+    counts = counts.reshape(inst.n, inst.m)
+    counts = counts[counts.any(axis=1)]  # the clusters of the active centers
+    size = counts.sum(axis=1, keepdims=True)
+    under = np.max(gfb.beta * size - counts, initial=0.0)
+    over = np.max(counts - gfb.alpha * size, initial=0.0)
+    rho = max(under, over)
     return 0.0 if rho <= TOL else float(rho)
 
 

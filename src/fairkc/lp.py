@@ -69,25 +69,35 @@ decision sees that sign.  So the pivot path is the dense update's, and so
 is the vertex, byte for byte unless a lower bound is given as -0.0, which
 the builder never writes.
 
+The loop runs in `_phase1`, a generator that yields each time phase 1
+stops.  `solve_feasibility` takes its first stop.  `first_feasible_step`
+walks one tableau upward instead: some structural columns start frozen,
+with `dirn` 0 at their lower bound, and each time phase 1 stops above
+FEAS_TOL the next step's columns are admitted and pivoting goes on.  With a
+zero lower bound a frozen column is the same as an absent one.  It is
+stored in T like any other, so every pivot keeps its reduced cost current.
+Admitting columns changes no basic value and no row, so the basis is still
+a phase-1 start, and going on from it reaches the phase-1 optimum of the larger
+program, as a fresh solve would in exact arithmetic.  The radius search
+walks the point LP this way: the LP built at a larger radius holds the
+pairs of every smaller one, and every center admits itself, so it has the
+same rows at every radius from the covering one up.
+
 The fair-assignment LP (Bera et al. 2019) can be built per point or per
 class of points.  At radius R, points of one color that admit the same
 centers are interchangeable (the type-grouping of Harb & Lam's KFC): any
 point-level solution averages over each class to a class-level one, and a
 class-level one spreads evenly back over its members.  So both forms have
-the same feasibility verdict at every R.  The class form has a few dozen
-classes where the point form has hundreds of points, so the radius search
-probes it when the point LP fails at the first radius it tries.  Its vertex
-differs from the point-level one, though, so the fractional assignment
-handed to the rounding always comes from a point-level solve at the radius
-found.
+the same feasibility verdict at every R, and the class form serves the
+tests as a reference for the radius search.
 
 Most radii a search probes below its threshold fail for a plain reason: a
 center that admits no point of some color can carry almost no mass, and
 some point admits only such dead centers.  `dead_centers_reject` checks this
-on the admissibility mask, the one `admissible` gives the builder too, and
-rejects only radii whose LP the solver rejects.  Its verdict is monotone
-in R, so the radius search finds the smallest radius it lets through
-without building an LP, and tries the point LP there first.
+and rejects only radii whose LP the solver rejects.  Its verdict is
+monotone in R, and `dead_center_radius` gives in closed form the smallest R
+it lets through, so the radius search tries the point LP there first
+without building an LP to find it.
 """
 
 from __future__ import annotations
@@ -267,18 +277,70 @@ def solve_feasibility(
     repeated index matters.  An index outside [0, vars) is a ValueError.
     Deterministic for fixed input.
     """
+    x0, up = _start_corner(lp, start_at_upper)
     A, b, is_eq = lp.constraints, lp.rhs, lp.is_eq
-    m, n = A.shape
+    if _start_clears(A, b, is_eq, x0):
+        return x0  # phase 1 would stop at once, and FEAS_TOL holds
+    x = next(_phase1(lp, x0, up, np.zeros(lp.num_vars, dtype=bool)))
+    return None if x is None else _verified(A, b, is_eq, x)
+
+
+def first_feasible_step(
+    lp: LinearProgram, steps, start_at_upper: Optional[Iterable[int]] = None
+) -> Optional[int]:
+    """The first step whose program phase 1 finds feasible, or None.
+
+    steps[v] >= 0 is the step from which variable v may leave its lower
+    bound.  The program of step s is lp with every variable of a later step
+    fixed there, so with zero lower bounds it is lp without those variables.
+    One tableau walks the steps upward (see module): phase 1 runs from the
+    start at step 0, and each time it stops above FEAS_TOL the next step's
+    variables are admitted and it goes on from the same basis.  Returns the
+    first step at which it stops within FEAS_TOL; its corner is not checked
+    against the rows, so the caller solves that program again for a point.
+    start_at_upper is as for `solve_feasibility` and may name only step-0
+    variables.
+    """
+    steps = np.asarray(steps, dtype=np.intp)
+    if steps.shape != (lp.num_vars,) or (steps < 0).any():
+        raise ValueError("need one step >= 0 per variable")
+    x0, up = _start_corner(lp, start_at_upper)
+    if (steps[up] > 0).any():
+        raise ValueError("start_at_upper names a variable of a later step")
+    walk = _phase1(lp, x0, up, steps > 0)
+    if next(walk) is not None:
+        return 0
+    for step in np.unique(steps[steps > 0]).tolist():
+        if walk.send(np.flatnonzero(steps == step)) is not None:
+            return step
+    return None
+
+
+def _start_corner(lp, start_at_upper):
+    """The starting corner and its variables at their upper bound."""
+    n = lp.num_vars
     lo, hi = lp.var_bounds.T
     given = () if start_at_upper is None else start_at_upper
     up = np.unique(np.fromiter(given, dtype=np.intp))  # start at their upper bound
     if up.size and not (0 <= up[0] and up[-1] < n):
         raise ValueError("start_at_upper names a variable outside [0, vars)")
-
     x0 = lo.copy()
     x0[up] = hi[up]
-    if _start_clears(A, b, is_eq, x0):
-        return x0  # phase 1 would stop at once, and FEAS_TOL holds
+    return x0, up
+
+
+def _phase1(lp, x0, up, frozen):
+    """Phase-1 pivots from the corner x0, as a generator (see module).
+
+    Yields each time phase 1 stops: the corner, clipped into the variable
+    boxes but not checked against the rows, when the phase-1 objective is
+    within FEAS_TOL, else None.  The structural columns where `frozen` is set
+    start at their lower bound and never enter; `send(cols)` admits the
+    frozen columns cols and pivots on from the same basis.
+    """
+    A, b, is_eq = lp.constraints, lp.rhs, lp.is_eq
+    m, n = A.shape
+    lo, hi = lp.var_bounds.T
 
     # Column ids: structural | one slack per row | artificials for violated
     # rows.  T stores the columns that can enter, structural | slacks of the
@@ -293,8 +355,6 @@ def solve_feasibility(
     violated = np.where(is_eq, np.abs(resid) > PIV_TOL, resid < -PIV_TOL)
     art_rows = np.flatnonzero(violated)
     n_art = art_rows.size
-    if n_art == 0:
-        return x0
 
     T[slack_rows, n + np.arange(slack_rows.size)] = 1.0
     # An artificial row is multiplied by the sign of its residual, so its
@@ -319,76 +379,83 @@ def solve_feasibility(
     way = np.ones(cid.size)  # see module: +1 at lo, -1 at hi, 0 basic
     way[up] = -1.0
     way[n:][~violated[slack_rows]] = 0.0  # basic slacks
-    # way where a column may move, else 0; fixed columns never enter
+    # way where a column may move, else 0; fixed and frozen columns never enter
     dirn = np.where(col_hi - col_lo > PIV_TOL, way, 0.0)
+    dirn[:n][frozen] = 0.0
 
-    def extract():
+    def corner():
         x = np.where(way[:n] < 0, hi, lo)
         structural = basis < n
         x[basis[structural]] = xb[structural]
-        return _verified(A, b, is_eq, np.clip(x, lo, hi))
+        return np.clip(x, lo, hi)
 
-    cap = 50 * (n + m)
-    stalled = 0  # consecutive degenerate pivots; large runs trip Bland's rule
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(cap):
-            obj = float(xb[art].sum())
-            if obj <= PIV_TOL:
-                return extract()
+    cap = 50 * (n + m)  # pivots from one stop to the next
+    while True:
+        stalled = 0  # consecutive degenerate pivots; large runs trip Bland's rule
+        # left before each yield, so the caller never runs under it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(cap):
+                obj = float(xb[art].sum())
+                if obj <= PIV_TOL:
+                    break
 
-            score = dirn * cost  # -|d| where a column may enter, else >= -PIV_TOL or NaN
-            if stalled > 40:
-                c = int((score < -PIV_TOL).argmax())  # Bland: lowest improving index
+                score = dirn * cost  # -|d| where a column may enter, else >= -PIV_TOL or NaN
+                if stalled > 40:
+                    c = int((score < -PIV_TOL).argmax())  # Bland: lowest improving index
+                else:
+                    c = int(score.argmin())  # steepest, first on ties
+                    if math.isnan(score[c]):
+                        c = int(np.where(score < -PIV_TOL, np.abs(cost), 0.0).argmax())
+                if not score[c] < -PIV_TOL:
+                    break
+                j, w = int(cid[c]), way[c]
+
+                eff = T[:m, c] * -w  # basic change per unit step
+                bound = np.where(eff > 0, bhi, blo)
+                limits = np.where(np.abs(eff) > PIV_TOL, (bound - xb) / eff, np.inf)
+                np.maximum(limits, 0.0, out=limits)
+                t_flip = col_hi[c] - col_lo[c]
+                t_star = min(float(np.minimum.reduce(limits)), t_flip)
+                if not math.isfinite(t_star):
+                    raise NumericFailure("unbounded ray in phase 1")
+
+                stalled = 0 if t_star > 1e-12 else stalled + 1
+
+                reach = t_star + 1e-12
+                leave = np.where(limits <= reach, basis, nid)  # blocking basics
+                r = int(leave.argmin())
+                xb += eff * t_star
+                if leave[r] >= (j if t_flip <= reach else nid):
+                    way[c] = dirn[c] = -w  # c reaches its other bound first
+                    continue
+
+                piv = T[r, c]
+                if abs(piv) <= PIV_TOL:
+                    raise NumericFailure("numerically singular pivot")
+                enter_val = (col_lo[c] + t_star) if w > 0 else (col_hi[c] - t_star)
+                out = spos[basis[r]]
+                if out >= 0:  # stored, and movable: a fixed column is never basic
+                    way[out] = dirn[out] = -1.0 if eff[r] > 0 else 1.0
+                # Rank-one update of the rows with a nonzero in column c only, the
+                # cost row among them; the rest would lose a signed zero, which no
+                # read of T can tell apart.
+                rowvals = T[r] / piv
+                rows = T[:, c].nonzero()[0]
+                sub = T[rows]
+                sub -= np.multiply.outer(sub[:, c], rowvals)
+                T[rows] = sub
+                T[r] = rowvals
+                basis[r] = j
+                blo[r], bhi[r] = col_lo[c], col_hi[c]
+                art[r] = False
+                way[c] = dirn[c] = 0.0
+                xb[r] = enter_val
             else:
-                c = int(score.argmin())  # steepest, first on ties
-                if math.isnan(score[c]):
-                    c = int(np.where(score < -PIV_TOL, np.abs(cost), 0.0).argmax())
-            if not score[c] < -PIV_TOL:
-                return None if obj > FEAS_TOL else extract()
-            j, w = int(cid[c]), way[c]
+                raise NumericFailure(f"iteration cap {cap} exceeded")
 
-            eff = T[:m, c] * -w  # basic change per unit step
-            bound = np.where(eff > 0, bhi, blo)
-            limits = np.where(np.abs(eff) > PIV_TOL, (bound - xb) / eff, np.inf)
-            np.maximum(limits, 0.0, out=limits)
-            t_flip = col_hi[c] - col_lo[c]
-            t_star = min(float(np.minimum.reduce(limits)), t_flip)
-            if not math.isfinite(t_star):
-                raise NumericFailure("unbounded ray in phase 1")
-
-            stalled = 0 if t_star > 1e-12 else stalled + 1
-
-            reach = t_star + 1e-12
-            leave = np.where(limits <= reach, basis, nid)  # blocking basics
-            r = int(leave.argmin())
-            xb += eff * t_star
-            if leave[r] >= (j if t_flip <= reach else nid):
-                way[c] = dirn[c] = -w  # c reaches its other bound first
-                continue
-
-            piv = T[r, c]
-            if abs(piv) <= PIV_TOL:
-                raise NumericFailure("numerically singular pivot")
-            enter_val = (col_lo[c] + t_star) if w > 0 else (col_hi[c] - t_star)
-            out = spos[basis[r]]
-            if out >= 0:  # stored, and movable: a fixed column is never basic
-                way[out] = dirn[out] = -1.0 if eff[r] > 0 else 1.0
-            # Rank-one update of the rows with a nonzero in column c only, the
-            # cost row among them; the rest would lose a signed zero, which no
-            # read of T can tell apart.
-            rowvals = T[r] / piv
-            rows = T[:, c].nonzero()[0]
-            sub = T[rows]
-            sub -= np.multiply.outer(sub[:, c], rowvals)
-            T[rows] = sub
-            T[r] = rowvals
-            basis[r] = j
-            blo[r], bhi[r] = col_lo[c], col_hi[c]
-            art[r] = False
-            way[c] = dirn[c] = 0.0
-            xb[r] = enter_val
-
-    raise NumericFailure(f"iteration cap {cap} exceeded")
+        cols = yield (corner() if obj <= FEAS_TOL else None)
+        # an admitted column still sits at its lower bound, nonbasic
+        dirn[cols] = np.where(col_hi[cols] - col_lo[cols] > PIV_TOL, way[cols], 0.0)
 
 
 def admissible(dist_S: np.ndarray, R: float) -> np.ndarray:
@@ -415,16 +482,30 @@ def dead_centers_reject(
     verdict is left to the LP.  A point that no center admits is rejected too.
     Both forms of `build_assignment_lp` have these rows (class sizes only
     scale a center's mass up), so at a radius the screen rejects the solver
-    can return no solution either, and the screen costs one pass over the
-    admissibility mask.  The verdict is monotone in R: admissibility only
-    grows with R, so a dead center can only come alive.
+    can return no solution either.  The verdict is monotone in R:
+    admissibility only grows with R, so a dead center can only come alive.
+    It is `dead_center_radius(dist_S, colors, gfb) > R + 1e-12`.
+    """
+    return dead_center_radius(dist_S, colors, gfb) > R + 1e-12
+
+
+def dead_center_radius(dist_S: np.ndarray, colors: np.ndarray, gfb: GFBounds) -> float:
+    """V such that `dead_centers_reject` lets R through exactly when V <= R + 1e-12.
+
+    Center t is alive at R when it admits a point of each color the screen
+    counts, that is when L_t <= R + 1e-12, L_t the largest over those colors
+    of the distance from t to its nearest point of the color (0 when no
+    color counts, inf when a counted color has no point).  Point j has a
+    live admissible center when max(L_t, d_tj) <= R + 1e-12 for some t, so
+    every point has one when V = max_j min_t max(L_t, d_tj) is within
+    R + 1e-12.  Each comparison is one of the admissibility mask's, so the
+    verdict is the mask's at every R.
     """
     counted = gfb.beta * (1.0 - FEAS_TOL) > len(dist_S) * FEAS_TOL
-    adm = admissible(dist_S, R)
-    live = np.ones(len(dist_S), dtype=bool)
+    L = np.zeros(len(dist_S))
     for h in np.flatnonzero(counted):
-        live &= adm[:, colors == h].any(axis=1)
-    return not adm[live].any(axis=0).all()
+        np.maximum(L, dist_S[:, colors == h].min(axis=1, initial=np.inf), out=L)
+    return float(np.maximum(L[:, None], dist_S).min(axis=0).max())
 
 
 def group_classes(colors: np.ndarray, adm: np.ndarray):

@@ -23,7 +23,8 @@ from .flow import max_flow_gf
 from .lp import (
     NumericFailure,
     build_assignment_lp,
-    dead_centers_reject,
+    dead_center_radius,
+    first_feasible_step,
     nearest_admissible_start,
     solve_feasibility,
 )
@@ -93,30 +94,6 @@ def _global_proportions_ok(inst: Instance, gfb: GFBounds) -> bool:
     )
 
 
-def _first_true(ok, lo: int, last: int) -> int:
-    """Smallest index in [lo, last] where the monotone predicate `ok` holds.
-
-    Gallops upward from lo with steps 1, 2, 4, ... until `ok` holds or last
-    is reached, then bisects the bracket.  Raises InfeasibleError when
-    `ok(last)` is false.
-    """
-    probe, step = lo, 1
-    while not ok(probe):
-        if probe == last:
-            raise InfeasibleError("assignment LP infeasible at every radius")
-        lo = probe + 1
-        probe = min(probe + step, last)
-        step *= 2
-    hi = probe
-    while lo < hi:  # smallest index in [lo, hi] where ok holds; ok(hi) does
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
-
-
 def assignment_gf(
     inst: Instance, S: Sequence[int], gfb: GFBounds
 ) -> Tuple[Solution, float]:
@@ -125,23 +102,26 @@ def assignment_gf(
     Finds the smallest R among the sorted center-to-point distances whose
     assignment LP is feasible, then rounds the fractional solution to an
     integral assignment (additive violation at most 2, radius unchanged).
-    The search has two stages, each a gallop then a bisection
-    (`_first_true`):
+    The search has two stages:
 
-    1. `dead_centers_reject` alone finds the boundary: the smallest radius
-       it lets through.  Its verdict is monotone in R (admissibility only
-       grows, so a dead center can only come alive), it rejects only radii
-       whose LP the solver rejects too, and it builds no LP.
+    1. `dead_center_radius` gives the boundary in closed form: the smallest
+       candidate at or above the covering radius that `dead_centers_reject`
+       lets through.  The screen rejects only radii whose LP the solver
+       rejects too, and it builds no LP.
     2. The point-level LP is solved at the boundary, from the nearest-center
        start.  Most searches end here: if it is feasible the boundary is the
        threshold, and its vertex is the fractional assignment the rounding
-       needs, so the search makes one build and one solve.  Otherwise the
-       class-aggregated LP, whose verdict equals the point-level one (see
-       `build_assignment_lp`) at a fraction of its size, is probed from the
-       boundary upward, and the point-level LP is solved at the radius it
-       finds.  Its own vertex is not spread back over the points: that
-       would be another fractional vertex, and the rounding would then
-       return another assignment.
+       needs, so the search makes one build and one solve.  Otherwise one
+       point LP, built at the top of a window of candidates from the
+       boundary up, is walked upward with `lp.first_feasible_step`: the pairs
+       beyond the current radius are frozen at 0, and each time phase 1
+       stops infeasible the next radius's pairs are admitted and pivoting
+       goes on from the same tableau.  The window reaches n candidates above
+       the boundary, n the number of points, since every pair it holds
+       widens each pivot; a walk that passes its top goes on from the next
+       candidate in a window twice as wide.  The point LP is then solved
+       from scratch at the radius the walk stops at, so the rounding gets
+       the vertex a point solve gives.
 
     When the nearest-center start already satisfies every row, the solve
     returns it as is and the fractional assignment is integral.  The
@@ -151,11 +131,11 @@ def assignment_gf(
     same.
 
     Raises InfeasibleError when even the largest radius fails, i.e. when the
-    global color proportions fall outside the bounds.  Raises
-    NumericFailure when the point-level LP rejects the radius the class
-    probes accepted.  The class probes start at the boundary itself, so a
-    class LP that accepts the boundary after the point LP rejected it is
-    caught too.
+    global color proportions fall outside the bounds or the screen rejects
+    every radius.  Raises NumericFailure when the point-level LP rejects the
+    radius the walk accepted, the boundary included, or when the walk finds
+    no radius feasible: with the global proportions within the bounds, the
+    largest radius is feasible, since every point may go to one center.
     """
     S = [int(i) for i in S]
     if not S:
@@ -172,31 +152,49 @@ def assignment_gf(
     cands = np.unique(dist_S)
     # No radius below the covering radius (itself a candidate) assigns every point.
     r_cover = float(dist_S.min(axis=0).max())
-    start = int(np.searchsorted(cands, r_cover))
+    admits = cands + 1e-12  # the candidate radius i admits d when d <= admits[i]
+    boundary = max(
+        int(np.searchsorted(cands, r_cover)),
+        int(np.searchsorted(admits, dead_center_radius(dist_S, inst.colors, gfb))),
+    )
     last = len(cands) - 1
+    if boundary > last:
+        raise InfeasibleError("assignment LP infeasible at every radius")
 
-    def solve(idx: int, aggregate: bool):
-        R = float(cands[idx])
-        lp, pairs = build_assignment_lp(inst, S, R, gfb, aggregate=aggregate)
+    def solve(idx: int):
+        lp, pairs = build_assignment_lp(inst, S, float(cands[idx]), gfb)
         return pairs, solve_feasibility(
             lp, start_at_upper=nearest_admissible_start(inst, pairs)
         )
 
-    def screened_in(idx: int) -> bool:
-        return not dead_centers_reject(dist_S, inst.colors, float(cands[idx]), gfb)
+    def walk(lo: int) -> int:
+        """The first candidate from lo whose point LP phase 1 finds feasible."""
+        width = inst.n
+        while True:
+            top = min(last, lo + width)
+            lp, pairs = build_assignment_lp(inst, S, float(cands[top]), gfb)
+            first = np.searchsorted(admits, inst.dist[pairs[:, 0], pairs[:, 1]])
+            step = first_feasible_step(
+                lp, np.maximum(first - lo, 0), nearest_admissible_start(inst, pairs)
+            )
+            if step is not None:
+                return lo + step
+            if top == last:
+                raise NumericFailure(
+                    "phase 1 found the assignment LP infeasible at every radius, "
+                    "although the global proportions meet the bounds"
+                )
+            lo, width = top + 1, 2 * width
 
-    def class_feasible(idx: int) -> bool:
-        return solve(idx, aggregate=True)[1] is not None
-
-    boundary = idx = _first_true(screened_in, start, last)
-    pairs, x = solve(idx, aggregate=False)
+    idx = boundary
+    pairs, x = solve(idx)
     if x is None:
-        idx = _first_true(class_feasible, boundary, last)
-        pairs, x = solve(idx, aggregate=False)
+        idx = walk(boundary)
+        pairs, x = solve(idx)
     R = float(cands[idx])
     if x is None:
         raise NumericFailure(
-            f"point-level LP infeasible at radius {R}; the aggregated LP is feasible"
+            f"point-level LP infeasible at radius {R}, where the walk found it feasible"
         )
     frac = FractionalAssignment(n=inst.n, pairs=pairs, values=x)
     assign = max_flow_gf(frac, inst, S)

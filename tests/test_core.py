@@ -264,6 +264,42 @@ class TestGfViolation:
             assert gf_violation(inst, gfb, merged) == 0.0
 
 
+    def test_matches_the_per_cluster_loop(self, rng):
+        # the per-cluster loop is the reference: same float bytes, with
+        # empty clusters and with violations near TOL that collapse to 0
+        def loop_gf_violation(inst, gfb, sol):
+            rho = 0.0
+            for c in sol.active_centers():
+                members = sol.cluster_of(c)
+                counts = np.bincount(inst.colors[members], minlength=inst.m)
+                under = np.max(gfb.beta * members.size - counts)
+                over = np.max(counts - gfb.alpha * members.size)
+                rho = max(rho, under, over)
+            return 0.0 if rho <= TOL else float(rho)
+
+        kinds = set()
+        for i in range(300):
+            m = int(rng.integers(1, 5))
+            n = int(rng.integers(m, 30))
+            colors = rng.permutation(np.r_[np.arange(m), rng.integers(0, m, size=n - m)])
+            inst = Instance(dist=np.zeros((n, n)), colors=colors, m=m)
+            centers = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            live = centers[: max(1, centers.size // 2)]  # the rest get no point
+            assign = rng.choice(live, size=n)
+            sol = Solution(centers=tuple(int(c) for c in centers), assign=assign)
+            if i % 2:  # the global proportions, nudged by less than TOL
+                r = np.bincount(colors, minlength=m) / n
+                gfb = GFBounds(beta=np.clip(r + rng.uniform(-1e-10, 1e-10, m), 0, 1),
+                               alpha=np.clip(r + rng.uniform(-1e-10, 1e-10, m), 0, 1))
+            else:
+                beta = rng.uniform(0, 0.6, m)
+                gfb = GFBounds(beta=beta, alpha=np.minimum(1.0, beta + rng.uniform(0, 0.6, m)))
+            got, want = gf_violation(inst, gfb, sol), loop_gf_violation(inst, gfb, sol)
+            assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+            kinds.add((want == 0.0, len(sol.inactive_centers()) > 0))
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
 class TestDsViolation:
     def setup_method(self):
         self.inst = Instance(

@@ -25,6 +25,7 @@ from fairkc.lp import (
     _verified,
     build_assignment_lp,
     dead_centers_reject,
+    first_feasible_step,
     group_classes,
     nearest_admissible_start,
     solve_feasibility,
@@ -649,31 +650,37 @@ class TestClassAggregation:
             assert np.array_equal(sol.assign, want_assign)
 
     def test_point_level_rejection_is_numeric_failure(self, monkeypatch):
-        # the aggregated verdict is exact, so a point-level "infeasible" at the
+        # the walk's verdict is exact, so a point-level "infeasible" at the
         # radius it accepted is a solver fault, never an infeasible instance
         inst = gen_random(12, 2, 2, [0.5, 0.5], seed=5)
         gfb = GFBounds(beta=[0.4, 0.4], alpha=[0.6, 0.6])
-        forms = []
+        S = [0, 5, 9]
+        probes, walked = [], []
 
-        def build(*args, aggregate=False):
-            forms.append(aggregate)
-            return build_assignment_lp(*args, aggregate=aggregate)
+        def build(inst, S, R, gfb, aggregate=False):
+            probes.append((R, aggregate))
+            return build_assignment_lp(inst, S, R, gfb, aggregate=aggregate)
 
-        def solve(lp, start_at_upper=None):
-            return solve_feasibility(lp, start_at_upper) if forms[-1] else None
+        def walk(lp, steps, start_at_upper=None):
+            walked.append(first_feasible_step(lp, steps, start_at_upper))
+            return walked[-1]
 
         monkeypatch.setattr(solvers, "build_assignment_lp", build)
-        monkeypatch.setattr(solvers, "solve_feasibility", solve)
+        monkeypatch.setattr(solvers, "solve_feasibility", lambda lp, start_at_upper=None: None)
+        monkeypatch.setattr(solvers, "first_feasible_step", walk)
         with pytest.raises(NumericFailure):
-            assignment_gf(inst, [0, 5, 9], gfb)
-        # the point LP at the screen's boundary, the class probes from that
-        # boundary up (here the first accepts), the point LP where they stop
-        assert forms == [False, True, False]
+            assignment_gf(inst, S, gfb)
+        # the point LP at the screen's boundary, one walk LP over the window
+        # above it (here the first step accepts), the point LP where it stops
+        cands = radii_from_cover(inst, S)
+        top = cands[min(len(cands) - 1, int(np.flatnonzero(cands == probes[0][0])[0]) + inst.n)]
+        assert walked == [0]
+        assert probes == [(probes[0][0], False), (top, False), (probes[0][0], False)]
 
     def test_point_rejection_at_the_boundary_alone_is_numeric_failure(self, monkeypatch):
         # the point LP fails only at the screen's boundary, which is the true
-        # threshold; the class probes accept it, so the search raises rather
-        # than return a larger radius
+        # threshold; the walk accepts it, so the search raises rather than
+        # return a larger radius
         inst = gen_random(12, 2, 2, [0.5, 0.5], seed=5)
         gfb = GFBounds(beta=[0.4, 0.4], alpha=[0.6, 0.6])
         S = [0, 5, 9]
@@ -698,7 +705,63 @@ class TestClassAggregation:
         monkeypatch.setattr(solvers, "solve_feasibility", solve)
         with pytest.raises(NumericFailure):
             assignment_gf(inst, S, gfb)
-        assert probes == [(boundary, False), (boundary, True), (boundary, False)]
+        top = cands[min(len(cands) - 1, int(np.flatnonzero(cands == boundary)[0]) + inst.n)]
+        assert probes == [(boundary, False), (top, False), (boundary, False)]
+
+
+def program_of_step(lp, steps, step):
+    """lp without the variables of a later step than `step` (their lower bound is 0)."""
+    keep = np.asarray(steps) <= step
+    return LinearProgram(
+        SparseRows.from_dense(lp.constraints.toarray()[:, keep]),
+        lp.rhs, lp.is_eq, lp.var_bounds[keep],
+    )
+
+
+class TestWalk:
+    def test_walk_stops_at_the_first_step_the_rational_checker_accepts(self):
+        rng = np.random.default_rng(20261019)
+        outcomes = set()
+        for _ in range(120):
+            lp = random_small_lp(rng)
+            steps = rng.integers(0, 4, size=lp.num_vars)
+            start = np.flatnonzero((steps == 0) & (rng.random(lp.num_vars) < 0.5))
+            want = next(
+                (s for s in range(int(steps.max()) + 1)
+                 if rational_feasible(program_of_step(lp, steps, s))),
+                None,
+            )
+            assert first_feasible_step(lp, steps, start) == want, (lp, steps)
+            outcomes.add(want)
+        assert None in outcomes and {0, 1, 2} <= outcomes  # every kind of stop seen
+
+    def test_walk_matches_each_radius_point_lp(self):
+        # one point LP at the largest radius, each pair admitted at the first
+        # radius that admits it: the walk stops where the point LP built at
+        # that radius first is feasible
+        stops = set()
+        for inst, S, gfb in seeded_random_cases():
+            S = list(S)
+            radii = radii_from_cover(inst, S)
+            lp, pairs = build_assignment_lp(inst, S, float(radii[-1]), gfb)
+            steps = np.searchsorted(radii + 1e-12, inst.dist[pairs[:, 0], pairs[:, 1]])
+            got = first_feasible_step(lp, steps, nearest_admissible_start(inst, pairs))
+            want = next(
+                i for i, R in enumerate(radii) if verdict(inst, S, float(R), gfb, aggregate=False)
+            )
+            assert got == want, (S, radii[want])
+            stops.add(got > 0)
+        assert stops == {True, False}
+
+    @pytest.mark.parametrize("steps, start", [
+        ([-1], None),         # a negative step
+        ([0, 0], None),       # one step per variable
+        ([[0]], None),
+        ([1], [0]),           # a start at the upper bound of a later step
+    ])
+    def test_walk_rejects(self, steps, start):
+        with pytest.raises(ValueError):
+            first_feasible_step(one_var_lp(0.3, 0.7), steps, start)
 
 
 def loop_nearest_start(inst, pairs):
@@ -783,6 +846,19 @@ def test_verdict_matches_highs():
 
     check()
     assert seen == {True, False}  # both verdicts exercised
+
+
+def test_walk_near_delta_one_stops_at_the_highs_threshold():
+    """Near delta = 1 the walk gets past radii whose class LP fails the
+    residual check: the search returns the first radius whose point LP HiGHS
+    calls feasible."""
+    inst = gen_random(16, 4, 2, [0.5343675364911672, 0.017810095166218093,
+                                 0.18795202159689522, 0.25987034674571946], seed=1685729627)
+    gfb = ExperimentConfig((10,), delta=0.9999978880942781).gf_bounds(inst)
+    S = list(gonzalez(inst, 10).centers)
+    radii = radii_from_cover(inst, S)
+    want = next(R for R in radii if highs_feasible(build_assignment_lp(inst, S, float(R), gfb)[0]))
+    assert assignment_gf(inst, S, gfb)[1] == want
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,13 @@ from fairkc.lp import (
     NumericFailure,
     build_assignment_lp,
     dead_centers_reject,
+    first_feasible_step,
     nearest_admissible_start,
     solve_feasibility,
 )
 from fairkc.solvers import (
     InfeasibleQuota,
     MissingColorInCluster,
-    _first_true,
     alg_ds,
     alg_gf,
     assignment_gf,
@@ -513,6 +513,16 @@ def center_sets(inst, cfg, k):
         pass
 
 
+def mask_dead_centers_reject(dist_S, colors, R, gfb):
+    """The screen on the admissibility mask, center by center: the reference."""
+    counted = gfb.beta * (1.0 - FEAS_TOL) > len(dist_S) * FEAS_TOL
+    adm = dist_S <= R + 1e-12
+    live = np.ones(len(dist_S), dtype=bool)
+    for h in np.flatnonzero(counted):
+        live &= adm[:, colors == h].any(axis=1)
+    return not adm[live].any(axis=0).all()
+
+
 class TestDeadCenterScreen:
     def test_fuzz_grid(self):
         # the shapes of the fuzz-small benchmark workload: n in [4, 24],
@@ -554,6 +564,50 @@ class TestDeadCenterScreen:
             excluded += int(np.any(gfb.beta * (1 - FEAS_TOL) <= k * FEAS_TOL))
             screened += screened_radii(inst, S, gfb)
         assert screened > 0 and excluded > 0
+
+    def test_closed_form_matches_the_mask(self, monkeypatch):
+        # fuzz shapes with delta in {0, 0.05, 0.3} and with 1 - delta
+        # log-uniform in [1e-7, 1e-1], a third of them with repeated points:
+        # the same verdict at every candidate radius, and the search's first
+        # LP is built at the first radius at or above the covering one that
+        # the mask lets through
+        rng = np.random.default_rng(11)
+        builds = []
+        monkeypatch.setattr(
+            solvers, "build_assignment_lp",
+            lambda inst, S, R, gfb, **kw: builds.append(R) or build_assignment_lp(inst, S, R, gfb, **kw),
+        )
+        searched = 0
+        for i in range(240):
+            m = int(rng.integers(2, 5))
+            n = int(rng.integers(max(m, 4), 25))
+            k = int(rng.integers(2, min(n, 8) + 1))
+            props = rng.dirichlet(np.ones(m))
+            inst = gen_random(n, m, 2, props / props.sum(), seed=int(rng.integers(2**31)))
+            if i % 3 == 2:  # coinciding points tie distances
+                twin = rng.integers(0, n, size=n)
+                inst = Instance(dist=inst.dist[np.ix_(twin, twin)], colors=inst.colors, m=m)
+            delta = (0.0, 0.05, 0.3)[i % 3] if i % 2 else 1.0 - 10.0 ** rng.uniform(-7, -1)
+            try:
+                gfb = ExperimentConfig(k_values=(k,), delta=delta).gf_bounds(inst)
+            except ValueError:  # a color without points
+                continue
+            S = sorted(rng.choice(n, size=k, replace=False).tolist())
+            dist_S = inst.dist[S]
+            cands = np.unique(dist_S)
+            mask = [mask_dead_centers_reject(dist_S, inst.colors, float(R), gfb) for R in cands]
+            got = [dead_centers_reject(dist_S, inst.colors, float(R), gfb) for R in cands]
+            assert got == mask, (i, S)
+            passed = [R for R, out in zip(cands, mask) if not out and R >= dist_S.min(axis=0).max()]
+            builds.clear()
+            try:
+                assignment_gf(inst, S, gfb)
+            except (InfeasibleError, NumericFailure):
+                pass
+            if solvers._global_proportions_ok(inst, gfb):
+                assert builds[:1] == passed[:1], (i, S)
+                searched += 1
+        assert searched > 100
 
     def test_beta_below_the_bound_is_left_to_the_lp(self):
         # at R = 1 center 0 admits only points 0 and 2, both of color 0, and
@@ -643,25 +697,6 @@ def boundary_first_search(inst, S, gfb):
 
 
 class TestRadiusSearch:
-    @settings(max_examples=300, deadline=None)
-    @given(lo=st.integers(0, 40), width=st.integers(0, 300), data=st.data())
-    def test_first_true_finds_the_threshold(self, lo, width, data):
-        last = lo + width
-        threshold = data.draw(st.integers(lo, last + 1))  # last + 1: nowhere
-        calls = []
-
-        def ok(i):
-            assert lo <= i <= last
-            calls.append(i)
-            return i >= threshold
-
-        if threshold > last:
-            with pytest.raises(InfeasibleError):
-                _first_true(ok, lo, last)
-        else:
-            assert _first_true(ok, lo, last) == threshold
-        assert len(calls) <= 2 * math.ceil(math.log2(last - lo + 2)) + 1
-
     def test_threshold_at_the_boundary_is_one_point_solve(self, monkeypatch):
         # the screen rejects 7 of the 15 radii from the covering one, and the
         # first radius it lets through is the threshold
@@ -685,6 +720,60 @@ class TestRadiusSearch:
         assert forms == [False] and len(solves) == 1
         monkeypatch.undo()
         assert R == class_probe_search(inst, S, gfb)[0]
+
+    def test_walk_past_its_first_window_matches_class_probe_search(self, monkeypatch):
+        # the threshold lies more than n candidates above the screen's
+        # boundary, so the walk LP is built again over a window twice as wide
+        inst = gen_random(10, 2, 2, [0.3, 0.7], seed=41)
+        gfb = ExperimentConfig(k_values=(4,), delta=0.0).gf_bounds(inst)
+        S = list(gonzalez(inst, 4).centers)
+        cands = np.unique(inst.dist[S])
+        builds, walks = [], []
+
+        def build(inst, S, R, gfb, aggregate=False):
+            builds.append(int(np.flatnonzero(cands == R)[0]))
+            return build_assignment_lp(inst, S, R, gfb, aggregate=aggregate)
+
+        def walk(lp, steps, start_at_upper=None):
+            walks.append(first_feasible_step(lp, steps, start_at_upper))
+            return walks[-1]
+
+        monkeypatch.setattr(solvers, "build_assignment_lp", build)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "first_feasible_step", walk)
+            got = search_outcome(boundary_first_search, inst, S, gfb)
+        boundary, first_top, second_top, threshold = builds
+        assert first_top == boundary + inst.n and walks[0] is None
+        assert second_top == min(len(cands) - 1, first_top + 1 + 2 * inst.n)
+        assert threshold == first_top + 1 + walks[1] > first_top
+        monkeypatch.undo()
+        assert got == search_outcome(class_probe_search, inst, S, gfb)
+
+    def test_walk_without_a_feasible_radius_is_numeric_failure(self, monkeypatch):
+        # the global proportions meet the bounds, so the largest radius is
+        # feasible: a walk that finds no radius is a solver fault, never an
+        # infeasible instance
+        inst = gen_random(10, 2, 2, [0.3, 0.7], seed=41)
+        gfb = ExperimentConfig(k_values=(4,), delta=0.0).gf_bounds(inst)
+        S = list(gonzalez(inst, 4).centers)
+        cands = np.unique(inst.dist[S])
+        tops = []
+
+        def build(inst, S, R, gfb, aggregate=False):
+            tops.append(int(np.flatnonzero(cands == R)[0]))
+            return build_assignment_lp(inst, S, R, gfb, aggregate=aggregate)
+
+        monkeypatch.setattr(solvers, "build_assignment_lp", build)
+        monkeypatch.setattr(solvers, "solve_feasibility", lambda lp, start_at_upper=None: None)
+        monkeypatch.setattr(solvers, "first_feasible_step", lambda lp, steps, start=None: None)
+        with pytest.raises(NumericFailure):
+            assignment_gf(inst, S, gfb)
+        # after the boundary's point LP, windows of n, 2n, ... candidates
+        # until one reaches the largest radius
+        boundary, *tops = tops
+        assert len(tops) >= 2 and tops[0] == boundary + inst.n and tops[-1] == len(cands) - 1
+        for width, (below, top) in enumerate(zip(tops, tops[1:]), start=1):
+            assert top == min(len(cands) - 1, below + 1 + 2**width * inst.n)
 
     def test_same_outcome_as_class_probe_search(self):
         # fuzz-small's shapes over a wider range of delta; both searches
