@@ -1,11 +1,8 @@
 import itertools
-import math
 from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import random_instance, wide_bounds
 from fairkc import solvers
@@ -573,10 +570,12 @@ class TestDeadCenterScreen:
         # the mask lets through
         rng = np.random.default_rng(11)
         builds = []
-        monkeypatch.setattr(
-            solvers, "build_assignment_lp",
-            lambda inst, S, R, gfb, **kw: builds.append(R) or build_assignment_lp(inst, S, R, gfb, **kw),
-        )
+
+        def build(inst, S, R, gfb, aggregate=False):
+            builds.append(R)
+            return build_assignment_lp(inst, S, R, gfb, aggregate=aggregate)
+
+        monkeypatch.setattr(solvers, "build_assignment_lp", build)
         searched = 0
         for i in range(240):
             m = int(rng.integers(2, 5))
