@@ -353,9 +353,10 @@ def emit_report(
     if fmt is None:
         fmt = "csv" if str(path).lower().endswith(".csv") else "json"
     if fmt == "json":
+        # one string and one write: json.dump streams many small writes
+        text = json.dumps(sanitize(report.to_dict(include_timing)), indent=2) + "\n"
         with open(path, "w") as fh:
-            json.dump(sanitize(report.to_dict(include_timing)), fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
     elif fmt == "csv":
         fields = REPORT_FIELDS + (TIMING_FIELDS if include_timing else ())
         with open(path, "w", newline="") as fh:

@@ -98,6 +98,18 @@ and rejects only radii whose LP the solver rejects.  Its verdict is
 monotone in R, and `dead_center_radius` gives in closed form the smallest R
 it lets through, so the radius search tries the point LP there first
 without building an LP to find it.
+
+A second screen, `forced_mass_rejects`, bounds the mass each center can
+carry.  A point that admits one center alone puts at least 1 - FEAS_TOL on
+it, and a center carries at most the points it admits; each color's rows
+tie these color masses to the center's mass within FEAS_TOL.  Summing the
+rows over a set of colors bounds the mass from below and from above, and a
+center whose least mass exceeds its largest rejects R.  Every bound holds at
+any point the solver returns, so the screen too rejects only radii whose LP
+the solver rejects, and as R grows the forced points only become fewer and
+the admitted ones more, so its verdict is monotone.  It runs only where
+every color meets the dead-center bound: near delta = 1 the simplex's own
+verdicts are fragile, and a screen there would change them.
 """
 
 from __future__ import annotations
@@ -116,7 +128,14 @@ PIV_TOL = 1e-9
 
 
 class NumericFailure(FairKCError):
-    """The simplex exceeded its iteration cap; reduce the instance."""
+    """The simplex could not settle a verdict in floating point.
+
+    Raised when phase 1 exceeds its iteration cap, meets an unbounded ray or
+    a singular pivot, or returns a point that fails the residual check; and
+    by the radius search when the point LP rejects the radius the walk
+    accepted, or the walk finds no radius although the largest one is
+    feasible.
+    """
 
 
 class EmptyRow(FairKCError):
@@ -506,6 +525,84 @@ def dead_center_radius(dist_S: np.ndarray, colors: np.ndarray, gfb: GFBounds) ->
     for h in np.flatnonzero(counted):
         np.maximum(L, dist_S[:, colors == h].min(axis=1, initial=np.inf), out=L)
     return float(np.maximum(L[:, None], dist_S).min(axis=0).max())
+
+
+def forced_mass_rejects(
+    dist_S: np.ndarray, colors: np.ndarray, R: float, gfb: GFBounds
+) -> bool:
+    """True when no assignment at radius R can pass `solve_feasibility`.
+
+    At R, center t admits U[t, h] points of color h, and F[t, h] of them
+    admit no other center.  A point the solver returns holds every row
+    within eps = FEAS_TOL with each x in [0, 1], so t's mass M and color
+    masses M_h meet F_h (1 - eps) <= M_h <= U_h, beta_h M - M_h <= eps and
+    M_h - alpha_h M <= eps.  `forced_mass_bounds` sums these over color sets
+    into the least and the largest M; R is rejected when, at some center,
+    the least exceeds the largest by more than 1e-9 of it, which covers the
+    screen's own rounding.  Both forms of `build_assignment_lp` meet the
+    same bounds (a class of c points counts c times), and the verdict is
+    monotone in R, as F only shrinks and U only grows with R.  A point that
+    no center admits is rejected too.
+
+    The screen runs only when every color meets the dead-center bound
+    beta_h (1 - eps) > |S| eps (see `dead_centers_reject`); otherwise it
+    lets every R through and leaves the verdict to the LP.
+    """
+    if not gfb.beta.min() * (1.0 - FEAS_TOL) > len(dist_S) * FEAS_TOL:
+        return False
+    adm = admissible(dist_S, R)
+    reach = adm.sum(axis=0)  # centers that admit each point
+    if not reach.all():
+        return True
+    onehot = np.equal.outer(colors, np.arange(gfb.m)).astype(float)
+    lower, upper = forced_mass_bounds(adm @ onehot, (adm & (reach == 1)) @ onehot, gfb)
+    return bool(np.any(lower > upper * (1.0 + 1e-9)))
+
+
+def forced_mass_bounds(admit: np.ndarray, forced: np.ndarray, gfb: GFBounds):
+    """(least, largest) mass per center over the bounds of `forced_mass_rejects`.
+
+    admit[t, h] and forced[t, h] are the counts U and F.  With F' = F (1 -
+    eps), summing the rows over a nonempty color set H gives
+
+        M (1 - sum_{h not in H} beta_h)  >= sum_H F'_h - |H^c| eps,
+        M (1 - sum_{h not in H} alpha_h) <= sum_H U_h  + |H^c| eps,
+
+    each a bound on M where its coefficient is positive, and one color's
+    rows give M >= (F'_h - eps) / alpha_h and M <= (U_h + eps) / beta_h.
+    Over the 2^m sets H the largest lower bound is reached on a leading run
+    of the colors by decreasing (F'_h + eps) / beta_h, and the smallest
+    upper one on a leading run by increasing (U_h - eps) / alpha_h (a
+    linear-fractional objective over sets is optimal on a threshold set),
+    so only m sets per family are taken.
+
+    The solver checks its rows in floating point.  A row's terms have
+    magnitudes summing to at most M, so its sum and its coefficients round
+    by a multiple of M, as do the screen's sums of the coefficients; each
+    coefficient of M is moved by slack = 4 (m + 1)(W + m + 2) * machine eps,
+    W the points the center admits, in the direction that loosens its bound.
+    """
+    eps, m = FEAS_TOL, gfb.m
+    slack = 4 * (m + 1) * np.finfo(float).eps * (admit.sum(axis=1, keepdims=True) + m + 2)
+    least = forced * (1.0 - eps)
+    rows = np.arange(len(admit))[:, None]
+
+    def leading_runs(gain, cost, sign):
+        """Sums of gain and of cost over the leading runs of the colors by sign * gain / cost."""
+        order = np.argsort(sign * gain / cost, axis=1)
+        return gain[rows, order].cumsum(axis=1), cost[order].cumsum(axis=1)
+
+    top, coef = leading_runs(least + eps, gfb.beta, -1.0)
+    coef += 1.0 - gfb.beta.sum() + slack
+    lower = np.divide(top - m * eps, coef, out=np.full(coef.shape, -np.inf), where=coef > 0)
+    lower = np.maximum(lower.max(axis=1), ((least - eps) / (gfb.alpha + slack)).max(axis=1))
+
+    top, coef = leading_runs(admit - eps, gfb.alpha, 1.0)
+    coef += 1.0 - gfb.alpha.sum() - slack
+    upper = np.divide(top + m * eps, coef, out=np.full(coef.shape, np.inf), where=coef > 0)
+    coef = gfb.beta - slack
+    single = np.divide(admit + eps, coef, out=np.full(coef.shape, np.inf), where=coef > 0)
+    return lower, np.minimum(upper.min(axis=1), single.min(axis=1))
 
 
 def group_classes(colors: np.ndarray, adm: np.ndarray):

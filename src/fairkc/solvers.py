@@ -25,6 +25,7 @@ from .lp import (
     build_assignment_lp,
     dead_center_radius,
     first_feasible_step,
+    forced_mass_rejects,
     nearest_admissible_start,
     solve_feasibility,
 )
@@ -94,6 +95,27 @@ def _global_proportions_ok(inst: Instance, gfb: GFBounds) -> bool:
     )
 
 
+def _first_let_through(rejects, lo: int, last: int) -> int:
+    """The first index in [lo, last] that `rejects` lets through, else last + 1.
+
+    rejects(i) must be monotone: once it lets an index through, it lets
+    every later one through.  Gallops upward from lo, then bisects.
+    """
+    probe, step = lo, 1
+    while rejects(probe):
+        if probe == last:
+            return last + 1
+        lo, probe, step = probe + 1, min(probe + step, last), 2 * step
+    hi = probe
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if rejects(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return hi
+
+
 def assignment_gf(
     inst: Instance, S: Sequence[int], gfb: GFBounds
 ) -> Tuple[Solution, float]:
@@ -104,10 +126,14 @@ def assignment_gf(
     integral assignment (additive violation at most 2, radius unchanged).
     The search has two stages:
 
-    1. `dead_center_radius` gives the boundary in closed form: the smallest
-       candidate at or above the covering radius that `dead_centers_reject`
-       lets through.  The screen rejects only radii whose LP the solver
-       rejects too, and it builds no LP.
+    1. Two screens give the boundary without building an LP, and each
+       rejects only radii whose LP the solver rejects too.
+       `dead_center_radius` gives in closed form the smallest candidate at
+       or above the covering radius that `dead_centers_reject` lets through.
+       From there, the boundary is the first candidate that
+       `forced_mass_rejects` lets through: it is tried at that candidate
+       first and, only when it rejects it, galloped and bisected upward,
+       as its verdict is monotone in R.
     2. The point-level LP is solved at the boundary, from the nearest-center
        start.  Most searches end here: if it is feasible the boundary is the
        threshold, and its vertex is the fractional assignment the rounding
@@ -131,7 +157,7 @@ def assignment_gf(
     same.
 
     Raises InfeasibleError when even the largest radius fails, i.e. when the
-    global color proportions fall outside the bounds or the screen rejects
+    global color proportions fall outside the bounds or the screens reject
     every radius.  Raises NumericFailure when the point-level LP rejects the
     radius the walk accepted, the boundary included, or when the walk finds
     no radius feasible: with the global proportions within the bounds, the
@@ -158,6 +184,12 @@ def assignment_gf(
         int(np.searchsorted(admits, dead_center_radius(dist_S, inst.colors, gfb))),
     )
     last = len(cands) - 1
+    if boundary <= last:
+        boundary = _first_let_through(
+            lambda i: forced_mass_rejects(dist_S, inst.colors, float(cands[i]), gfb),
+            boundary,
+            last,
+        )
     if boundary > last:
         raise InfeasibleError("assignment LP infeasible at every radius")
 

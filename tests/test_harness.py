@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import math
 import time
 from importlib import resources
 
@@ -215,6 +217,23 @@ class TestExperiment:
         emit_report(run_experiment(inst, cfg), pa)
         emit_report(run_experiment(inst, cfg), pb)
         assert open(pa, "rb").read() == open(pb, "rb").read()
+
+    @pytest.mark.parametrize("include_timing", [False, True])
+    def test_json_bytes_are_json_dumps(self, small_report, tmp_path, include_timing):
+        # the report is written in one string; its bytes are those json.dump
+        # streams, non-finite values (written as strings) included
+        _, _, report = small_report
+        rows = [dataclasses.replace(r, pof=math.inf, post_ratio=-math.inf) if i % 4 == 0 else r
+                for i, r in enumerate(report.rows)]
+        report = harness.ExperimentReport(config=report.config, rows=rows)
+        got, want = tmp_path / "got.json", tmp_path / "want.json"
+        emit_report(report, str(got), include_timing=include_timing)
+        with open(want, "w") as fh:
+            json.dump(harness.sanitize(report.to_dict(include_timing)), fh, indent=2)
+            fh.write("\n")
+        assert got.read_bytes() == want.read_bytes()
+        assert b'"inf"' in got.read_bytes()
+        assert (b'"-inf"' in got.read_bytes()) is include_timing
 
     def test_timing_fields_optional(self, small_report, tmp_path):
         _, _, report = small_report

@@ -3,6 +3,9 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from conftest import random_instance, wide_bounds
 from fairkc import solvers
@@ -27,8 +30,11 @@ from fairkc.lp import (
     FEAS_TOL,
     NumericFailure,
     build_assignment_lp,
+    dead_center_radius,
     dead_centers_reject,
     first_feasible_step,
+    forced_mass_bounds,
+    forced_mass_rejects,
     nearest_admissible_start,
     solve_feasibility,
 )
@@ -484,7 +490,7 @@ class TestGfToGfds:
 ADULT_CSV = str(resources.files("fairkc") / "data" / "adult_mini.csv")
 
 
-def screened_radii(inst, S, gfb):
+def screened_radii(inst, S, gfb, rejects=dead_centers_reject):
     """How many candidate radii from the covering one the screen rejects.
 
     Fails on a rejected radius whose class LP `solve_feasibility` accepts.
@@ -493,7 +499,7 @@ def screened_radii(inst, S, gfb):
     cands = np.unique(dist_S)
     screened = 0
     for R in cands[cands >= dist_S.min(axis=0).max()]:
-        if dead_centers_reject(dist_S, inst.colors, float(R), gfb):
+        if rejects(dist_S, inst.colors, float(R), gfb):
             lp, pairs = build_assignment_lp(inst, S, float(R), gfb, aggregate=True)
             start = nearest_admissible_start(inst, pairs)
             assert solve_feasibility(lp, start_at_upper=start) is None, (S, R)
@@ -518,6 +524,44 @@ def mask_dead_centers_reject(dist_S, colors, R, gfb):
     for h in np.flatnonzero(counted):
         live &= adm[:, colors == h].any(axis=1)
     return not adm[live].any(axis=0).all()
+
+
+def enumerated_mass_bounds(admit, forced, gfb):
+    """`forced_mass_bounds` of one center over all 2^m - 1 nonempty color sets."""
+    eps, m = FEAS_TOL, gfb.m
+    slack = 4 * (m + 1) * np.finfo(float).eps * (sum(admit) + m + 2)
+    least = [f * (1.0 - eps) for f in forced]
+    lower = max((least[h] - eps) / (gfb.alpha[h] + slack) for h in range(m))
+    upper = min((admit[h] + eps) / (gfb.beta[h] - slack) for h in range(m))
+    for size in range(1, m + 1):
+        for H in itertools.combinations(range(m), size):
+            out = [h for h in range(m) if h not in H]
+            coef = 1.0 - sum(gfb.beta[h] for h in out) + slack
+            if coef > 0:
+                lower = max(lower, (sum(least[h] for h in H) - len(out) * eps) / coef)
+            coef = 1.0 - sum(gfb.alpha[h] for h in out) - slack
+            if coef > 0:
+                upper = min(upper, (sum(admit[h] for h in H) + len(out) * eps) / coef)
+    return lower, upper
+
+
+def mask_forced_mass_rejects(dist_S, colors, R, gfb):
+    """The forced-mass screen on the admissibility mask, center by center and
+    over every color set: the reference."""
+    k, m = len(dist_S), gfb.m
+    if not np.all(gfb.beta * (1.0 - FEAS_TOL) > k * FEAS_TOL):
+        return False
+    adm = dist_S <= R + 1e-12
+    if not adm.any(axis=0).all():
+        return True
+    alone = adm.sum(axis=0) == 1
+    for t in range(k):
+        admit = [int(np.count_nonzero(adm[t] & (colors == h))) for h in range(m)]
+        forced = [int(np.count_nonzero(adm[t] & alone & (colors == h))) for h in range(m)]
+        lower, upper = enumerated_mass_bounds(admit, forced, gfb)
+        if lower > upper * (1.0 + 1e-9):
+            return True
+    return False
 
 
 class TestDeadCenterScreen:
@@ -567,7 +611,7 @@ class TestDeadCenterScreen:
         # log-uniform in [1e-7, 1e-1], a third of them with repeated points:
         # the same verdict at every candidate radius, and the search's first
         # LP is built at the first radius at or above the covering one that
-        # the mask lets through
+        # the mask and the forced-mass reference let through
         rng = np.random.default_rng(11)
         builds = []
 
@@ -598,6 +642,10 @@ class TestDeadCenterScreen:
             got = [dead_centers_reject(dist_S, inst.colors, float(R), gfb) for R in cands]
             assert got == mask, (i, S)
             passed = [R for R, out in zip(cands, mask) if not out and R >= dist_S.min(axis=0).max()]
+            # the forced-mass screen's verdict is monotone: skip its rejected radii
+            passed = list(itertools.dropwhile(
+                lambda R: mask_forced_mass_rejects(dist_S, inst.colors, float(R), gfb), passed
+            ))
             builds.clear()
             try:
                 assignment_gf(inst, S, gfb)
@@ -622,6 +670,202 @@ class TestDeadCenterScreen:
             lp, pairs = build_assignment_lp(inst, S, R, gfb, aggregate=True)
             x = solve_feasibility(lp, start_at_upper=nearest_admissible_start(inst, pairs))
             assert (x is None) is infeasible
+
+
+# ---------------------------------------------------------------------------
+# the forced-mass screen: closed form, soundness, gate, and the search it starts
+# ---------------------------------------------------------------------------
+
+
+def mass_range_linprog(admit, forced, gfb):
+    """(least, largest) mass of one center under the eps-relaxed rows, by
+    HiGHS over the color masses, or None when they admit none."""
+    eps, m = FEAS_TOL, gfb.m
+    eye, ones = np.eye(m), np.ones((m, m))
+    rows = np.vstack([gfb.beta[:, None] * ones - eye, eye - gfb.alpha[:, None] * ones])
+    bounds = [(f * (1.0 - eps), u) for f, u in zip(forced, admit)]
+    opts = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    ends = []
+    for sign in (1.0, -1.0):
+        res = linprog(sign * np.ones(m), A_ub=rows, b_ub=np.full(2 * m, eps),
+                      bounds=bounds, method="highs", options=opts)
+        assert res.status in (0, 2), res.message
+        if res.status == 2:
+            return None
+        ends.append(sign * res.fun)
+    return tuple(ends)
+
+
+def walk_search(inst, S, gfb):
+    """`assignment_gf` without the forced-mass screen, as it stood before it:
+    the reference the screen must not change."""
+    S = [int(i) for i in S]
+    if not solvers._global_proportions_ok(inst, gfb):
+        raise InfeasibleError("global color proportions violate the bounds")
+    if len(S) == 1:
+        return float(inst.dist[S[0]].max()), np.full(inst.n, S[0], dtype=int)
+    dist_S = inst.dist[S]
+    cands = np.unique(dist_S)
+    r_cover = float(dist_S.min(axis=0).max())
+    admits = cands + 1e-12
+    boundary = max(
+        int(np.searchsorted(cands, r_cover)),
+        int(np.searchsorted(admits, dead_center_radius(dist_S, inst.colors, gfb))),
+    )
+    last = len(cands) - 1
+    if boundary > last:
+        raise InfeasibleError("assignment LP infeasible at every radius")
+
+    def solve(idx):
+        lp, pairs = build_assignment_lp(inst, S, float(cands[idx]), gfb)
+        return pairs, solve_feasibility(lp, start_at_upper=nearest_admissible_start(inst, pairs))
+
+    def walk(lo):
+        width = inst.n
+        while True:
+            top = min(last, lo + width)
+            lp, pairs = build_assignment_lp(inst, S, float(cands[top]), gfb)
+            first = np.searchsorted(admits, inst.dist[pairs[:, 0], pairs[:, 1]])
+            step = first_feasible_step(
+                lp, np.maximum(first - lo, 0), nearest_admissible_start(inst, pairs)
+            )
+            if step is not None:
+                return lo + step
+            if top == last:
+                raise NumericFailure("phase 1 found no radius feasible")
+            lo, width = top + 1, 2 * width
+
+    idx = boundary
+    pairs, x = solve(idx)
+    if x is None:
+        idx = walk(boundary)
+        pairs, x = solve(idx)
+    if x is None:
+        raise NumericFailure(f"point-level LP infeasible at radius {cands[idx]}")
+    frac = FractionalAssignment(n=inst.n, pairs=pairs, values=x)
+    return float(cands[idx]), max_flow_gf(frac, inst, S)
+
+
+class TestForcedMassScreen:
+    def test_forced_mass_bounds_match_enumeration_and_linprog(self):
+        # random counts and bounds, m from 2 to 6 and delta = 0 among them:
+        # the leading runs give the bounds of all 2^m color sets, and those
+        # are the ends of the mass range HiGHS finds, or cross where it
+        # finds none
+        seen = set()
+
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @given(
+            m=st.integers(2, 6),
+            k=st.integers(1, 4),
+            weights=st.lists(st.integers(1, 20), min_size=6, max_size=6),
+            delta=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+            seed=st.integers(0, 2**31 - 1),
+        )
+        def check(m, k, weights, delta, seed):
+            rng = np.random.default_rng(seed)
+            r = np.asarray(weights[:m], dtype=float) / sum(weights[:m])
+            gfb = GFBounds(beta=(1.0 - delta) * r, alpha=np.minimum(1.0, (1.0 + delta) * r))
+            admit = rng.integers(0, 30, size=(k, m))
+            forced = rng.integers(0, admit + 1)
+            lower, upper = forced_mass_bounds(admit, forced, gfb)
+            for t in range(k):
+                want = enumerated_mass_bounds(admit[t].tolist(), forced[t].tolist(), gfb)
+                assert np.allclose((lower[t], upper[t]), want, rtol=1e-12, atol=0), (t, want)
+                ends = mass_range_linprog(admit[t], forced[t], gfb)
+                seen.add(ends is None)
+                if ends is None:
+                    assert lower[t] > upper[t] - 1e-6 * (1.0 + upper[t])
+                else:
+                    assert np.allclose((lower[t], upper[t]), ends, rtol=1e-6, atol=1e-6), ends
+
+        check()
+        assert seen == {True, False}
+
+    def test_forced_mass_rejects_only_infeasible_radii_on_the_fuzz_grid(self):
+        # as TestDeadCenterScreen.test_fuzz_grid, over every radius this screen rejects
+        design, rng = np.random.default_rng(20230530), np.random.default_rng(1)
+        screened = 0
+        for i in range(54):
+            delta, m = (0.0, 0.05, 0.3)[i % 3], (2, 3, 4)[i // 3 % 3]
+            n = int(design.integers(4, 25))
+            k = int(design.integers(2, min(n, 8) + 1))
+            props = design.dirichlet(np.ones(m))
+            inst = gen_random(n, m, 2, props / props.sum(), seed=int(rng.integers(2**31)))
+            cfg = ExperimentConfig(k_values=(k,), delta=delta, theta=0.5)
+            gfb = cfg.gf_bounds(inst)
+            for S in center_sets(inst, cfg, k):
+                screened += screened_radii(inst, S, gfb, forced_mass_rejects)
+        assert screened > 0
+
+    def test_forced_mass_rejects_only_infeasible_radii_on_adult(self):
+        # the benchmark's k=5 search, whose dead-center boundary is infeasible
+        inst = load_instance(ADULT_CSV)
+        cfg = ExperimentConfig(k_values=(5,), delta=0.2, theta=0.8)
+        S = list(gonzalez(inst, 5).centers)
+        assert screened_radii(inst, S, cfg.gf_bounds(inst), forced_mass_rejects) > 100
+
+    def test_forced_mass_gate_leaves_the_search_as_it_was(self, monkeypatch):
+        # beta_h = 5e-8 is below the dead-center bound 2 FEAS_TOL / (1 -
+        # FEAS_TOL), which turns the screen off: the search builds what it
+        # built without it, though the bounds alone reject its boundary
+        inst = gen_random(10, 2, 2, [0.5, 0.5], seed=1)
+        gfb = ExperimentConfig(k_values=(2,), delta=1.0 - 1e-7).gf_bounds(inst)
+        S = list(gonzalez(inst, 2).centers)
+        assert np.all(gfb.beta * (1 - FEAS_TOL) <= len(S) * FEAS_TOL)
+        original, builds = build_assignment_lp, []
+
+        def build(inst, S, R, gfb, aggregate=False):
+            builds.append((R, aggregate))
+            return original(inst, S, R, gfb, aggregate=aggregate)
+
+        def recorded(search):
+            builds.clear()
+            return search_outcome(search, inst, S, gfb), list(builds)
+
+        monkeypatch.setattr(solvers, "build_assignment_lp", build)
+        monkeypatch.setitem(globals(), "build_assignment_lp", build)
+        got = recorded(boundary_first_search)
+        assert got == recorded(walk_search) and len(got[1]) == 3  # solve, walk, solve
+        boundary = got[1][0][0]
+        adm = inst.dist[S] <= boundary + 1e-12
+        onehot = (inst.colors[:, None] == np.arange(gfb.m)).astype(float)
+        alone = adm.sum(axis=0) == 1
+        lower, upper = forced_mass_bounds(adm @ onehot, adm[:, alone] @ onehot[alone], gfb)
+        assert np.any(lower > upper * (1 + 1e-9))
+        assert not forced_mass_rejects(inst.dist[S], inst.colors, boundary, gfb)
+
+    def test_forced_mass_search_matches_the_walk_search(self, monkeypatch):
+        # fuzz shapes at fixed delta and with 1 - delta log-uniform in [1e-7,
+        # 1e-2]: the radius, the assignment's bytes or the class raised are
+        # those of the search without the screen, including where the
+        # screen moves the boundary
+        design, rng = np.random.default_rng(2021), np.random.default_rng(3)
+        deltas = (0.0, 0.05, 0.2, 0.3, 0.5, 0.6, 0.9, 0.99)
+        verdicts = []
+
+        def screen(*args):
+            verdicts.append(forced_mass_rejects(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(solvers, "forced_mass_rejects", screen)
+        cases, moved = 0, 0
+        for i in range(180):
+            m = int(design.integers(2, 5))
+            n = int(design.integers(max(m, 4), 25))
+            k = int(design.integers(2, min(n, 8) + 1))
+            props = design.dirichlet(np.ones(m))
+            inst = gen_random(n, m, 2, props / props.sum(), seed=int(rng.integers(2**31)))
+            delta = deltas[i % 8] if i % 2 else 1.0 - 10.0 ** design.uniform(-7, -2)
+            cfg = ExperimentConfig(k_values=(k,), delta=delta, theta=0.5)
+            gfb = cfg.gf_bounds(inst)
+            for S in center_sets(inst, cfg, k):
+                verdicts.clear()
+                got = search_outcome(boundary_first_search, inst, S, gfb)
+                assert got == search_outcome(walk_search, inst, S, gfb), (i, S)
+                cases += 1
+                moved += verdicts[:1] == [True]
+        assert cases > 320 and moved >= 10, (cases, moved)
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +965,10 @@ class TestRadiusSearch:
         assert R == class_probe_search(inst, S, gfb)[0]
 
     def test_walk_past_its_first_window_matches_class_probe_search(self, monkeypatch):
-        # the threshold lies more than n candidates above the screen's
-        # boundary, so the walk LP is built again over a window twice as wide
+        # the threshold lies more than n candidates above the dead-center
+        # screen's boundary, so the walk LP is built again over a window
+        # twice as wide; the forced-mass screen, which takes this search
+        # straight to the threshold, lets every radius through here
         inst = gen_random(10, 2, 2, [0.3, 0.7], seed=41)
         gfb = ExperimentConfig(k_values=(4,), delta=0.0).gf_bounds(inst)
         S = list(gonzalez(inst, 4).centers)
@@ -738,6 +984,7 @@ class TestRadiusSearch:
             return walks[-1]
 
         monkeypatch.setattr(solvers, "build_assignment_lp", build)
+        monkeypatch.setattr(solvers, "forced_mass_rejects", lambda *args: False)
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "first_feasible_step", walk)
             got = search_outcome(boundary_first_search, inst, S, gfb)
@@ -746,12 +993,15 @@ class TestRadiusSearch:
         assert second_top == min(len(cands) - 1, first_top + 1 + 2 * inst.n)
         assert threshold == first_top + 1 + walks[1] > first_top
         monkeypatch.undo()
-        assert got == search_outcome(class_probe_search, inst, S, gfb)
+        want = search_outcome(class_probe_search, inst, S, gfb)
+        assert got == want
+        assert search_outcome(boundary_first_search, inst, S, gfb) == want
 
     def test_walk_without_a_feasible_radius_is_numeric_failure(self, monkeypatch):
         # the global proportions meet the bounds, so the largest radius is
         # feasible: a walk that finds no radius is a solver fault, never an
-        # infeasible instance
+        # infeasible instance (the forced-mass screen, which would start
+        # this search at its threshold, lets every radius through)
         inst = gen_random(10, 2, 2, [0.3, 0.7], seed=41)
         gfb = ExperimentConfig(k_values=(4,), delta=0.0).gf_bounds(inst)
         S = list(gonzalez(inst, 4).centers)
@@ -763,6 +1013,7 @@ class TestRadiusSearch:
             return build_assignment_lp(inst, S, R, gfb, aggregate=aggregate)
 
         monkeypatch.setattr(solvers, "build_assignment_lp", build)
+        monkeypatch.setattr(solvers, "forced_mass_rejects", lambda *args: False)
         monkeypatch.setattr(solvers, "solve_feasibility", lambda lp, start_at_upper=None: None)
         monkeypatch.setattr(solvers, "first_feasible_step", lambda lp, steps, start=None: None)
         with pytest.raises(NumericFailure):
@@ -773,6 +1024,9 @@ class TestRadiusSearch:
         assert len(tops) >= 2 and tops[0] == boundary + inst.n and tops[-1] == len(cands) - 1
         for width, (below, top) in enumerate(zip(tops, tops[1:]), start=1):
             assert top == min(len(cands) - 1, below + 1 + 2**width * inst.n)
+        monkeypatch.undo()
+        want = search_outcome(class_probe_search, inst, S, gfb)
+        assert search_outcome(boundary_first_search, inst, S, gfb) == want
 
     def test_same_outcome_as_class_probe_search(self):
         # fuzz-small's shapes over a wider range of delta; both searches
