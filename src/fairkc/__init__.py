@@ -12,11 +12,9 @@ from .core import (
     InfeasibleError,
     Instance,
     Solution,
-    ViolationReport,
     cost,
     ds_violation,
     gf_violation,
-    make_report,
     pof,
 )
 
@@ -31,11 +29,9 @@ __all__ = [
     "InfeasibleError",
     "Instance",
     "Solution",
-    "ViolationReport",
     "cost",
     "ds_violation",
     "gf_violation",
-    "make_report",
     "pof",
     "__version__",
 ]

@@ -10,7 +10,7 @@ bounds on each color (GF) and per-color counts on the selected centers (DS).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -149,14 +149,14 @@ class Instance:
     def points_of_color(self, h: int) -> np.ndarray:
         return np.flatnonzero(self.colors == h)
 
-    def check_triangle(self, tol: float = TOL) -> None:
-        """Raise if some triple violates the triangle inequality.
+    def check_triangle(self) -> None:
+        """Raise if some triple violates the triangle inequality by more than TOL.
 
         O(n^3); meant for generated instances, not large CSV imports.
         """
         d = self.dist
         for k in range(self.n):
-            if np.any(d > d[:, k, None] + d[None, k, :] + tol):
+            if np.any(d > d[:, k, None] + d[None, k, :] + TOL):
                 raise ValueError(f"triangle inequality violated through point {k}")
 
 
@@ -329,24 +329,6 @@ def positions_in(Q: Sequence[int], q: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ViolationReport:
-    """Measured constraint violations for one solution."""
-
-    gf_rho: float
-    ds_violation: int
-    inactive_centers: tuple
-    cost: float
-
-    def to_dict(self) -> dict:
-        return {
-            "gf_rho": self.gf_rho,
-            "ds_violation": self.ds_violation,
-            "inactive_centers": list(self.inactive_centers),
-            "cost": self.cost,
-        }
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs for the five-algorithm comparison harness.
 
@@ -435,20 +417,6 @@ def pof(cost_constrained: float, cost_blind: float) -> float:
     if cost_blind == 0.0:
         return 1.0 if cost_constrained == 0.0 else float("inf")
     return cost_constrained / cost_blind
-
-
-def make_report(
-    inst: Instance,
-    sol: Solution,
-    gfb: Optional[GFBounds] = None,
-    dsb: Optional[DSBounds] = None,
-) -> ViolationReport:
-    return ViolationReport(
-        gf_rho=gf_violation(inst, gfb, sol) if gfb is not None else 0.0,
-        ds_violation=ds_violation(sol, dsb, inst) if dsb is not None else 0,
-        inactive_centers=sol.inactive_centers(),
-        cost=cost(inst, sol),
-    )
 
 
 def nearest_center_assignment(inst: Instance, centers: Sequence[int]) -> np.ndarray:

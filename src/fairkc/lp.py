@@ -93,11 +93,10 @@ tests as a reference for the radius search.
 
 Most radii a search probes below its threshold fail for a plain reason: a
 center that admits no point of some color can carry almost no mass, and
-some point admits only such dead centers.  `dead_centers_reject` checks this
-and rejects only radii whose LP the solver rejects.  Its verdict is
-monotone in R, and `dead_center_radius` gives in closed form the smallest R
-it lets through, so the radius search tries the point LP there first
-without building an LP to find it.
+some point admits only such dead centers.  `dead_center_radius` gives in
+closed form the smallest R at which every point admits a live center; below
+it the solver rejects every LP, so the radius search tries the point LP
+there first without building an LP to find it.
 
 A second screen, `forced_mass_rejects`, bounds the mass each center can
 carry.  A point that admits one center alone puts at least 1 - FEAS_TOL on
@@ -187,28 +186,12 @@ class SparseRows:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "num_cols", num_cols)
 
-    @classmethod
-    def from_dense(cls, A) -> "SparseRows":
-        """The nonzero entries of a 2-d array (NaN counts as nonzero)."""
-        A = np.asarray(A, dtype=np.float64)
-        if A.ndim != 2:
-            raise ValueError("need a 2-d matrix")
-        rows, cols = A.nonzero()
-        indptr = np.zeros(A.shape[0] + 1, dtype=np.intp)
-        np.cumsum(np.count_nonzero(A, axis=1), out=indptr[1:])
-        return cls(indptr, cols, A[rows, cols], A.shape[1])
-
     def __len__(self) -> int:
         return self.indptr.size - 1
 
     @property
     def shape(self) -> tuple:
         return (len(self), self.num_cols)
-
-    def toarray(self) -> np.ndarray:
-        dense = np.zeros(self.shape)
-        dense[self.term_rows, self.indices] = self.data
-        return dense
 
     def __matmul__(self, x) -> np.ndarray:
         """Each row's terms summed in column order (see module)."""
@@ -226,7 +209,7 @@ class LinearProgram:
     def __post_init__(self):
         A = self.constraints
         if not isinstance(A, SparseRows):
-            raise TypeError("constraints must be SparseRows (see SparseRows.from_dense)")
+            raise TypeError("constraints must be SparseRows")
         b = np.asarray(self.rhs, dtype=np.float64)
         is_eq = np.asarray(self.is_eq, dtype=bool)
         bounds = np.asarray(self.var_bounds, dtype=np.float64)
@@ -482,10 +465,8 @@ def admissible(dist_S: np.ndarray, R: float) -> np.ndarray:
     return dist_S <= R + 1e-12
 
 
-def dead_centers_reject(
-    dist_S: np.ndarray, colors: np.ndarray, R: float, gfb: GFBounds
-) -> bool:
-    """True when no assignment at radius R can pass `solve_feasibility`.
+def dead_center_radius(dist_S: np.ndarray, colors: np.ndarray, gfb: GFBounds) -> float:
+    """V such that no assignment at a radius R with V > R + 1e-12 passes `solve_feasibility`.
 
     dist_S holds the rows of the distance matrix of the centers S.  A center
     that admits no point of color h has the lower row beta_h * M_i <= 0,
@@ -498,27 +479,21 @@ def dead_centers_reject(
         beta_h * (1 - FEAS_TOL) > |S| * FEAS_TOL.
 
     So only the colors that meet this bound make a center dead; below it the
-    verdict is left to the LP.  A point that no center admits is rejected too.
-    Both forms of `build_assignment_lp` have these rows (class sizes only
-    scale a center's mass up), so at a radius the screen rejects the solver
-    can return no solution either.  The verdict is monotone in R:
-    admissibility only grows with R, so a dead center can only come alive.
-    It is `dead_center_radius(dist_S, colors, gfb) > R + 1e-12`.
-    """
-    return dead_center_radius(dist_S, colors, gfb) > R + 1e-12
+    verdict is left to the LP.  Both forms of `build_assignment_lp` have
+    these rows (class sizes only scale a center's mass up), so at a radius
+    where some point admits no live center, or no center at all, the solver
+    can return no solution either.
 
-
-def dead_center_radius(dist_S: np.ndarray, colors: np.ndarray, gfb: GFBounds) -> float:
-    """V such that `dead_centers_reject` lets R through exactly when V <= R + 1e-12.
-
-    Center t is alive at R when it admits a point of each color the screen
+    Center t is alive at R when it admits a point of each color that
     counts, that is when L_t <= R + 1e-12, L_t the largest over those colors
     of the distance from t to its nearest point of the color (0 when no
     color counts, inf when a counted color has no point).  Point j has a
     live admissible center when max(L_t, d_tj) <= R + 1e-12 for some t, so
-    every point has one when V = max_j min_t max(L_t, d_tj) is within
-    R + 1e-12.  Each comparison is one of the admissibility mask's, so the
-    verdict is the mask's at every R.
+    every point has one exactly when V = max_j min_t max(L_t, d_tj) is
+    within R + 1e-12.  Each comparison is one of the admissibility mask's,
+    so at every R, V > R + 1e-12 exactly when the mask leaves some point
+    without a live center.  That verdict is monotone in R: admissibility
+    only grows with R, so a dead center can only come alive.
     """
     counted = gfb.beta * (1.0 - FEAS_TOL) > len(dist_S) * FEAS_TOL
     L = np.zeros(len(dist_S))
@@ -545,7 +520,7 @@ def forced_mass_rejects(
     no center admits is rejected too.
 
     The screen runs only when every color meets the dead-center bound
-    beta_h (1 - eps) > |S| eps (see `dead_centers_reject`); otherwise it
+    beta_h (1 - eps) > |S| eps (see `dead_center_radius`); otherwise it
     lets every R through and leaves the verdict to the LP.
     """
     if not gfb.beta.min() * (1.0 - FEAS_TOL) > len(dist_S) * FEAS_TOL:

@@ -128,8 +128,9 @@ def assignment_gf(
 
     1. Two screens give the boundary without building an LP, and each
        rejects only radii whose LP the solver rejects too.
-       `dead_center_radius` gives in closed form the smallest candidate at
-       or above the covering radius that `dead_centers_reject` lets through.
+       `dead_center_radius` gives in closed form the radius below which
+       some point admits only dead centers; the smallest candidate at or
+       above both it and the covering radius is the first one left.
        From there, the boundary is the first candidate that
        `forced_mass_rejects` lets through: it is tried at that candidate
        first and, only when it rejects it, galloped and bisected upward,

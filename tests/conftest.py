@@ -1,10 +1,11 @@
-"""Shared helpers for building random instances, bounds, and solutions."""
+"""Shared helpers for building random instances, bounds, solutions and LPs."""
 
 import numpy as np
 import pytest
 
 from fairkc.core import DSBounds, FractionalAssignment, GFBounds, Instance, Solution
 from fairkc.instances import gen_random
+from fairkc.lp import SparseRows, dead_center_radius
 
 
 def random_instance(rng, n=None, m=None, dim=2):
@@ -48,6 +49,27 @@ def from_entries(n, entries):
     pairs = np.array(list(entries), dtype=np.intp).reshape(-1, 2)
     values = np.array(list(entries.values()), dtype=float)
     return FractionalAssignment(n=n, pairs=pairs, values=values)
+
+
+def sparse_rows(A):
+    """SparseRows of the nonzero entries of a 2-d array (NaN counts as nonzero)."""
+    A = np.asarray(A, dtype=np.float64)
+    rows, cols = A.nonzero()
+    indptr = np.zeros(A.shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.count_nonzero(A, axis=1), out=indptr[1:])
+    return SparseRows(indptr, cols, A[rows, cols], A.shape[1])
+
+
+def dense(rows):
+    """The 2-d array a SparseRows holds."""
+    out = np.zeros(rows.shape)
+    out[rows.term_rows, rows.indices] = rows.data
+    return out
+
+
+def dead_centers_reject(dist_S, colors, R, gfb):
+    """The dead-center screen's verdict at R, as the radius search reads it."""
+    return dead_center_radius(dist_S, colors, gfb) > R + 1e-12
 
 
 @pytest.fixture

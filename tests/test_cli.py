@@ -54,6 +54,34 @@ class TestGenerateSolveEvaluate:
             assert key in ev
         assert ev["ds_violation"] == 0
 
+    def test_evaluate_prints_the_whole_report(self, tmp_path, capsys):
+        # six points on a line at 0, 1, 2, 4, 5, 6; center 2 takes the three
+        # points of color 1 and center 5 takes none
+        pos = [0, 1, 2, 4, 5, 6]
+        inst_p, sol_p = tmp_path / "inst.json", tmp_path / "sol.json"
+        inst_p.write_text(json.dumps({
+            "n": 6, "m": 2, "colors": [0, 0, 0, 1, 1, 1],
+            "dist": [[abs(a - b) for b in pos] for a in pos],
+        }))
+        sol_p.write_text(json.dumps({"centers": [0, 2, 5], "assign": [0, 0, 0, 2, 2, 2]}))
+        assert run(
+            ["evaluate", "--solution", str(sol_p), "--input", str(inst_p),
+             "--delta", "0.5", "--theta", "0.5"]
+        ) == 0
+        assert capsys.readouterr().out == (
+            "{\n"
+            '  "cost": 4.0,\n'
+            '  "gf_rho": 0.75,\n'
+            '  "ds_violation": 1,\n'
+            '  "inactive_centers": [\n'
+            "    5\n"
+            "  ],\n"
+            '  "min_alpha_nr": 4.0,\n'
+            '  "socially_fair_cost": 3.0,\n'
+            '  "min_alpha_proportional": 4.0\n'
+            "}\n"
+        )
+
     def test_generate_community_and_oracle(self, tmp_path, capsys):
         inst_p = str(tmp_path / "comm.json")
         assert run(

@@ -17,7 +17,6 @@ from fairkc.core import (
     cost,
     ds_violation,
     gf_violation,
-    make_report,
     nearest_center_assignment,
     pof,
 )
@@ -463,16 +462,3 @@ def test_fractional_assignment_equals_entry_loops():
             assert got.tobytes() == ref.tobytes()
         outcomes.add("ok")
     assert outcomes == {"ok", "error"}
-
-
-def test_report_bundle():
-    inst = Instance(dist=np.zeros((4, 4)), colors=[0, 0, 1, 1], m=2)
-    sol = Solution(centers=(0, 2), assign=[0, 2, 0, 2])  # one of each color per cluster
-    rep = make_report(
-        inst,
-        sol,
-        GFBounds(beta=[0.5, 0.5], alpha=[0.5, 0.5]),
-        DSBounds(k_lo=[1, 1], k_hi=[2, 2], k=2),
-    )
-    assert rep.gf_rho == 0.0 and rep.ds_violation == 0
-    assert rep.inactive_centers == () and rep.cost == 0.0

@@ -77,7 +77,7 @@ class TestRandom:
         inst = gen_random(20, 3, 2, [0.3, 0.3, 0.4], seed=1)
         assert np.array_equal(inst.dist, inst.dist.T)
         assert np.all(np.diagonal(inst.dist) == 0.0)
-        inst.check_triangle(tol=1e-9)
+        inst.check_triangle()
 
     def test_same_seed_identical(self):
         a = gen_random(15, 2, 3, [0.6, 0.4], seed=42)

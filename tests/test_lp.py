@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from conftest import dead_centers_reject, dense, sparse_rows
 from fairkc.core import ExperimentConfig, FractionalAssignment, GFBounds, Instance
 from fairkc.flow import max_flow_gf
 from fairkc.harness import load_instance
@@ -24,7 +25,6 @@ from fairkc.lp import (
     _start_clears,
     _verified,
     build_assignment_lp,
-    dead_centers_reject,
     first_feasible_step,
     group_classes,
     nearest_admissible_start,
@@ -67,7 +67,7 @@ def rational_feasible(lp: LinearProgram) -> bool:
     """
     nv = lp.num_vars
     rows = []  # (coeffs, rhs) meaning a.x <= b, as Fractions
-    for coeffs, rhs, eq in zip(lp.constraints.toarray(), lp.rhs, lp.is_eq):
+    for coeffs, rhs, eq in zip(dense(lp.constraints), lp.rhs, lp.is_eq):
         a = [Fraction(float(c)) for c in coeffs]
         b = Fraction(float(rhs))
         rows.append((a, b))
@@ -126,7 +126,7 @@ def random_small_lp(rng, max_vars=6, max_cons=8):
         A[r, vs] = [sign * c for c in coefs]
         b[r], is_eq[r] = sign * rhs, rel == "="
     return LinearProgram(
-        constraints=SparseRows.from_dense(A),
+        constraints=sparse_rows(A),
         rhs=b,
         is_eq=is_eq,
         var_bounds=np.tile([0.0, 1.0], (nv, 1)),
@@ -139,7 +139,7 @@ def random_small_lp(rng, max_vars=6, max_cons=8):
 def one_var_lp(lo_rhs, hi_rhs):
     """lo_rhs <= x <= hi_rhs, the first row stored as -x <= -lo_rhs."""
     return LinearProgram(
-        constraints=SparseRows.from_dense([[-1.0], [1.0]]),
+        constraints=sparse_rows([[-1.0], [1.0]]),
         rhs=[-lo_rhs, hi_rhs],
         is_eq=[False, False],
         var_bounds=[[0.0, 1.0]],
@@ -155,7 +155,7 @@ def lp_fields(**change):
         var_bounds=[[0.0, 1.0], [0.25, 0.75]],
     )
     fields.update(change)
-    fields["constraints"] = SparseRows.from_dense(fields["constraints"])
+    fields["constraints"] = sparse_rows(fields["constraints"])
     return fields
 
 
@@ -212,7 +212,7 @@ class TestLinearProgram:
 
     def test_rejects_dense_constraints(self):
         fields = lp_fields()
-        fields["constraints"] = fields["constraints"].toarray()
+        fields["constraints"] = dense(fields["constraints"])
         with pytest.raises(TypeError):
             LinearProgram(**fields)
 
@@ -230,7 +230,7 @@ class TestLinearProgram:
         assert solve_feasibility(lp) is not None
 
     def test_term_rows_are_built_once_and_read_only(self):
-        A = SparseRows.from_dense([[0.0, 2.0, 3.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        A = sparse_rows([[0.0, 2.0, 3.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         assert A.term_rows.tolist() == [0, 0, 2]
         assert A.term_rows is A.term_rows and not A.term_rows.flags.writeable
         with pytest.raises(ValueError):
@@ -269,7 +269,7 @@ class TestSolver:
     def mixed_bounds_lp(self):
         # x0 + x1 >= 0.9 (stored negated), 2 x2 = 1, x3 - x0 <= 0
         return LinearProgram(
-            constraints=SparseRows.from_dense([
+            constraints=sparse_rows([
                 [-1.0, -1.0, 0.0, 0.0],
                 [0.0, 0.0, 2.0, 0.0],
                 [-1.0, 0.0, 0.0, 1.0],
@@ -325,7 +325,7 @@ class TestSolver:
         # x0 + x1 = 1, x0 <= 0: a wrapped -2 started x0 at 1 and lost the
         # verdict, and 2 raised IndexError
         lp = LinearProgram(
-            constraints=SparseRows.from_dense([[1.0, 1.0], [1.0, 0.0]]),
+            constraints=sparse_rows([[1.0, 1.0], [1.0, 0.0]]),
             rhs=[1.0, 0.0],
             is_eq=[True, False],
             var_bounds=[[0.0, 1.0], [0.0, 1.0]],
@@ -558,8 +558,8 @@ class TestClassAggregation:
                     lp, pairs = build_assignment_lp(inst, S, float(R), gfb, aggregate=aggregate)
                     A, b, is_eq, want_pairs = reference_lp(inst, S, float(R), gfb, aggregate)
                     assert pairs.tolist() == [list(pair) for pair in want_pairs]
-                    dense = lp.constraints.toarray()
-                    for got, want in ((dense, A), (lp.rhs, b), (lp.is_eq, is_eq)):
+                    got_A = dense(lp.constraints)
+                    for got, want in ((got_A, A), (lp.rhs, b), (lp.is_eq, is_eq)):
                         assert got.shape == want.shape and got.dtype == want.dtype
                         assert got.tobytes() == want.tobytes()
                     assert lp.var_bounds.tolist() == [[0.0, 1.0]] * len(pairs)
@@ -573,12 +573,12 @@ class TestClassAggregation:
         lp, pairs = build_assignment_lp(inst, [0, 3], 0.0, gfb, aggregate=True)
         assert pairs.tolist() == [[0, 0], [0, 2], [3, 3], [3, 5]]
         assert lp.constraints.shape == (4 + 4 + 4, 4)  # 2 blocks of 2m rows, 4 classes
-        assert lp.constraints.toarray()[:2].tolist() == [
+        assert dense(lp.constraints)[:2].tolist() == [
             [2 * (0.3 - 1.0), 0.3, 0.0, 0.0],
             [2 * (1.0 - 0.7), -0.7, 0.0, 0.0],
         ]
         assert lp.rhs[:8].tolist() == [0.0] * 8 and not lp.is_eq[:8].any()
-        assert lp.constraints.toarray()[-4:].tolist() == np.eye(4).tolist()
+        assert dense(lp.constraints)[-4:].tolist() == np.eye(4).tolist()
         assert lp.rhs[-4:].tolist() == [1.0] * 4 and lp.is_eq[-4:].all()
         assert verdict(inst, [0, 3], 0.0, gfb, aggregate=True)
 
@@ -713,7 +713,7 @@ def program_of_step(lp, steps, step):
     """lp without the variables of a later step than `step` (their lower bound is 0)."""
     keep = np.asarray(steps) <= step
     return LinearProgram(
-        SparseRows.from_dense(lp.constraints.toarray()[:, keep]),
+        sparse_rows(dense(lp.constraints)[:, keep]),
         lp.rhs, lp.is_eq, lp.var_bounds[keep],
     )
 
@@ -801,7 +801,7 @@ class TestNearestStart:
 
 def highs_feasible(lp: LinearProgram) -> bool:
     """Feasibility verdict of scipy's HiGHS on the same program."""
-    A, b, eq = lp.constraints.toarray(), lp.rhs, lp.is_eq
+    A, b, eq = dense(lp.constraints), lp.rhs, lp.is_eq
     ub = ~eq
     res = linprog(
         np.zeros(lp.num_vars),
@@ -952,7 +952,7 @@ def reference_solve(lp, start_at_upper=None):
     x0[up] = hi[up]
     if reference_start_clears(A, b, is_eq, x0):
         return x0
-    resid = b - A.toarray() @ x0
+    resid = b - dense(A) @ x0
     violated = np.where(is_eq, np.abs(resid) > PIV_TOL, resid < -PIV_TOL)
     art_rows = np.flatnonzero(violated)
     n_art = art_rows.size
@@ -1057,7 +1057,7 @@ def bounded_lp(rng):
     is_eq = rng.random(nc) < 0.25
     at = A @ (lo + (hi - lo) * rng.random(nv)) + np.where(is_eq, 0.0, 0.3 * rng.random(nc))
     b = np.where(rng.random(nc) < 0.6, at, rng.integers(-3, 4, size=nc) / 2.0)
-    return LinearProgram(SparseRows.from_dense(A), b, is_eq, np.column_stack([lo, hi]))
+    return LinearProgram(sparse_rows(A), b, is_eq, np.column_stack([lo, hi]))
 
 
 def solve_outcome(solve, lp, start):
@@ -1104,7 +1104,7 @@ def start_corner(lp, start):
 
 def dense_breaks_a_row(lp, x):
     """Whether the dense product's residual breaks a row by more than PIV_TOL."""
-    resid = lp.rhs - lp.constraints.toarray() @ x
+    resid = lp.rhs - dense(lp.constraints) @ x
     return bool(np.where(lp.is_eq, np.abs(resid) > PIV_TOL, resid < -PIV_TOL).any())
 
 
@@ -1153,13 +1153,13 @@ class TestBlockedProduct:
         eps = np.finfo(float).eps
         for cols, density in ((7, 0.6), (50, 0.5), (300, 0.02), (1000, 0.005)):
             shape = (rows, cols)
-            dense = np.where(rng.random(shape) < density, rng.normal(size=shape), 0.0)
-            A = SparseRows.from_dense(dense)
-            assert A.shape == shape and A.toarray().tobytes() == dense.tobytes()
+            full = np.where(rng.random(shape) < density, rng.normal(size=shape), 0.0)
+            A = sparse_rows(full)
+            assert A.shape == shape and dense(A).tobytes() == full.tobytes()
             # two summation orders of k terms differ by at most k eps sum |terms|
             x = rng.random(cols)
-            bound = np.diff(A.indptr) * eps * (np.abs(dense) @ x)
-            assert np.all(np.abs(A @ x - dense @ x) <= bound)
+            bound = np.diff(A.indptr) * eps * (np.abs(full) @ x)
+            assert np.all(np.abs(A @ x - full @ x) <= bound)
 
     def test_row_broken_only_by_the_dense_bits_builds_a_tableau(self):
         """A row whose dense residual is -PIV_TOL - d/2 and whose per-term
@@ -1175,7 +1175,7 @@ class TestBlockedProduct:
             pytest.fail("no row whose dense sum exceeds its per-term sum")
         b = dense - PIV_TOL - (dense - per_term) / 2
         lp = LinearProgram(
-            constraints=SparseRows.from_dense(coef[None, :]),
+            constraints=sparse_rows(coef[None, :]),
             rhs=[b],
             is_eq=[False],
             var_bounds=np.tile([0.0, 1.0], (coef.size, 1)),

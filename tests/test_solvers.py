@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from conftest import random_instance, wide_bounds
+from conftest import dead_centers_reject, random_instance, wide_bounds
 from fairkc import solvers
 from fairkc.core import (
     TOL,
@@ -31,7 +31,6 @@ from fairkc.lp import (
     NumericFailure,
     build_assignment_lp,
     dead_center_radius,
-    dead_centers_reject,
     first_feasible_step,
     forced_mass_bounds,
     forced_mass_rejects,
