@@ -9,6 +9,9 @@ bounds on each color (GF) and per-color counts on the selected centers (DS).
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,38 +50,90 @@ def euclidean_distances(pts) -> np.ndarray:
     instead of one tiny reduction per entry.  Entry (i, j) and (j, i) add the
     same squares in the same order, so each block computes the columns from
     its own first row on and mirrors them below the diagonal: the result is
-    exactly symmetric with a zero diagonal.
+    exactly symmetric with a zero diagonal and nonnegative.
+
+    The blocks write disjoint parts of the matrix, and each entry's bits do
+    not depend on which block or thread computes it, so the blocks go to a
+    thread pool (numpy's ufuncs release the GIL).  Each worker needs
+    _scratch_count(dim) ROW_BLOCK x n scratch buffers: one below 8
+    coordinates, 8 to 10 from 8 on.  There are as many workers as the
+    process has CPUs, but no more than keep all the scratch within a quarter
+    of the matrix; with one worker the build is serial and starts no pool.
     """
     coords = np.array(np.asarray(pts, dtype=float).T)  # one contiguous row per coordinate
-    n = coords.shape[1]
+    dim, n = coords.shape
+    return _distances(coords, min(_cpu_count(), n // (4 * ROW_BLOCK * max(_scratch_count(dim), 1))))
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _distances(coords: np.ndarray, workers: int) -> np.ndarray:
+    """euclidean_distances of the columns of coords, on `workers` threads."""
+    dim, n = coords.shape
     dist = np.empty((n, n))
-    for rows in row_blocks(n):
+    workers = max(workers, 1)
+    blocks = list(row_blocks(n))
+    buffers = _scratch_count(dim)
+    # Allocated here, not in the workers: glibc keeps what a thread frees in
+    # that thread's arena, which would raise the peak RSS of the process.
+    works = [np.empty(buffers * ROW_BLOCK * n) for _ in range(workers)]
 
-        def square(c, out):
-            np.copyto(out, coords[c, rows, None])  # then a plain subtract: faster than a broadcast one
-            np.subtract(out, coords[c, rows.start:], out=out)
-            return np.multiply(out, out, out=out)
+    def build(w):
+        # every workers-th block, so each worker gets wide and narrow ones
+        for rows in blocks[w::workers]:
+            width = n - rows.start
+            size = (rows.stop - rows.start) * width
+            scratch = [works[w][t * size:(t + 1) * size].reshape(-1, width) for t in range(buffers)]
 
-        upper = dist[rows, rows.start:]
-        np.sqrt(_pairwise_sum(square, 0, coords.shape[0], upper), out=upper)
-        dist[rows.stop:, rows] = dist[rows, rows.stop:].T
+            def square(c, out):
+                np.copyto(out, coords[c, rows, None])  # then a plain subtract: faster than a broadcast one
+                np.subtract(out, coords[c, rows.start:], out=out)
+                return np.multiply(out, out, out=out)
+
+            upper = dist[rows, rows.start:]
+            np.sqrt(_pairwise_sum(square, 0, dim, upper, scratch), out=upper)
+            dist[rows.stop:, rows] = dist[rows, rows.stop:].T
+
+    if workers == 1:
+        build(0)
+        return dist
+    with ThreadPoolExecutor(workers) as pool:
+        # a new thread starts in an empty context, which would drop the caller's
+        # np.errstate (a context variable in numpy 2)
+        tasks = [pool.submit(contextvars.copy_context().run, build, w) for w in range(workers)]
+        for task in tasks:
+            task.result()
     return dist
 
 
-def _pairwise_sum(square, lo, hi, out):
+def _scratch_count(count: int) -> int:
+    """How many buffers shaped like out _pairwise_sum needs for count squares."""
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        return max(_scratch_count(half), 1 + _scratch_count(count - half))
+    return 8 if count >= 8 else min(count, 1)
+
+
+def _pairwise_sum(square, lo, hi, out, scratch):
     """Write square(lo) + ... + square(hi - 1) into out in numpy's pairwise
-    order (see euclidean_distances); square(c, buf) fills and returns buf."""
+    order (see euclidean_distances); square(c, buf) fills and returns buf,
+    and scratch holds _scratch_count(hi - lo) more buffers shaped like out."""
     count = hi - lo
     if count > 128:
         half = count // 2 - count // 2 % 8
-        _pairwise_sum(square, lo, lo + half, out)
-        return np.add(out, _pairwise_sum(square, lo + half, hi, np.empty_like(out)), out=out)
+        _pairwise_sum(square, lo, lo + half, out, scratch)
+        return np.add(out, _pairwise_sum(square, lo + half, hi, scratch[0], scratch[1:]), out=out)
     if count == 0:
         out.fill(0.0)
         return out
     lanes = 8 if count >= 8 else 1
-    r = [square(lo, out)] + [square(c, np.empty_like(out)) for c in range(lo + 1, lo + lanes)]
-    buf = np.empty_like(out)
+    r = [square(lo, out)] + [square(c, scratch[c - lo - 1]) for c in range(lo + 1, lo + lanes)]
+    buf = scratch[lanes - 1]
     tail = hi - count % lanes
     for c in range(lo + lanes, tail):
         r[(c - lo) % lanes] += square(c, buf)
@@ -109,29 +164,50 @@ class Instance:
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "dist", _as_float_matrix(self.dist))
-        object.__setattr__(self, "colors", np.asarray(self.colors, dtype=int))
-        self.dist.setflags(write=False)
-        self.colors.setflags(write=False)
-        n = self.dist.shape[0]
-        if self.colors.shape != (n,):
-            raise ValueError("colors must have one entry per point")
-        if np.any(self.dist < -TOL):
+        self._store(_as_float_matrix(self.dist))
+        d = self.dist
+        if np.any(d < -TOL):
             raise ValueError("distances must be nonnegative")
-        if np.any(np.abs(np.diagonal(self.dist)) > TOL):
+        if np.any(np.abs(np.diagonal(d)) > TOL):
             raise ValueError("distance matrix must have zero diagonal")
         # Symmetric within TOL, as np.allclose(d, d.T, atol=TOL, rtol=0.0) says.
         # Exact equality of each block's upper triangle with its mirror implies
         # that verdict (equal infinities included) and is several times cheaper,
         # so the allclose pass runs only when some pair differs; a NaN is never
         # equal, so it always reaches allclose.
-        d = self.dist
         if not all(
-            np.array_equal(d[rows, rows.start:], d[rows.start:, rows].T) for rows in row_blocks(n)
+            np.array_equal(d[rows, rows.start:], d[rows.start:, rows].T) for rows in row_blocks(self.n)
         ) and not all(
-            np.allclose(d[rows], d[:, rows].T, atol=TOL, rtol=0.0) for rows in row_blocks(n)
+            np.allclose(d[rows], d[:, rows].T, atol=TOL, rtol=0.0) for rows in row_blocks(self.n)
         ):
             raise ValueError("distance matrix must be symmetric")
+
+    @classmethod
+    def from_points(cls, pts, colors, m: int) -> "Instance":
+        """Instance of the Euclidean distances between the rows of pts.
+
+        The matrix comes from euclidean_distances, which makes it
+        nonnegative, zero on the diagonal and exactly symmetric, so only the
+        O(n) checks of colors and m run here, not the O(n^2) ones on dist.
+        That holds for finite coordinates only, so pts must have them.
+        """
+        pts = np.asarray(pts, dtype=float)
+        if not np.isfinite(pts).all():
+            raise ValueError("point coordinates must be finite")
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "colors", colors)
+        object.__setattr__(inst, "m", m)
+        inst._store(euclidean_distances(pts))
+        return inst
+
+    def _store(self, dist: np.ndarray) -> None:
+        """Keep dist and the colors read-only, after checking the colors and m."""
+        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "colors", np.asarray(self.colors, dtype=int))
+        self.dist.setflags(write=False)
+        self.colors.setflags(write=False)
+        if self.colors.shape != (self.n,):
+            raise ValueError("colors must have one entry per point")
         if self.m < 1:
             raise ValueError("need at least one color")
         if np.any(self.colors < 0) or np.any(self.colors >= self.m):

@@ -24,7 +24,6 @@ from .core import (
     Solution,
     cost,
     ds_violation,
-    euclidean_distances,
     gf_violation,
     pof,
 )
@@ -117,17 +116,17 @@ def _load_csv(path: str) -> Instance:
     if not np.all(np.isfinite(pts)):
         bad = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])
         raise ParseError(f"{path}: row {bad + 2} has a non-finite feature")
-    with np.errstate(over="ignore"):  # finite features can still square past the float range
-        dist = euclidean_distances(pts)
-    if not np.isfinite(dist.max()):
-        bad = int(np.flatnonzero(~np.isfinite(dist).all(axis=1))[0])
+    try:
+        with np.errstate(over="ignore"):  # finite features can still square past the float range
+            inst = Instance.from_points(pts, colors, len(order))
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if not np.isfinite(inst.dist.max()):
+        bad = int(np.flatnonzero(~np.isfinite(inst.dist).all(axis=1))[0])
         raise ParseError(
             f"{path}: row {bad + 2} lies too far from another row; their distance overflows"
         )
-    try:
-        return Instance(dist=dist, colors=colors, m=len(order))
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    return inst
 
 
 def load_json_object(path: str, keys) -> dict:
@@ -188,15 +187,15 @@ def _load_matrix_json(path: str) -> Instance:
 
 
 def save_instance(inst: Instance, path: str) -> None:
-    obj = {
-        "n": inst.n,
-        "m": inst.m,
-        "colors": [int(c) for c in inst.colors],
-        "dist": [[float(v) for v in row] for row in inst.dist],
-    }
+    """Write inst as matrix JSON, the bytes `json.dump` gives followed by a
+    newline.  Each row goes through `json.dumps`, whose encoder is in C,
+    where `json.dump` runs the pure-Python one over the whole nested list."""
     with open(path, "w") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+        fh.write(f'{{"n": {json.dumps(inst.n)}, "m": {json.dumps(inst.m)}, '
+                 f'"colors": {json.dumps(inst.colors.tolist())}, "dist": [')
+        for i, row in enumerate(inst.dist):
+            fh.write((", " if i else "") + json.dumps(row.tolist()))
+        fh.write("]}\n")
 
 
 def save_solution(sol: Solution, path: str) -> None:

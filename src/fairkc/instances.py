@@ -6,7 +6,7 @@ from math import gcd
 
 import numpy as np
 
-from .core import FairKCError, Instance, euclidean_distances
+from .core import FairKCError, Instance
 
 PATTERNS = ("alternating", "odd-mixed-last", "ds-variant")
 
@@ -151,4 +151,4 @@ def gen_random(
     colors = np.repeat(np.arange(m), counts)
     rng.shuffle(colors)
 
-    return Instance(dist=euclidean_distances(pts), colors=colors, m=m)
+    return Instance.from_points(pts, colors, m)

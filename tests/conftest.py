@@ -72,6 +72,15 @@ def dead_centers_reject(dist_S, colors, R, gfb):
     return dead_center_radius(dist_S, colors, gfb) > R + 1e-12
 
 
+def write_far_apart_csv(path, n=1100):
+    """A CSV of n rows whose one feature lies near 1e200, so every distance
+    between two rows squares past the float range."""
+    path.write_text("f0,color\n" + "".join(
+        f"{(1 + i / n) * 1e200!r},{'ab'[i % 2]}\n" for i in range(n)
+    ))
+    return str(path)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

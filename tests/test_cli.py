@@ -3,6 +3,7 @@ from importlib import resources
 
 import pytest
 
+from conftest import write_far_apart_csv
 from fairkc import solvers
 from fairkc.cli import main
 
@@ -163,6 +164,14 @@ class TestExitCodes:
                     "--input", str(csv_p), "--output", str(tmp_path / "s.json")])
         assert code == 3
         assert "overflows" in capsys.readouterr().err
+
+    def test_overflowing_distance_in_a_large_csv_is_three(self, tmp_path, capsys):
+        csv_p = write_far_apart_csv(tmp_path / "huge.csv")
+        code = run(["solve", "--algo", "alg-gf", "--k", "2",
+                    "--input", csv_p, "--output", str(tmp_path / "s.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "overflows" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("delta", ["1.0", "1.5"])
     def test_bad_delta_is_three(self, tmp_path, capsys, delta):

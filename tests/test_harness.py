@@ -8,8 +8,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from conftest import write_far_apart_csv
 from fairkc import harness, solvers
-from fairkc.core import ExperimentConfig, InfeasibleError
+from fairkc.core import ExperimentConfig, InfeasibleError, Instance
 from fairkc.divide import InvalidSubset
 from fairkc.flow import InternalInfeasible
 from fairkc.harness import (
@@ -100,6 +101,21 @@ class TestMatrixJson:
         p = write(tmp_path, "s.json", json.dumps(obj))
         with pytest.raises(ParseError, match="s.json"):
             load_solution(p)
+
+    def test_saved_bytes_are_json_dump_ones(self, tmp_path):
+        dist = np.array([[0.0, np.inf, 0.1, 1e-300], [np.inf, 0.0, 2.5, 3.0],
+                         [0.1, 2.5, 0.0, 1 / 3], [1e-300, 3.0, 1 / 3, 0.0]])
+        for inst in (Instance(dist=dist, colors=[1, 0, 1, 1], m=2),
+                     gen_random(40, 3, 4, [0.5, 0.3, 0.2], seed=3)):
+            p = tmp_path / "i.json"
+            save_instance(inst, str(p))
+            obj = {"n": inst.n, "m": inst.m, "colors": [int(c) for c in inst.colors],
+                   "dist": [[float(v) for v in row] for row in inst.dist]}
+            want = tmp_path / "want.json"
+            with open(want, "w") as fh:
+                json.dump(obj, fh)
+                fh.write("\n")
+            assert p.read_bytes() == want.read_bytes()
 
     def test_asymmetric_rejected(self, tmp_path):
         obj = {"n": 2, "m": 2, "colors": [0, 1], "dist": [[0, 1], [2, 0]]}
@@ -369,3 +385,11 @@ def test_overflowing_distance_is_parse_error(tmp_path):
     p.write_text("f0,color\n0,a\n1e200,b\n2e200,a\n")
     with pytest.raises(ParseError, match="row 2 .* overflows"):
         load_instance(str(p))
+
+
+def test_overflowing_distance_in_a_large_csv_is_parse_error(tmp_path):
+    # large enough for a parallel build, whose workers must keep the
+    # loader's errstate: tier-1 turns the overflow's RuntimeWarning into an error
+    p = write_far_apart_csv(tmp_path / "huge.csv")
+    with pytest.raises(ParseError, match="row 2 .* overflows"):
+        load_instance(p)

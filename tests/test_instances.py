@@ -1,10 +1,15 @@
+import contextvars
 import hashlib
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from fairkc.core import cost, euclidean_distances
+from fairkc import core
+from fairkc.core import Instance, cost, euclidean_distances
 from fairkc.harness import load_instance
 from fairkc.instances import (
     PatternArity,
@@ -118,3 +123,125 @@ class TestEuclideanDistances:
         inst = load_instance(str(resources.files("fairkc") / "data" / "adult_mini.csv"))
         digest = hashlib.sha256(inst.dist.tobytes()).hexdigest()
         assert digest == "f69b2439b0082703caecc754a7b9e109c54482a15c026ebdc1a483cfaf9643f6"
+
+
+class TestParallelBuild:
+    @pytest.mark.parametrize("n", [1100, 2000])
+    @pytest.mark.parametrize("dim", [1, 4, 9, 130])
+    def test_bytes_equal_the_one_worker_build(self, monkeypatch, n, dim):
+        pts = np.random.default_rng(n + dim).normal(scale=1e3, size=(n, dim))
+        monkeypatch.setattr(core, "_cpu_count", lambda: 1)
+        want = euclidean_distances(pts).tobytes()
+        monkeypatch.setattr(core, "_cpu_count", lambda: 4)
+        assert euclidean_distances(pts).tobytes() == want
+        # from 8 coordinates on, the worker rule keeps these sizes serial
+        assert core._distances(np.array(pts.T), 3).tobytes() == want
+        if n * n * dim <= 5_000_000:  # the broadcast's n x n x dim temporaries stay small
+            assert broadcast_distances(pts).tobytes() == want
+
+    @pytest.mark.parametrize(
+        "cpus, n, workers",
+        [(1, 2000, None), (4, 1023, None), (4, 1024, 2), (4, 2000, 3), (2, 2000, 2)],
+    )
+    def test_workers_are_the_cpus_whose_scratch_fits_a_quarter_of_the_matrix(
+        self, monkeypatch, cpus, n, workers
+    ):
+        started = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(core, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
+        euclidean_distances(np.zeros((n, 1)))
+        assert started == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize(
+        "dim, n, workers", [(4, 2000, 3), (9, 8191, 1), (9, 8192, 2), (130, 9215, 1), (130, 9216, 2)]
+    )
+    def test_every_running_sum_counts_in_the_scratch_budget(self, monkeypatch, dim, n, workers):
+        # from 8 coordinates on, a worker holds 8 (dim 9) or 9 (dim 130) buffers
+        monkeypatch.setattr(core, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(core, "_distances", lambda coords, w: w)
+        assert euclidean_distances(np.zeros((n, dim))) == workers
+
+    def test_more_workers_than_cores_under_frequent_switches(self):
+        coords = np.array(np.random.default_rng(3).random((1100, 4)).T)
+        want = core._distances(coords, 1).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                got = within(120, core._distances, coords, core._cpu_count() + 3)
+                assert got.tobytes() == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_failing_block_raises(self, monkeypatch):
+        # every block of this 2-worker build overflows, and errstate makes that raise
+        pts = np.arange(1100.0)[:, None] * 1e200
+        monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            within(120, euclidean_distances, pts)
+
+
+def within(seconds, fn, *args):
+    """fn(*args) in the caller's context, failing the test if it has not
+    returned after `seconds`, as a deadlocked build would not.  The thread is
+    a daemon, so a deadlocked one does not hold up the interpreter's exit."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((fn(*args), None))
+        except BaseException as exc:
+            outcome.append((None, exc))
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(run,), daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"{fn.__name__} did not return within {seconds} s"
+    value, exc = outcome[0]
+    if exc is not None:
+        raise exc
+    return value
+
+
+def assert_passes_the_full_checks(inst):
+    assert not inst.dist.flags.writeable and not inst.colors.flags.writeable
+    Instance(dist=inst.dist, colors=inst.colors, m=inst.m)
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 1100])
+def test_feature_built_matrices_pass_the_full_checks(n):
+    rng = np.random.default_rng(n)
+    for dim in (0, 1, 4, 9):
+        assert_passes_the_full_checks(gen_random(n, 1, dim, [1.0], seed=n + dim))
+        pts = rng.normal(scale=1e3, size=(n, dim))
+        assert_passes_the_full_checks(Instance.from_points(pts, np.zeros(n, dtype=int), 1))
+
+
+def test_csv_matrices_pass_the_full_checks(tmp_path):
+    assert_passes_the_full_checks(load_instance(str(resources.files("fairkc") / "data" / "adult_mini.csv")))
+    rows = np.random.default_rng(11).normal(size=(1100, 3)).tolist()
+    path = tmp_path / "points.csv"
+    path.write_text("f0,f1,f2,color\n" + "".join(
+        f"{a!r},{b!r},{c!r},{'xy'[i % 2]}\n" for i, (a, b, c) in enumerate(rows)
+    ))
+    inst = load_instance(str(path))
+    assert inst.n == 1100
+    assert_passes_the_full_checks(inst)
+
+
+def test_from_points_checks_points_colors_and_m():
+    pts = np.zeros((3, 2))
+    for colors, m in (([0, 1], 2), ([0, 1, 2], 2), ([0, 0, 0], 2), ([0, 0, 0], 0)):
+        with pytest.raises(ValueError):
+            Instance.from_points(pts, colors, m)
+    # inf - inf would put NaN on the diagonal, and NaN anywhere it spreads
+    for bad in (np.inf, -np.inf, np.nan):
+        pts[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Instance.from_points(pts, [0, 1, 1], 2)
