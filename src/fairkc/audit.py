@@ -40,6 +40,7 @@ import numpy as np
 from .core import ROW_BLOCK, Instance, Solution, row_blocks
 
 INF = float("inf")
+SEED_ROWS = 32  # rows whose exact values seed each ratio audit's running maximum
 
 
 def population_threshold(n: int, k: int) -> int:
@@ -78,7 +79,7 @@ def _rows_to_check(block, num, worst, t: int, mask: np.ndarray) -> np.ndarray:
 def min_alpha_nr(inst: Instance, sol: Solution, k: int) -> float:
     """Smallest alpha with d(j, phi(j)) <= alpha * NR(j) for every point.
 
-    The ratio is taken exactly for the ROW_BLOCK longest assignments first,
+    The ratio is taken exactly for the SEED_ROWS longest assignments first,
     then only for the points whose NR(j) is small enough to beat the running
     maximum (see the module docstring).
     """
@@ -94,7 +95,7 @@ def min_alpha_nr(inst: Instance, sol: Solution, k: int) -> float:
         with np.errstate(over="ignore"):  # past the float range a ratio is inf
             return np.where(spread, dj / np.where(spread, nr, 1.0), np.where(dj == 0.0, 1.0, INF))
 
-    worst = ratios(np.argsort(d)[-ROW_BLOCK:]).max()
+    worst = ratios(np.argsort(d)[-SEED_ROWS:]).max()
     mask = np.empty((ROW_BLOCK, inst.n), dtype=bool)
     for rows in row_blocks(inst.n):
         # NR(j) <= c_j exactly when at least t entries of row j are <= c_j
@@ -123,17 +124,22 @@ def min_alpha_proportional(inst: Instance, sol: Solution, k: int) -> float:
     (zero distance to y but positive assignment distance) blocks every alpha.
     Candidates are taken a block of rows at a time, row y standing in for
     the column d(., y), and only rows that can raise the running maximum
-    are divided and partitioned (see the module docstring).
+    are divided and partitioned (see the module docstring).  The maximum
+    starts from the exact values of the SEED_ROWS rows of the points with
+    the longest assignments, so fewer rows get past the filter.  Where some
+    assignment is infinite it starts from 0.0: an inf / inf ratio is NaN,
+    which drops its whole block from the maximum, so the value there
+    depends on how the rows are grouped, and the rows keep their blocks.
     """
     if not 1 <= k <= inst.n:
         raise ValueError("need 1 <= k <= n")
     t = population_threshold(inst.n, k)
     dphi = _assignment_distances(inst, sol)
     at_zero = np.where(dphi > 0.0, INF, 1.0)  # the ratio where d(i, y) = 0
-    worst = 0.0
     mask = np.empty((ROW_BLOCK, inst.n), dtype=bool)
-    for rows in row_blocks(inst.n):
-        dy = inst.dist[rows]
+
+    def raised(dy, worst):
+        """worst, or the largest value of a row of dy if that is larger."""
         dy = dy[_rows_to_check(dy, dphi, worst, t, mask)]  # a copy
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratios = dphi / dy  # entries with dy <= 0 are overwritten next
@@ -142,6 +148,13 @@ def min_alpha_proportional(inst: Instance, sol: Solution, k: int) -> float:
         if live.shape[0]:
             live.partition(inst.n - t, axis=1)
             worst = max(worst, float(live[:, inst.n - t].max()))
+        return worst
+
+    worst = 0.0
+    if np.isfinite(dphi).all():
+        worst = raised(inst.dist[np.argsort(dphi)[-SEED_ROWS:]], worst)
+    for rows in row_blocks(inst.n):
+        worst = raised(inst.dist[rows], worst)
         if worst == INF:
             return INF
     return worst

@@ -230,15 +230,29 @@ def max_flow_gf(
     return _round_by_network(inst, Q, x.pairs, tot, by_color)
 
 
+def integral_rounding(inst: Instance, Q: Sequence[int], assign: np.ndarray) -> np.ndarray:
+    """`max_flow_gf` of an integral assignment to the centers Q, without a
+    `FractionalAssignment`: its marginals are its counts, so it is returned
+    after the window check every single-support input gets."""
+    count = _counts(inst, Q, assign)
+    pairs = np.column_stack((assign, np.arange(inst.n)))
+    return _forced_assignment(inst, Q, pairs, count.sum(axis=1), count)
+
+
 _REJECTED = "rounding network rejected a unit-row-sum input"
+
+
+def _counts(inst, Q, assign) -> np.ndarray:
+    """Points per (center, color) of an integral assignment, centers in Q order."""
+    at = positions_in(Q, assign) * inst.m + inst.colors
+    return np.bincount(at, minlength=len(Q) * inst.m).reshape(len(Q), inst.m)
 
 
 def _forced_assignment(inst, Q, pairs, tot, by_color) -> np.ndarray:
     """The only candidate flow of a single-support input, if its counts fit."""
     assign = np.empty(inst.n, dtype=int)
     assign[pairs[:, 1]] = pairs[:, 0]
-    count = np.zeros((len(Q), inst.m), dtype=int)
-    np.add.at(count, (positions_in(Q, assign), inst.colors), 1)
+    count = _counts(inst, Q, assign)
     for counted, marginal in ((count.sum(axis=1), tot), (count, by_color)):
         lo, hi = _int_window(marginal)
         if np.any(counted < lo) or np.any(counted > hi):

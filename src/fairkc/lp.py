@@ -16,6 +16,10 @@ differently from the dense (BLAS) product.  Those bits matter only in
 path.  So the solver screens its start with the per-term residual, within
 a bound that covers any summation order and the subtraction from b, and
 takes the dense product's residual only when some row may be broken.
+That screen, `_start_clears`, reads the products as per-term arrays, so
+the radius search runs it on the nearest-center start without building the
+point LP (`nearest_start_clears`): it passes the start's nonzero terms
+only, with each row's length in the LP, and exact zeros change no sum.
 
 The solver is a dense bounded-variable primal simplex, phase 1 only (the
 problems here carry a dummy zero objective).  Pricing takes the steepest
@@ -240,9 +244,13 @@ def _verified(A, b, is_eq, x):
     return x
 
 
-def _start_clears(A, b, is_eq, x0):
+def _start_clears(rows, terms, lengths, b, is_eq):
     """True when no rounding of `A @ x0` can break a row by more than PIV_TOL.
 
+    terms[i] is the product of a coefficient of A and its entry of x0, in row
+    rows[i]; each row's terms come in column order, and lengths[r] is the
+    number of terms row r holds in A.  Zero products may be left out: adding
+    an exact zero changes no sum, so the residual and `err` keep their bits.
     The per-term residual is compared with PIV_TOL less `err`, a bound on its
     distance from the residual of any other summation order, the dense
     product's included.  With u = eps / 2, a sum of k products p_i computed
@@ -257,13 +265,11 @@ def _start_clears(A, b, is_eq, x0):
     A row the per-term residual itself breaks by more than PIV_TOL is broken
     within any err >= 0, so such a start is turned down before err is built.
     """
-    rows = A.term_rows
-    terms = A.data * x0[A.indices]
-    resid = b - np.bincount(rows, terms, minlength=len(A))
+    resid = b - np.bincount(rows, terms, minlength=b.size)
     if np.where(is_eq, np.abs(resid) > PIV_TOL, resid < -PIV_TOL).any():
         return False
-    size = np.bincount(rows, np.abs(terms), minlength=len(A)) + np.abs(b)
-    err = (np.diff(A.indptr) + 2) * np.finfo(float).eps * size
+    size = np.bincount(rows, np.abs(terms), minlength=b.size) + np.abs(b)
+    err = (lengths + 2) * np.finfo(float).eps * size
     broken = np.where(is_eq, np.abs(resid) > PIV_TOL - err, resid < -PIV_TOL + err)
     return not broken.any()
 
@@ -281,7 +287,7 @@ def solve_feasibility(
     """
     x0, up = _start_corner(lp, start_at_upper)
     A, b, is_eq = lp.constraints, lp.rhs, lp.is_eq
-    if _start_clears(A, b, is_eq, x0):
+    if _start_clears(A.term_rows, A.data * x0[A.indices], np.diff(A.indptr), b, is_eq):
         return x0  # phase 1 would stop at once, and FEAS_TOL holds
     x = next(_phase1(lp, x0, up, np.zeros(lp.num_vars, dtype=bool)))
     return None if x is None else _verified(A, b, is_eq, x)
@@ -323,7 +329,9 @@ def _start_corner(lp, start_at_upper):
     n = lp.num_vars
     lo, hi = lp.var_bounds.T
     given = () if start_at_upper is None else start_at_upper
-    up = np.unique(np.fromiter(given, dtype=np.intp))  # start at their upper bound
+    if not isinstance(given, np.ndarray):  # an array passes as it is: fromiter walks it in Python
+        given = np.fromiter(given, dtype=np.intp)
+    up = np.unique(given.astype(np.intp, copy=False))  # start at their upper bound
     if up.size and not (0 <= up[0] and up[-1] < n):
         raise ValueError("start_at_upper names a variable outside [0, vars)")
     x0 = lo.copy()
@@ -598,6 +606,19 @@ def group_classes(colors: np.ndarray, adm: np.ndarray):
     return reps[by_first], size[by_first]
 
 
+def _gf_coefficients(color: np.ndarray, gfb: GFBounds) -> np.ndarray:
+    """A center's proportion-row coefficients of variables of the given colors.
+
+    Row 2h is color h's lower row, beta_h - [c = h], and row 2h + 1 its
+    upper row, [c = h] - alpha_h; one column per entry of color.
+    """
+    ind = (color == np.arange(gfb.m)[:, None]).astype(float)  # (colors, vars)
+    coef = np.empty((2 * gfb.m, color.size))
+    coef[0::2] = gfb.beta[:, None] - ind
+    coef[1::2] = ind - gfb.alpha[:, None]
+    return coef
+
+
 def build_assignment_lp(
     inst: Instance,
     S: Sequence[int],
@@ -642,12 +663,8 @@ def build_assignment_lp(
     # One variable per admissible (center, class), numbered center by center.
     center_of, cls_of = np.nonzero(adm)
     pairs = np.column_stack((np.asarray(S)[center_of], reps[cls_of]))
-    color, weight = inst.colors[reps][cls_of], size[cls_of]
-    ind = (color == np.arange(gfb.m)[:, None]).astype(float)  # (colors, vars)
     per = 2 * gfb.m  # rows per center: the lower, then the upper row of each color
-    coef = np.empty((per, len(pairs)))
-    coef[0::2] = weight * (gfb.beta[:, None] - ind)
-    coef[1::2] = weight * (ind - gfb.alpha[:, None])
+    coef = size[cls_of] * _gf_coefficients(inst.colors[reps][cls_of], gfb)
 
     # A center that admits nothing has vacuous rows and gets no row block.
     # Block b's rows each hold all its center's variables, which are the
@@ -679,6 +696,36 @@ def build_assignment_lp(
     return lp, pairs
 
 
+def _nearest_rows(dist_rows: np.ndarray, allowed: Optional[np.ndarray] = None) -> np.ndarray:
+    """The start rule: per column, the first row at the least distance.
+
+    Only rows that `allowed` marks count (every row by default).  The rows
+    stand for centers in increasing id, so ties go to the lower id.  A column
+    whose allowed entries are all inf gets its first allowed row, the one
+    argmin finds among them; one with none gets an arbitrary row.
+    """
+    if allowed is None:
+        return dist_rows.argmin(axis=0)
+    best = np.where(allowed, dist_rows, np.inf).argmin(axis=0)
+    off = ~allowed[best, np.arange(best.size)]
+    best[off] = allowed[:, off].argmax(axis=0)
+    return best
+
+
+def nearest_positions(S: Sequence[int], dist_S: np.ndarray) -> np.ndarray:
+    """Per point, the position in S of its nearest center, the start rule's choice.
+
+    dist_S holds the rows of the distance matrix of the centers S.  Ties go
+    to the lower center id, and a center listed twice to its first position.
+    At every radius from the covering one up the center is admissible, so it
+    is the center `nearest_admissible_start` picks in the point LP.
+    """
+    # in increasing id, a repeated one's first position first; its rows are
+    # equal, so argmin stops at that one
+    order = np.argsort(S, kind="stable")
+    return order[_nearest_rows(dist_S[order])]
+
+
 def nearest_admissible_start(inst: Instance, pairs: np.ndarray) -> np.ndarray:
     """Crash start: each point's nearest admissible center set to 1.
 
@@ -688,7 +735,35 @@ def nearest_admissible_start(inst: Instance, pairs: np.ndarray) -> np.ndarray:
     distance go to the lower center id, and a repeated pair to its first
     variable.  Returns the chosen variables in increasing order.
     """
-    centers, points = pairs.T
-    # by point, then distance, then center id; stable, so a repeated pair keeps its first
-    order = np.lexsort((centers, inst.dist[centers, points], points))
-    return np.sort(order[np.flatnonzero(np.diff(points[order], prepend=-1))])
+    if not pairs.size:
+        return np.empty(0, dtype=np.intp)
+    ids, row = np.unique(pairs[:, 0], return_inverse=True)
+    none = len(pairs)
+    var = np.full((ids.size, inst.n), none)  # variable of each pair, the first if repeated
+    np.minimum.at(var, (row, pairs[:, 1]), np.arange(none))
+    chosen = var[_nearest_rows(inst.dist[ids], var < none), np.arange(inst.n)]
+    return np.sort(chosen[chosen < none])  # points without a pair have none
+
+
+def nearest_start_clears(
+    dist_S: np.ndarray, near: np.ndarray, colors: np.ndarray, R: float, gfb: GFBounds
+) -> bool:
+    """Whether `solve_feasibility` returns the nearest-center start of the point LP at R as it is.
+
+    near is `nearest_positions`, and R at least the covering radius, so the
+    start is a corner of the point LP `build_assignment_lp` gives at R: it
+    puts 1 on the variable of (S[near[j]], j) alone.  Its nonzero terms, a
+    coefficient times 1, go to `_start_clears` point by point, so in column
+    order, with each row's length in the LP: the points its center admits,
+    or the centers its point does.  Each center gets its block of 2m rows
+    here; the LP leaves out the block of a center that admits nothing, whose
+    rows here hold no term and break nothing.  So the verdict is the one
+    `solve_feasibility` reaches on that LP, without building it.
+    """
+    k, n, per = len(dist_S), len(colors), 2 * gfb.m
+    adm = admissible(dist_S, R)
+    rows = np.column_stack((near[:, None] * per + np.arange(per), k * per + np.arange(n)))
+    terms = np.column_stack((_gf_coefficients(np.arange(gfb.m), gfb)[:, colors].T, np.ones(n)))
+    lengths = np.concatenate((np.repeat(adm.sum(axis=1), per), adm.sum(axis=0)))
+    is_eq = np.arange(lengths.size) >= k * per
+    return _start_clears(rows.ravel(), terms.ravel(), lengths, is_eq.astype(float), is_eq)

@@ -19,7 +19,7 @@ from .core import (
     nearest_center_assignment,
 )
 from .divide import divide
-from .flow import max_flow_gf
+from .flow import integral_rounding, max_flow_gf
 from .lp import (
     NumericFailure,
     build_assignment_lp,
@@ -27,6 +27,8 @@ from .lp import (
     first_feasible_step,
     forced_mass_rejects,
     nearest_admissible_start,
+    nearest_positions,
+    nearest_start_clears,
     solve_feasibility,
 )
 
@@ -124,7 +126,7 @@ def assignment_gf(
     Finds the smallest R among the sorted center-to-point distances whose
     assignment LP is feasible, then rounds the fractional solution to an
     integral assignment (additive violation at most 2, radius unchanged).
-    The search has two stages:
+    The search has three stages:
 
     1. Two screens give the boundary without building an LP, and each
        rejects only radii whose LP the solver rejects too.
@@ -135,7 +137,15 @@ def assignment_gf(
        `forced_mass_rejects` lets through: it is tried at that candidate
        first and, only when it rejects it, galloped and bisected upward,
        as its verdict is monotone in R.
-    2. The point-level LP is solved at the boundary, from the nearest-center
+    2. The nearest-center start (`nearest_positions`: each point on its
+       nearest center, which every radius from the covering one up admits)
+       is checked at the boundary with the screen `solve_feasibility` runs
+       on its start (`nearest_start_clears`).  If it clears, the solve
+       would return it as it is, and the rounding would return that
+       integral input after its window check; so the search returns it
+       after the same check (`flow.integral_rounding`), without building
+       the LP or the rounding network.
+    3. Otherwise the point-level LP is solved at the boundary, from that
        start.  Most searches end here: if it is feasible the boundary is the
        threshold, and its vertex is the fractional assignment the rounding
        needs, so the search makes one build and one solve.  Otherwise one
@@ -150,12 +160,10 @@ def assignment_gf(
        from scratch at the radius the walk stops at, so the rounding gets
        the vertex a point solve gives.
 
-    When the nearest-center start already satisfies every row, the solve
-    returns it as is and the fractional assignment is integral.  The
-    rounding then has a single candidate flow, the assignment itself, and
-    returns it after checking its counts against the floor/ceiling windows
-    rather than running the network (see `fairkc.flow`); the result is the
-    same.
+    A vertex of a later solve that is integral, one support pair a point,
+    is rounded the same way: it is the rounding's single candidate flow,
+    returned after its window check rather than through the network (see
+    `fairkc.flow`).
 
     Raises InfeasibleError when even the largest radius fails, i.e. when the
     global color proportions fall outside the bounds or the screens reject
@@ -193,6 +201,10 @@ def assignment_gf(
         )
     if boundary > last:
         raise InfeasibleError("assignment LP infeasible at every radius")
+    near, R = nearest_positions(S, dist_S), float(cands[boundary])
+    if nearest_start_clears(dist_S, near, inst.colors, R, gfb):
+        assign = integral_rounding(inst, S, np.asarray(S)[near])
+        return Solution(centers=tuple(S), assign=assign), R
 
     def solve(idx: int):
         lp, pairs = build_assignment_lp(inst, S, float(cands[idx]), gfb)

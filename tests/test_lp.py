@@ -1083,7 +1083,7 @@ def test_same_vertices_as_the_reference_loop():
         outcomes.add(type(got))
         lo, hi = lp.var_bounds.T
         x0 = start_corner(lp, start)
-        if (hi - lo <= PIV_TOL).any() and not _start_clears(lp.constraints, lp.rhs, lp.is_eq, x0):
+        if (hi - lo <= PIV_TOL).any() and not lp_start_clears(lp, x0):
             pivoted_fixed += 1
     assert outcomes == {bytes, type(None)}
     assert pivoted_fixed > 500  # tableaus with fixed columns, where the pins have none
@@ -1092,6 +1092,12 @@ def test_same_vertices_as_the_reference_loop():
 # ---------------------------------------------------------------------------
 # the per-term product and the start screen
 # ---------------------------------------------------------------------------
+
+
+def lp_start_clears(lp, x):
+    """`_start_clears` on every term of lp at x, as `solve_feasibility` calls it."""
+    A = lp.constraints
+    return _start_clears(A.term_rows, A.data * x[A.indices], np.diff(A.indptr), lp.rhs, lp.is_eq)
 
 
 def start_corner(lp, start):
@@ -1112,7 +1118,7 @@ def screen_outcomes(lp, points):
     """How many points the screen clears; fails on one the dense product breaks."""
     cleared = 0
     for x in points:
-        if _start_clears(lp.constraints, lp.rhs, lp.is_eq, x):
+        if lp_start_clears(lp, x):
             assert not dense_breaks_a_row(lp, x)
             cleared += 1
     return cleared

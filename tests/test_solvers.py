@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,18 +26,21 @@ from fairkc.core import (
     euclidean_distances,
     gf_violation,
 )
-from fairkc.flow import max_flow_gf
+from fairkc.flow import integral_rounding, max_flow_gf
 from fairkc.harness import load_instance, run_experiment
 from fairkc.instances import gen_l_community, gen_random
 from fairkc.lp import (
     FEAS_TOL,
     NumericFailure,
+    _start_clears,
     build_assignment_lp,
     dead_center_radius,
     first_feasible_step,
     forced_mass_bounds,
     forced_mass_rejects,
     nearest_admissible_start,
+    nearest_positions,
+    nearest_start_clears,
     solve_feasibility,
 )
 from fairkc.solvers import (
@@ -610,15 +616,21 @@ class TestDeadCenterScreen:
         # log-uniform in [1e-7, 1e-1], a third of them with repeated points:
         # the same verdict at every candidate radius, and the search's first
         # LP is built at the first radius at or above the covering one that
-        # the mask and the forced-mass reference let through
+        # the mask and the forced-mass reference let through; the search's
+        # first probe is the start check there, or an LP built there
         rng = np.random.default_rng(11)
-        builds = []
+        probes = []
 
         def build(inst, S, R, gfb, aggregate=False):
-            builds.append(R)
+            probes.append(R)
             return build_assignment_lp(inst, S, R, gfb, aggregate=aggregate)
 
+        def start_clears(dist_S, near, colors, R, gfb):
+            probes.append(R)
+            return nearest_start_clears(dist_S, near, colors, R, gfb)
+
         monkeypatch.setattr(solvers, "build_assignment_lp", build)
+        monkeypatch.setattr(solvers, "nearest_start_clears", start_clears)
         searched = 0
         for i in range(240):
             m = int(rng.integers(2, 5))
@@ -645,13 +657,13 @@ class TestDeadCenterScreen:
             passed = list(itertools.dropwhile(
                 lambda R: mask_forced_mass_rejects(dist_S, inst.colors, float(R), gfb), passed
             ))
-            builds.clear()
+            probes.clear()
             try:
                 assignment_gf(inst, S, gfb)
             except (InfeasibleError, NumericFailure):
                 pass
             if solvers._global_proportions_ok(inst, gfb):
-                assert builds[:1] == passed[:1], (i, S)
+                assert probes[:1] == passed[:1], (i, S)
                 searched += 1
         assert searched > 100
 
@@ -669,6 +681,110 @@ class TestDeadCenterScreen:
             lp, pairs = build_assignment_lp(inst, S, R, gfb, aggregate=True)
             x = solve_feasibility(lp, start_at_upper=nearest_admissible_start(inst, pairs))
             assert (x is None) is infeasible
+
+
+# ---------------------------------------------------------------------------
+# the nearest-center start, checked without building the LP
+# ---------------------------------------------------------------------------
+
+
+def fuzz_small_cases(seed):
+    """The benchmark's fuzz-small cases for a seed, from perfbench/workloads.py."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks the module up
+    spec.loader.exec_module(workloads)
+    return workloads.fuzz_cases(seed)
+
+
+def start_shortcut_agrees(inst, S, gfb):
+    """(radii, cleared): the start check against the point LP at every
+    candidate radius from the covering one up.
+
+    Its verdict must be `_start_clears` on the built LP's start, and a
+    cleared start's rounding the one `solve_feasibility` and `max_flow_gf`
+    give there.
+    """
+    dist_S = inst.dist[S]
+    near = nearest_positions(S, dist_S)
+    assign = np.asarray(S)[near]
+    cands = np.unique(dist_S)
+    radii = cands[cands >= dist_S.min(axis=0).max()]
+    cleared = 0
+    for R in radii.tolist():
+        lp, pairs = build_assignment_lp(inst, S, R, gfb)
+        start = nearest_admissible_start(inst, pairs)
+        center, point = pairs[start].T
+        assert np.array_equal(np.sort(point), np.arange(inst.n))  # one start pair a point
+        assert np.array_equal(center[np.argsort(point)], assign), (S, R)
+        A = lp.constraints
+        x0 = np.zeros(lp.num_vars)
+        x0[start] = 1.0
+        terms = A.data * x0[A.indices]
+        want = _start_clears(A.term_rows, terms, np.diff(A.indptr), lp.rhs, lp.is_eq)
+        assert nearest_start_clears(dist_S, near, inst.colors, R, gfb) == want, (S, R)
+        if want:
+            x = solve_feasibility(lp, start_at_upper=start)
+            rounded = max_flow_gf(FractionalAssignment(n=inst.n, pairs=pairs, values=x), inst, S)
+            assert np.array_equal(integral_rounding(inst, S, assign), rounded), (S, R)
+            cleared += 1
+    return radii.size, cleared
+
+
+class TestStartShortcut:
+    @pytest.mark.parametrize("seed", [1, 4401])
+    def test_fuzz_small(self, seed):
+        radii = cleared = 0
+        for case in fuzz_small_cases(seed):
+            (k,) = case.cfg.k_values
+            try:
+                gfb = case.cfg.gf_bounds(case.inst)
+            except ValueError:  # a color without points
+                continue
+            for S in center_sets(case.inst, case.cfg, k):
+                got = start_shortcut_agrees(case.inst, S, gfb)
+                radii, cleared = radii + got[0], cleared + got[1]
+        assert 0 < cleared < radii
+
+    def test_seeded_deltas_twins_and_center_orders(self):
+        # coinciding points tie distances, and a shuffled S puts the lower
+        # center id anywhere in it
+        rng = np.random.default_rng(24)
+        radii = cleared = 0
+        for i in range(40):
+            m = int(rng.integers(2, 4))
+            n = int(rng.integers(max(m, 4), 41))
+            k = int(rng.integers(2, min(n, 8) + 1))
+            props = rng.dirichlet(np.ones(m))
+            inst = gen_random(n, m, 2, props / props.sum(), seed=int(rng.integers(2**31)))
+            if i % 2:
+                twin = rng.integers(0, n, size=n)
+                inst = Instance(dist=inst.dist[np.ix_(twin, twin)], colors=inst.colors, m=m)
+            S = rng.permutation(gonzalez(inst, k).centers).tolist()
+            for delta in (0.0, 0.2, 0.5, 0.9, 1.0 - 1e-7):
+                try:
+                    gfb = ExperimentConfig(k_values=(k,), delta=delta).gf_bounds(inst)
+                except ValueError:  # a color without points
+                    continue
+                got = start_shortcut_agrees(inst, S, gfb)
+                radii, cleared = radii + got[0], cleared + got[1]
+        assert 0 < cleared < radii
+
+    def test_search_returns_the_cleared_start_without_an_lp(self, monkeypatch):
+        # uniform-2k at k = 4: the start is fair at the boundary
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search built an LP or ran the rounding")
+
+        inst = gen_random(2000, 3, 4, [0.5, 0.3, 0.2], seed=0)
+        gfb = ExperimentConfig(k_values=(4,), delta=0.5).gf_bounds(inst)
+        S = list(gonzalez(inst, 4).centers)
+        want, R = assignment_gf(inst, S, gfb)
+        for name in ("build_assignment_lp", "solve_feasibility", "max_flow_gf"):
+            monkeypatch.setattr(solvers, name, refuse)
+        got, got_R = assignment_gf(inst, S, gfb)
+        assert got_R == R and np.array_equal(got.assign, want.assign)
+        assert np.array_equal(got.assign, np.asarray(S)[nearest_positions(S, inst.dist[S])])
 
 
 # ---------------------------------------------------------------------------
