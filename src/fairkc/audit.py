@@ -92,7 +92,8 @@ def min_alpha_nr(inst: Instance, sol: Solution, k: int) -> float:
         nr = np.partition(inst.dist[points], t - 1, axis=1)[:, t - 1]  # NR(j)
         spread = nr > 0.0
         dj = d[points]
-        with np.errstate(over="ignore"):  # past the float range a ratio is inf
+        # past the float range a ratio is inf, and inf / inf is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
             return np.where(spread, dj / np.where(spread, nr, 1.0), np.where(dj == 0.0, 1.0, INF))
 
     worst = ratios(np.argsort(d)[-SEED_ROWS:]).max()

@@ -226,7 +226,9 @@ def max_flow_gf(
     Q = [int(q) for q in Q]
     tot, by_color = x.marginals(inst, Q)
     if x.pairs.shape[0] == inst.n:
-        return _forced_assignment(inst, Q, x.pairs, tot, by_color)
+        assign = np.empty(inst.n, dtype=int)
+        assign[x.pairs[:, 1]] = x.pairs[:, 0]
+        return _forced_assignment(inst, Q, assign, tot, by_color)
     return _round_by_network(inst, Q, x.pairs, tot, by_color)
 
 
@@ -234,9 +236,7 @@ def integral_rounding(inst: Instance, Q: Sequence[int], assign: np.ndarray) -> n
     """`max_flow_gf` of an integral assignment to the centers Q, without a
     `FractionalAssignment`: its marginals are its counts, so it is returned
     after the window check every single-support input gets."""
-    count = _counts(inst, Q, assign)
-    pairs = np.column_stack((assign, np.arange(inst.n)))
-    return _forced_assignment(inst, Q, pairs, count.sum(axis=1), count)
+    return _forced_assignment(inst, Q, assign)
 
 
 _REJECTED = "rounding network rejected a unit-row-sum input"
@@ -248,11 +248,13 @@ def _counts(inst, Q, assign) -> np.ndarray:
     return np.bincount(at, minlength=len(Q) * inst.m).reshape(len(Q), inst.m)
 
 
-def _forced_assignment(inst, Q, pairs, tot, by_color) -> np.ndarray:
-    """The only candidate flow of a single-support input, if its counts fit."""
-    assign = np.empty(inst.n, dtype=int)
-    assign[pairs[:, 1]] = pairs[:, 0]
+def _forced_assignment(inst, Q, assign, tot=None, by_color=None) -> np.ndarray:
+    """assign, the only candidate flow of a single-support input, if its
+    counts fit the windows of the marginals tot and by_color, which are
+    its own counts when not given."""
     count = _counts(inst, Q, assign)
+    if tot is None:
+        tot, by_color = count.sum(axis=1), count
     for counted, marginal in ((count.sum(axis=1), tot), (count, by_color)):
         lo, hi = _int_window(marginal)
         if np.any(counted < lo) or np.any(counted > hi):

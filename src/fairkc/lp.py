@@ -1,25 +1,24 @@
 """Feasibility LP solver and the fair-assignment LP builder.
 
-A `LinearProgram` stores its constraint matrix as sparse rows
-(`SparseRows`: index and value arrays in the compressed-sparse-row layout);
+A `LinearProgram` stores its constraint matrix as a list of its terms
+(`SparseRows`: the row, column and value of each term, row by row);
 row r reads `constraints[r] @ x <= rhs[r]`, or `=` where `is_eq[r]` is set,
 and each variable has a `[lo, hi]` box inside [0, 1].  The fair-assignment
 LP puts each variable in 2m + 1 rows, so its point form at n = 2,000 has
 some 35,000 terms where a dense matrix holds ten million entries.  The
 builder writes only the terms and the finiteness check reads only those;
-the solver scatters them into a dense tableau only when the start breaks a
-row, and all arrays are read-only.
+the solver scatters them into its dense tableau, and all arrays are
+read-only.
 
 `SparseRows @ x` sums each row's terms in column order, which can round
 differently from the dense (BLAS) product.  Those bits matter only in
 `b - A @ x0` as the tableau's seed, where a last bit can change the pivot
-path.  So the solver screens its start with the per-term residual, within
-a bound that covers any summation order and the subtraction from b, and
-takes the dense product's residual only when some row may be broken.
-That screen, `_start_clears`, reads the products as per-term arrays, so
-the radius search runs it on the nearest-center start without building the
-point LP (`nearest_start_clears`): it passes the start's nonzero terms
-only, with each row's length in the LP, and exact zeros change no sum.
+path, so the solver always seeds from the dense product.  The radius
+search checks the nearest-center start before it builds any LP
+(`nearest_start_clears`): `_start_clears` takes the start's nonzero
+per-term products, with each row's length in the LP, and clears it only
+within a bound that covers any summation order, the dense product's
+included, so a start it clears is one the solver would return unchanged.
 
 The solver is a dense bounded-variable primal simplex, phase 1 only (the
 problems here carry a dummy zero objective).  Pricing takes the steepest
@@ -27,8 +26,8 @@ reduced cost, falling back to Bland's rule after a run of degenerate pivots,
 which keeps the pivot sequence deterministic and cycle-free.  Artificial
 variables are added only for rows the starting point violates, so callers
 that pass a good starting corner (e.g. nearest-center assignments) pay for
-few pivots, and a corner that violates no row by more than PIV_TOL is
-returned as it is, without building the tableau or a second residual check.
+few pivots, and a corner that violates no row by more than PIV_TOL gets no
+artificial column, so phase 1 stops at once and returns it as it is.
 
 Columns have ids: the structural ones, one slack per row, then one
 artificial per violated row.  A column's state is one number, `way`: +1 at
@@ -119,8 +118,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -147,55 +146,44 @@ class EmptyRow(FairKCError):
 
 @dataclass(frozen=True, eq=False)
 class SparseRows:
-    """A (rows, cols) float64 matrix as compressed sparse rows.
+    """A (rows, cols) float64 matrix as the list of its stored terms.
 
-    Row r holds data[indptr[r]:indptr[r + 1]] in the columns
-    indices[indptr[r]:indptr[r + 1]], which strictly increase; every other
-    entry is zero.
+    Term i holds data[i] at (term_rows[i], indices[i]); every other entry is
+    zero.  The terms run row by row, each row's columns strictly
+    increasing: the key row * cols + column strictly increases.
     """
 
-    indptr: np.ndarray   # (rows + 1,): row r's terms are indptr[r]:indptr[r + 1]
-    indices: np.ndarray  # (terms,): column of each term
-    data: np.ndarray     # (terms,): value of each term
-    num_cols: int
-    term_rows: np.ndarray = field(init=False, repr=False)  # (terms,): row of each term
+    term_rows: np.ndarray  # (terms,): row of each term
+    indices: np.ndarray    # (terms,): column of each term
+    data: np.ndarray       # (terms,): value of each term
+    shape: tuple           # (rows, cols)
 
     def __post_init__(self):
-        indptr = np.asarray(self.indptr, dtype=np.intp)
+        term_rows = np.asarray(self.term_rows, dtype=np.intp)
         indices = np.asarray(self.indices, dtype=np.intp)
         data = np.asarray(self.data, dtype=np.float64)
-        num_cols = operator.index(self.num_cols)
+        num_rows, num_cols = map(operator.index, self.shape)
         if not (
-            indptr.ndim == indices.ndim == data.ndim == 1
-            and indptr.size >= 1
-            and indices.shape == data.shape
+            term_rows.ndim == 1
+            and term_rows.shape == indices.shape == data.shape
+            and num_rows >= 0
             and num_cols >= 0
         ):
-            raise ValueError("need indptr (rows + 1,), indices and data (terms,), num_cols >= 0")
-        if indptr[0] != 0 or indptr[-1] != data.size or (indptr[1:] < indptr[:-1]).any():
-            raise ValueError("indptr must rise from 0 to the number of terms")
-        if indices.size:
+            raise ValueError("need term_rows, indices and data (terms,), rows and cols >= 0")
+        if data.size:
+            if term_rows.min() < 0 or term_rows.max() >= num_rows:
+                raise ValueError("row index out of range")
             if indices.min() < 0 or indices.max() >= num_cols:
                 raise ValueError("column index out of range")
-            steps = indices[1:] - indices[:-1]
-            edges = indptr[1:-1]
-            steps[edges[(edges > 0) & (edges < indices.size)] - 1] = 1  # a new row may start lower
-            if (steps <= 0).any():
-                raise ValueError("columns must strictly increase within a row")
-        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-        for name, arr in (
-            ("indptr", indptr), ("indices", indices), ("data", data), ("term_rows", rows)
-        ):
+            if (np.diff(term_rows * num_cols + indices) <= 0).any():
+                raise ValueError("terms must run row by row, columns strictly increasing")
+        for name, arr in (("term_rows", term_rows), ("indices", indices), ("data", data)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "num_cols", num_cols)
+        object.__setattr__(self, "shape", (num_rows, num_cols))
 
     def __len__(self) -> int:
-        return self.indptr.size - 1
-
-    @property
-    def shape(self) -> tuple:
-        return (len(self), self.num_cols)
+        return self.shape[0]
 
     def __matmul__(self, x) -> np.ndarray:
         """Each row's terms summed in column order (see module)."""
@@ -217,7 +205,7 @@ class LinearProgram:
         b = np.asarray(self.rhs, dtype=np.float64)
         is_eq = np.asarray(self.is_eq, dtype=bool)
         bounds = np.asarray(self.var_bounds, dtype=np.float64)
-        if not (b.shape == is_eq.shape == (len(A),) and bounds.shape == (A.num_cols, 2)):
+        if not (b.shape == is_eq.shape == (len(A),) and bounds.shape == (A.shape[1], 2)):
             raise ValueError("need rhs and is_eq (rows,), var_bounds (vars, 2)")
         if not np.isfinite(A.data).all():
             raise ValueError("non-finite coefficient")
@@ -232,7 +220,7 @@ class LinearProgram:
 
     @property
     def num_vars(self) -> int:
-        return self.constraints.num_cols
+        return self.constraints.shape[1]
 
 
 def _verified(A, b, is_eq, x):
@@ -264,6 +252,8 @@ def _start_clears(rows, terms, lengths, b, is_eq):
 
     A row the per-term residual itself breaks by more than PIV_TOL is broken
     within any err >= 0, so such a start is turned down before err is built.
+    A start that clears gets no artificial column in `_phase1`, whose dense
+    residual is within err of this one, so the solver returns it as it is.
     """
     resid = b - np.bincount(rows, terms, minlength=b.size)
     if np.where(is_eq, np.abs(resid) > PIV_TOL, resid < -PIV_TOL).any():
@@ -275,7 +265,7 @@ def _start_clears(rows, terms, lengths, b, is_eq):
 
 
 def solve_feasibility(
-    lp: LinearProgram, start_at_upper: Optional[Iterable[int]] = None
+    lp: LinearProgram, start_at_upper: Optional[Sequence[int]] = None
 ) -> Optional[np.ndarray]:
     """Find a point satisfying every constraint within 1e-7, or None.
 
@@ -283,18 +273,17 @@ def solve_feasibility(
     the upper bound instead of the lower one; it changes only the pivot path,
     never the feasible/infeasible verdict, and neither its order nor a
     repeated index matters.  An index outside [0, vars) is a ValueError.
-    Deterministic for fixed input.
+    Phase 1 runs from that corner, which it returns as it is when the
+    corner breaks no row by more than PIV_TOL.  Deterministic for fixed
+    input.
     """
     x0, up = _start_corner(lp, start_at_upper)
-    A, b, is_eq = lp.constraints, lp.rhs, lp.is_eq
-    if _start_clears(A.term_rows, A.data * x0[A.indices], np.diff(A.indptr), b, is_eq):
-        return x0  # phase 1 would stop at once, and FEAS_TOL holds
     x = next(_phase1(lp, x0, up, np.zeros(lp.num_vars, dtype=bool)))
-    return None if x is None else _verified(A, b, is_eq, x)
+    return None if x is None else _verified(lp.constraints, lp.rhs, lp.is_eq, x)
 
 
 def first_feasible_step(
-    lp: LinearProgram, steps, start_at_upper: Optional[Iterable[int]] = None
+    lp: LinearProgram, steps, start_at_upper: Optional[Sequence[int]] = None
 ) -> Optional[int]:
     """The first step whose program phase 1 finds feasible, or None.
 
@@ -329,9 +318,7 @@ def _start_corner(lp, start_at_upper):
     n = lp.num_vars
     lo, hi = lp.var_bounds.T
     given = () if start_at_upper is None else start_at_upper
-    if not isinstance(given, np.ndarray):  # an array passes as it is: fromiter walks it in Python
-        given = np.fromiter(given, dtype=np.intp)
-    up = np.unique(given.astype(np.intp, copy=False))  # start at their upper bound
+    up = np.unique(np.asarray(given, dtype=np.intp))  # start at their upper bound
     if up.size and not (0 <= up[0] and up[-1] < n):
         raise ValueError("start_at_upper names a variable outside [0, vars)")
     x0 = lo.copy()
@@ -674,21 +661,21 @@ def build_assignment_lp(
     width = np.bincount(block)
     first = np.cumsum(width) - width
     n_prop, n_vars = per * width.size, len(pairs)
-    cols = np.arange(n_vars)
-    indices = np.empty((per + 1) * n_vars, dtype=np.intp)
-    data = np.empty(indices.size)
+    cols, q = np.arange(n_vars), np.arange(per)[:, None]
+    term_rows = np.empty((per + 1) * n_vars, dtype=np.intp)
+    indices = np.empty(term_rows.size, dtype=np.intp)
+    data = np.empty(term_rows.size)
     # term of (row q of block b, variable v): per * first[b] + q * width[b] + v - first[b]
-    at = (per - 1) * first[block] + cols + np.arange(per)[:, None] * width[block]
-    indices[at], data[at] = cols, coef
+    at = (per - 1) * first[block] + cols + q * width[block]
+    term_rows[at], indices[at], data[at] = per * block + q, cols, coef
     # then each class's unit row, its variables in column order
-    indices[per * n_vars :] = np.argsort(cls_of, kind="stable")
+    by_class = np.argsort(cls_of, kind="stable")
+    term_rows[per * n_vars :] = n_prop + cls_of[by_class]
+    indices[per * n_vars :] = by_class
     data[per * n_vars :] = 1.0
-    lengths = np.concatenate([np.repeat(width, per), np.bincount(cls_of)])
-    is_eq = np.arange(lengths.size) >= n_prop
+    is_eq = np.arange(n_prop + reps.size) >= n_prop
     lp = LinearProgram(
-        constraints=SparseRows(
-            np.concatenate(([0], np.cumsum(lengths))), indices, data, n_vars
-        ),
+        constraints=SparseRows(term_rows, indices, data, (is_eq.size, n_vars)),
         rhs=is_eq.astype(float),
         is_eq=is_eq,
         var_bounds=np.tile([0.0, 1.0], (n_vars, 1)),
@@ -696,53 +683,35 @@ def build_assignment_lp(
     return lp, pairs
 
 
-def _nearest_rows(dist_rows: np.ndarray, allowed: Optional[np.ndarray] = None) -> np.ndarray:
-    """The start rule: per column, the first row at the least distance.
-
-    Only rows that `allowed` marks count (every row by default).  The rows
-    stand for centers in increasing id, so ties go to the lower id.  A column
-    whose allowed entries are all inf gets its first allowed row, the one
-    argmin finds among them; one with none gets an arbitrary row.
-    """
-    if allowed is None:
-        return dist_rows.argmin(axis=0)
-    best = np.where(allowed, dist_rows, np.inf).argmin(axis=0)
-    off = ~allowed[best, np.arange(best.size)]
-    best[off] = allowed[:, off].argmax(axis=0)
-    return best
-
-
 def nearest_positions(S: Sequence[int], dist_S: np.ndarray) -> np.ndarray:
-    """Per point, the position in S of its nearest center, the start rule's choice.
+    """Per point, the position in S of its nearest center: the start rule.
 
-    dist_S holds the rows of the distance matrix of the centers S.  Ties go
-    to the lower center id, and a center listed twice to its first position.
-    At every radius from the covering one up the center is admissible, so it
-    is the center `nearest_admissible_start` picks in the point LP.
+    dist_S holds the rows of the distance matrix of the centers S, which are
+    distinct.  Ties go to the lower center id: one argmin over the rows
+    sorted by id.  At every radius from the covering one up that center is
+    admissible.
     """
-    # in increasing id, a repeated one's first position first; its rows are
-    # equal, so argmin stops at that one
-    order = np.argsort(S, kind="stable")
-    return order[_nearest_rows(dist_S[order])]
+    order = np.argsort(S)
+    return order[dist_S[order].argmin(axis=0)]
 
 
 def nearest_admissible_start(inst: Instance, pairs: np.ndarray) -> np.ndarray:
     """Crash start: each point's nearest admissible center set to 1.
 
     pairs is the (vars, 2) array of (center, point) from
-    `build_assignment_lp`.  The start satisfies every unit-assignment row
-    exactly, leaving the simplex to repair only proportion rows.  Ties in
-    distance go to the lower center id, and a repeated pair to its first
-    variable.  Returns the chosen variables in increasing order.
+    `build_assignment_lp` over distinct centers.  Each point gets the pair
+    of its nearest center among the LP's centers (`nearest_positions`, ties
+    to the lower id).  That center is no farther than any center that
+    admits the point, so it admits the point too, and the start is the
+    nearest admissible center of each point.  It satisfies every
+    unit-assignment row exactly, leaving the simplex to repair only
+    proportion rows.  Returns the chosen variables in increasing order.
     """
     if not pairs.size:
         return np.empty(0, dtype=np.intp)
-    ids, row = np.unique(pairs[:, 0], return_inverse=True)
-    none = len(pairs)
-    var = np.full((ids.size, inst.n), none)  # variable of each pair, the first if repeated
-    np.minimum.at(var, (row, pairs[:, 1]), np.arange(none))
-    chosen = var[_nearest_rows(inst.dist[ids], var < none), np.arange(inst.n)]
-    return np.sort(chosen[chosen < none])  # points without a pair have none
+    ids = np.unique(pairs[:, 0])
+    best = ids[nearest_positions(ids, inst.dist[ids])]  # per point
+    return np.flatnonzero(pairs[:, 0] == best[pairs[:, 1]])
 
 
 def nearest_start_clears(

@@ -139,12 +139,11 @@ def assignment_gf(
        as its verdict is monotone in R.
     2. The nearest-center start (`nearest_positions`: each point on its
        nearest center, which every radius from the covering one up admits)
-       is checked at the boundary with the screen `solve_feasibility` runs
-       on its start (`nearest_start_clears`).  If it clears, the solve
-       would return it as it is, and the rounding would return that
-       integral input after its window check; so the search returns it
-       after the same check (`flow.integral_rounding`), without building
-       the LP or the rounding network.
+       is checked at the boundary (`nearest_start_clears`).  It clears only
+       where `solve_feasibility` would return it as it is, and the rounding
+       would return that integral input after its window check; so the
+       search returns it after the same check (`flow.integral_rounding`),
+       without building the LP or the rounding network.
     3. Otherwise the point-level LP is solved at the boundary, from that
        start.  Most searches end here: if it is feasible the boundary is the
        threshold, and its vertex is the fractional assignment the rounding
@@ -165,7 +164,8 @@ def assignment_gf(
     returned after its window check rather than through the network (see
     `fairkc.flow`).
 
-    Raises InfeasibleError when even the largest radius fails, i.e. when the
+    Raises ValueError when S is empty or lists a center twice, and
+    InfeasibleError when even the largest radius fails, i.e. when the
     global color proportions fall outside the bounds or the screens reject
     every radius.  Raises NumericFailure when the point-level LP rejects the
     radius the walk accepted, the boundary included, or when the walk finds
@@ -177,6 +177,8 @@ def assignment_gf(
         raise ValueError("need at least one center")
     if not _global_proportions_ok(inst, gfb):
         raise InfeasibleError("global color proportions violate the bounds")
+    if len(set(S)) < len(S):
+        raise ValueError("duplicate centers")
 
     if len(S) == 1:
         c = S[0]

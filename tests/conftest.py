@@ -55,9 +55,7 @@ def sparse_rows(A):
     """SparseRows of the nonzero entries of a 2-d array (NaN counts as nonzero)."""
     A = np.asarray(A, dtype=np.float64)
     rows, cols = A.nonzero()
-    indptr = np.zeros(A.shape[0] + 1, dtype=np.intp)
-    np.cumsum(np.count_nonzero(A, axis=1), out=indptr[1:])
-    return SparseRows(indptr, cols, A[rows, cols], A.shape[1])
+    return SparseRows(rows, cols, A[rows, cols], A.shape)
 
 
 def dense(rows):

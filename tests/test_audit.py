@@ -382,11 +382,9 @@ def test_count_filtered_audits_equal_the_unfiltered_ones():
     assert min(seen.values()) >= 100, seen
 
 
-def test_proportional_audit_with_infinite_assignments_is_pinned():
-    # two groups of 150 and 40 points on a line, infinitely far apart, the
-    # second assigned to a center of the first: its ratios inf / inf are NaN,
-    # which drop their block of rows from the maximum, so these values hang
-    # on the row blocks and the audit must not regroup or seed its rows here
+def infinitely_far_groups():
+    """Two groups of 150 and 40 points on a line, infinitely far apart, the
+    second assigned to a center of the first."""
     n, split = 190, 150
     x = np.arange(n, dtype=float)
     dist = np.abs(x[:, None] - x[None, :])
@@ -394,10 +392,26 @@ def test_proportional_audit_with_infinite_assignments_is_pinned():
     dist[far[:, None] != far[None, :]] = INF
     inst = Instance(dist=dist, colors=np.arange(n) % 2, m=2)
     assign = np.where(far | (np.arange(n) < split // 2), 0, split - 1)
-    sol = Solution(centers=(0, split - 1), assign=assign)
-    pinned = {2: 1.7586206896551724, 3: 5.461538461538462, 5: 0.0, n: 0.0}
+    return inst, Solution(centers=(0, split - 1), assign=assign)
+
+
+def test_proportional_audit_with_infinite_assignments_is_pinned():
+    # the far group's ratios inf / inf are NaN, which drop their block of
+    # rows from the maximum, so these values hang on the row blocks and the
+    # audit must not regroup or seed its rows here
+    inst, sol = infinitely_far_groups()
+    pinned = {2: 1.7586206896551724, 3: 5.461538461538462, 5: 0.0, inst.n: 0.0}
     for k, want in pinned.items():
         assert repr(min_alpha_proportional(inst, sol, k)) == repr(want), k
+
+
+def test_nr_audit_with_infinite_assignments_is_pinned():
+    # an inf / inf ratio is NaN and keeps it, without a RuntimeWarning;
+    # where NR(j) of a far point is finite its ratio is inf instead
+    inst, sol = infinitely_far_groups()
+    pinned = {2: float("nan"), 3: float("nan"), 5: INF, inst.n: INF}
+    for k, want in pinned.items():
+        assert repr(min_alpha_nr(inst, sol, k)) == repr(want), k
 
 
 @pytest.mark.parametrize("size", [9, 11])

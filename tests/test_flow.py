@@ -405,9 +405,11 @@ class TestIntegralEarlyReturn:
             Q = sorted(rng.choice(n, size=nq, replace=False).tolist())
             x = random_integral(rng, inst, Q)
             assert sorted(x.pairs[:, 1].tolist()) == list(range(n))  # one pair a point
-            parts = (x.pairs, *x.marginals(inst, Q))
-            forced = _forced_assignment(inst, Q, *parts)
-            assert np.array_equal(forced, _round_by_network(inst, Q, *parts))
+            marginals = x.marginals(inst, Q)
+            assign = np.empty(n, dtype=int)
+            assign[x.pairs[:, 1]] = x.pairs[:, 0]
+            forced = _forced_assignment(inst, Q, assign, *marginals)
+            assert np.array_equal(forced, _round_by_network(inst, Q, x.pairs, *marginals))
             assert np.array_equal(forced, max_flow_gf(x, inst, Q))
 
     # FractionalAssignment rejects rows that do not sum to one, so these
@@ -429,11 +431,12 @@ class TestIntegralEarlyReturn:
     def test_window_break_raises_on_both_paths(self, colors, weights, by_color):
         n = len(colors)
         inst = Instance(dist=np.zeros((n, n)), colors=colors, m=len(by_color))
-        pairs = np.column_stack((np.zeros(n, dtype=int), np.arange(n)))
-        parts = (pairs, np.array([sum(weights)]), np.array([by_color]))
-        for path in (_forced_assignment, _round_by_network):
+        assign = np.zeros(n, dtype=int)
+        pairs = np.column_stack((assign, np.arange(n)))
+        marginals = (np.array([sum(weights)]), np.array([by_color]))
+        for path, support in ((_forced_assignment, assign), (_round_by_network, pairs)):
             with pytest.raises(InternalInfeasible, match="rejected a unit-row-sum"):
-                path(inst, [0], *parts)
+                path(inst, [0], support, *marginals)
 
 
 def loop_marginals(entries, inst, Q):

@@ -189,26 +189,29 @@ class TestLinearProgram:
             LinearProgram(**lp_fields(**change))
 
     @pytest.mark.parametrize(
-        "indptr, indices",
+        "term_rows, indices, shape",
         [
-            ([1, 2, 4], [0, 1, 0, 1]),
-            ([0, 2, 3], [0, 1, 0, 1]),
-            ([0, 3, 2], [0, 1, 0, 1]),
-            ([0, 2, 4], [0, 2, 0, 1]),
-            ([0, 2, 4], [-1, 1, 0, 1]),
-            ([0, 2, 4], [1, 0, 0, 1]),
-            ([0, 2, 4], [1, 1, 0, 1]),
-            ([[0, 2, 4]], [0, 1, 0, 1]),
+            ([-1, 0, 1, 1], [0, 1, 0, 1], (2, 2)),
+            ([0, 0, 1, 2], [0, 1, 0, 1], (2, 2)),
+            ([1, 1, 0, 0], [0, 1, 0, 1], (2, 2)),
+            ([0, 0, 1], [0, 1, 0, 1], (2, 2)),
+            ([0, 0, 1, 1], [0, 2, 0, 1], (2, 2)),
+            ([0, 0, 1, 1], [-1, 1, 0, 1], (2, 2)),
+            ([0, 0, 1, 1], [1, 0, 0, 1], (2, 2)),
+            ([0, 0, 1, 1], [1, 1, 0, 1], (2, 2)),
+            ([[0, 0, 1, 1]], [0, 1, 0, 1], (2, 2)),
+            ([0, 0, 1, 1], [0, 1, 0, 1], (2,)),
+            ([0, 0, 1, 1], [0, 1, 0, 1], (2, -2)),
         ],
         ids=[
-            "indptr-not-from-0", "indptr-short-of-terms", "indptr-falls",
+            "row-negative", "row-too-large", "rows-fall", "term-rows-short-of-terms",
             "column-too-large", "column-negative", "columns-fall", "column-repeated",
-            "2d-indptr",
+            "2d-term-rows", "1d-shape", "negative-cols",
         ],
     )
-    def test_sparse_rows_reject(self, indptr, indices):
+    def test_sparse_rows_reject(self, term_rows, indices, shape):
         with pytest.raises(ValueError):
-            SparseRows(indptr, indices, [1.0, -1.0, 1.0, 1.0], 2)
+            SparseRows(term_rows, indices, [1.0, -1.0, 1.0, 1.0], shape)
 
     def test_rejects_dense_constraints(self):
         fields = lp_fields()
@@ -217,14 +220,14 @@ class TestLinearProgram:
             LinearProgram(**fields)
 
     def test_arrays_are_read_only_and_float64_is_not_copied(self):
-        indptr, indices = np.array([0, 2, 4]), np.array([0, 1, 0, 1])
+        term_rows, indices = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
         data = np.array([1.0, -1.0, 1.0, 1.0])
-        A = SparseRows(indptr, indices, data, 2)
-        assert A.indptr is indptr and A.indices is indices and A.data is data
+        A = SparseRows(term_rows, indices, data, (2, 2))
+        assert A.term_rows is term_rows and A.indices is indices and A.data is data
         lp = LinearProgram(**dict(lp_fields(), constraints=A))
         assert lp.constraints is A and lp.num_vars == 2 and len(lp.constraints) == 2
         arrays = [getattr(lp, name) for name in ("rhs", "is_eq", "var_bounds")]
-        for arr in arrays + [indptr, indices, data]:
+        for arr in arrays + [term_rows, indices, data]:
             with pytest.raises(ValueError):
                 arr[0] = arr[1]
         assert solve_feasibility(lp) is not None
@@ -312,7 +315,7 @@ class TestSolver:
 
     def test_zero_rows_return_the_start_corner(self):
         lp = LinearProgram(
-            constraints=SparseRows([0], [], [], 3),
+            constraints=SparseRows([], [], [], (0, 3)),
             rhs=[],
             is_eq=[],
             var_bounds=[[0.0, 1.0], [0.25, 0.5], [0.0, 0.75]],
@@ -543,7 +546,7 @@ class TestClassAggregation:
         pt, pt_pairs = build_assignment_lp(inst, S, R, gfb)
         for a, b in [
             (getattr(agg.constraints, f), getattr(pt.constraints, f))
-            for f in ("indptr", "indices", "data")
+            for f in ("term_rows", "indices", "data")
         ] + [(getattr(agg, f), getattr(pt, f)) for f in ("rhs", "is_eq", "var_bounds")]:
             assert a.shape == b.shape and a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
@@ -786,11 +789,14 @@ class TestNearestStart:
 
     def test_ties_go_to_the_lower_center_id(self):
         # all distances equal: center 1 beats center 3 whatever their order in
-        # pairs, a repeated pair keeps its first index
+        # S, and every point gets the pair of center 1
         inst = Instance(dist=np.zeros((4, 4)), colors=[0, 1, 0, 1], m=2)
-        pairs = np.array([(3, 2), (3, 0), (1, 0), (1, 2), (0, 2), (1, 0)])
-        assert loop_nearest_start(inst, pairs) == [4, 2]
-        assert nearest_admissible_start(inst, pairs).tolist() == [2, 4]
+        gfb = GFBounds(beta=[0.1, 0.1], alpha=[0.9, 0.9])
+        for S in ([3, 1], [1, 3]):
+            _, pairs = build_assignment_lp(inst, S, 0.0, gfb)
+            want = [v for v, (i, _) in enumerate(pairs.tolist()) if i == 1]
+            assert sorted(loop_nearest_start(inst, pairs)) == want
+            assert nearest_admissible_start(inst, pairs).tolist() == want
         assert nearest_admissible_start(inst, np.empty((0, 2), dtype=np.intp)).tolist() == []
 
 
@@ -925,20 +931,9 @@ def test_pinned_vertices():
 # ---------------------------------------------------------------------------
 
 # The loop as it was before the tableau kept only enterable columns and the
-# cost row, and before the start screen's early exit: a dense tableau over
-# structural | slack | artificial columns and a separate reduced-cost vector.
-# The solver must reach the same verdict and vertex bytes on every program.
-
-
-def reference_start_clears(A, b, is_eq, x0):
-    """`_start_clears` without its early exit."""
-    rows = A.term_rows
-    terms = A.data * x0[A.indices]
-    resid = b - np.bincount(rows, terms, minlength=len(A))
-    size = np.bincount(rows, np.abs(terms), minlength=len(A)) + np.abs(b)
-    err = (np.diff(A.indptr) + 2) * np.finfo(float).eps * size
-    broken = np.where(is_eq, np.abs(resid) > PIV_TOL - err, resid < -PIV_TOL + err)
-    return not broken.any()
+# cost row: a dense tableau over structural | slack | artificial columns and
+# a separate reduced-cost vector.  The solver must reach the same verdict and
+# vertex bytes on every program.
 
 
 def reference_solve(lp, start_at_upper=None):
@@ -950,8 +945,6 @@ def reference_solve(lp, start_at_upper=None):
     up = np.unique(np.fromiter(given, dtype=np.intp))
     x0 = lo.copy()
     x0[up] = hi[up]
-    if reference_start_clears(A, b, is_eq, x0):
-        return x0
     resid = b - dense(A) @ x0
     violated = np.where(is_eq, np.abs(resid) > PIV_TOL, resid < -PIV_TOL)
     art_rows = np.flatnonzero(violated)
@@ -1095,9 +1088,10 @@ def test_same_vertices_as_the_reference_loop():
 
 
 def lp_start_clears(lp, x):
-    """`_start_clears` on every term of lp at x, as `solve_feasibility` calls it."""
+    """`_start_clears` on every term of lp at x."""
     A = lp.constraints
-    return _start_clears(A.term_rows, A.data * x[A.indices], np.diff(A.indptr), lp.rhs, lp.is_eq)
+    lengths = np.bincount(A.term_rows, minlength=len(A))
+    return _start_clears(A.term_rows, A.data * x[A.indices], lengths, lp.rhs, lp.is_eq)
 
 
 def start_corner(lp, start):
@@ -1164,7 +1158,7 @@ class TestBlockedProduct:
             assert A.shape == shape and dense(A).tobytes() == full.tobytes()
             # two summation orders of k terms differ by at most k eps sum |terms|
             x = rng.random(cols)
-            bound = np.diff(A.indptr) * eps * (np.abs(full) @ x)
+            bound = np.bincount(A.term_rows, minlength=rows) * eps * (np.abs(full) @ x)
             assert np.all(np.abs(A @ x - full @ x) <= bound)
 
     def test_row_broken_only_by_the_dense_bits_builds_a_tableau(self):

@@ -126,6 +126,15 @@ class TestAssignmentGF:
         with pytest.raises(InfeasibleError):
             assignment_gf(inst, [0], gfb)
 
+    def test_repeated_center_rejected_after_the_global_check(self):
+        inst = Instance(dist=np.zeros((4, 4)), colors=[0, 1, 0, 1], m=2)
+        fair = GFBounds(beta=[0.5, 0.5], alpha=[0.5, 0.5])
+        for S in ([1, 1], [0, 2, 0], [3, 2, 3, 3]):
+            with pytest.raises(ValueError, match="duplicate centers"):
+                assignment_gf(inst, S, fair)
+            with pytest.raises(InfeasibleError):  # the proportions are checked first
+                assignment_gf(inst, S, GFBounds(beta=[0.6, 0.1], alpha=[0.9, 0.4]))
+
     def test_community_forces_gap_radius(self):
         inst = gen_l_community(2, 4, 1.0, "alternating")
         gfb = GFBounds(beta=[0.5, 0.5], alpha=[0.5, 0.5])
@@ -718,11 +727,15 @@ def start_shortcut_agrees(inst, S, gfb):
         center, point = pairs[start].T
         assert np.array_equal(np.sort(point), np.arange(inst.n))  # one start pair a point
         assert np.array_equal(center[np.argsort(point)], assign), (S, R)
+        # both entry points give the same start: (S[near[j]], j) for every j
+        got = sorted(map(tuple, pairs[start].tolist()))
+        assert got == sorted(zip(assign.tolist(), range(inst.n))), (S, R)
         A = lp.constraints
         x0 = np.zeros(lp.num_vars)
         x0[start] = 1.0
         terms = A.data * x0[A.indices]
-        want = _start_clears(A.term_rows, terms, np.diff(A.indptr), lp.rhs, lp.is_eq)
+        lengths = np.bincount(A.term_rows, minlength=len(A))
+        want = _start_clears(A.term_rows, terms, lengths, lp.rhs, lp.is_eq)
         assert nearest_start_clears(dist_S, near, inst.colors, R, gfb) == want, (S, R)
         if want:
             x = solve_feasibility(lp, start_at_upper=start)
