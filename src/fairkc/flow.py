@@ -6,15 +6,10 @@ ceiling of the fractional marginals.  Points only ever move along pairs the
 fractional solution already used, so the clustering radius cannot grow.
 The marginals are `FractionalAssignment.marginals`, summed in its stored
 (center, point) order, so the windows do not depend on the order in which
-the entries were given.
-
-An input that is already integral, with one support center per point, is
-not sent through the network.  There every source-to-point arc must carry
-its unit and every point has a single outgoing arc, so the support itself
-is the only candidate flow, and it is feasible exactly when its per-center
-and per-(center, color) counts lie inside their windows.  Checking those
-counts and returning the support therefore gives the network's answer, and
-its InternalInfeasible when a window fails, without one augmenting path.
+the entries were given.  Every input, an integral one too, goes through the
+one bounded-flow network of `_round_by_network`; where each point has a
+single support center, that network has exactly one candidate flow, the
+support itself.
 
 The network is built straight from arrays: arc i and its reverse are
 residual arcs 2i and 2i + 1, and each node's arcs sit in a CSR adjacency
@@ -213,53 +208,15 @@ def max_flow_gf(
     The result assigns every point to a center in its fractional support and
     keeps every per-center total and per-(center, color) total inside the
     floor/ceiling window of the fractional marginal.  The support is every
-    stored pair of x, whose values all exceed its 1e-7 snap.
-
-    Every row of x sums to 1, so every point has a support pair; with n
-    pairs each point has exactly one, the input is already integral, and it
-    is returned after a check of the windows, without building the network
-    (see the module docstring for why that is exact).
+    stored pair of x, whose values all exceed its 1e-7 snap.  An integral
+    input, one support pair a point, is returned as it is, since it is the
+    network's only candidate flow.
 
     Raises InternalInfeasible if the rounding network has no feasible flow,
     which cannot happen for a unit-row-sum input.
     """
     Q = [int(q) for q in Q]
-    tot, by_color = x.marginals(inst, Q)
-    if x.pairs.shape[0] == inst.n:
-        assign = np.empty(inst.n, dtype=int)
-        assign[x.pairs[:, 1]] = x.pairs[:, 0]
-        return _forced_assignment(inst, Q, assign, tot, by_color)
-    return _round_by_network(inst, Q, x.pairs, tot, by_color)
-
-
-def integral_rounding(inst: Instance, Q: Sequence[int], assign: np.ndarray) -> np.ndarray:
-    """`max_flow_gf` of an integral assignment to the centers Q, without a
-    `FractionalAssignment`: its marginals are its counts, so it is returned
-    after the window check every single-support input gets."""
-    return _forced_assignment(inst, Q, assign)
-
-
-_REJECTED = "rounding network rejected a unit-row-sum input"
-
-
-def _counts(inst, Q, assign) -> np.ndarray:
-    """Points per (center, color) of an integral assignment, centers in Q order."""
-    at = positions_in(Q, assign) * inst.m + inst.colors
-    return np.bincount(at, minlength=len(Q) * inst.m).reshape(len(Q), inst.m)
-
-
-def _forced_assignment(inst, Q, assign, tot=None, by_color=None) -> np.ndarray:
-    """assign, the only candidate flow of a single-support input, if its
-    counts fit the windows of the marginals tot and by_color, which are
-    its own counts when not given."""
-    count = _counts(inst, Q, assign)
-    if tot is None:
-        tot, by_color = count.sum(axis=1), count
-    for counted, marginal in ((count.sum(axis=1), tot), (count, by_color)):
-        lo, hi = _int_window(marginal)
-        if np.any(counted < lo) or np.any(counted > hi):
-            raise InternalInfeasible(_REJECTED)
-    return assign
+    return _round_by_network(inst, Q, x.pairs, *x.marginals(inst, Q))
 
 
 def _round_by_network(inst, Q, pairs, tot, by_color) -> np.ndarray:
@@ -290,7 +247,7 @@ def _round_by_network(inst, Q, pairs, tot, by_color) -> np.ndarray:
     upper = np.concatenate((np.ones(unit, dtype=int), pair_hi, center_hi))
     flows = feasible_integral_flow(center_node[-1] + 1, 0, 1, tails, heads, lower, upper, n)
     if flows is None:
-        raise InternalInfeasible(_REJECTED)
+        raise InternalInfeasible("rounding network rejected a unit-row-sum input")
 
     assign = np.full(n, -1, dtype=int)
     chosen = flows[n:unit] == 1

@@ -4,6 +4,7 @@ satisfying both constraint families."""
 
 from __future__ import annotations
 
+import operator
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,7 +20,7 @@ from .core import (
     nearest_center_assignment,
 )
 from .divide import divide
-from .flow import integral_rounding, max_flow_gf
+from .flow import max_flow_gf
 from .lp import (
     NumericFailure,
     build_assignment_lp,
@@ -141,9 +142,8 @@ def assignment_gf(
        nearest center, which every radius from the covering one up admits)
        is checked at the boundary (`nearest_start_clears`).  It clears only
        where `solve_feasibility` would return it as it is, and the rounding
-       would return that integral input after its window check; so the
-       search returns it after the same check (`flow.integral_rounding`),
-       without building the LP or the rounding network.
+       returns an integral input as it is, its one candidate flow; so the
+       search returns it without building the LP or the rounding network.
     3. Otherwise the point-level LP is solved at the boundary, from that
        start.  Most searches end here: if it is feasible the boundary is the
        threshold, and its vertex is the fractional assignment the rounding
@@ -157,28 +157,28 @@ def assignment_gf(
        widens each pivot; a walk that passes its top goes on from the next
        candidate in a window twice as wide.  The point LP is then solved
        from scratch at the radius the walk stops at, so the rounding gets
-       the vertex a point solve gives.
+       the vertex a point solve gives; every such vertex, an integral one
+       too, goes through the rounding network (see `fairkc.flow`).
 
-    A vertex of a later solve that is integral, one support pair a point,
-    is rounded the same way: it is the rounding's single candidate flow,
-    returned after its window check rather than through the network (see
-    `fairkc.flow`).
-
-    Raises ValueError when S is empty or lists a center twice, and
-    InfeasibleError when even the largest radius fails, i.e. when the
-    global color proportions fall outside the bounds or the screens reject
-    every radius.  Raises NumericFailure when the point-level LP rejects the
-    radius the walk accepted, the boundary included, or when the walk finds
-    no radius feasible: with the global proportions within the bounds, the
-    largest radius is feasible, since every point may go to one center.
+    Raises TypeError when a center id is not an integer (`operator.index`),
+    ValueError when S is empty, lists a center twice or names one outside
+    [0, n), and InfeasibleError when even the largest radius fails, i.e.
+    when the global color proportions fall outside the bounds or the
+    screens reject every radius.  Raises NumericFailure when the point-level
+    LP rejects the radius the walk accepted, the boundary included, or when
+    the walk finds no radius feasible: with the global proportions within
+    the bounds, the largest radius is feasible, since every point may go
+    to one center.
     """
-    S = [int(i) for i in S]
+    S = [operator.index(i) for i in S]
     if not S:
         raise ValueError("need at least one center")
     if not _global_proportions_ok(inst, gfb):
         raise InfeasibleError("global color proportions violate the bounds")
     if len(set(S)) < len(S):
         raise ValueError("duplicate centers")
+    if not all(0 <= i < inst.n for i in S):
+        raise ValueError("center id outside [0, n)")
 
     if len(S) == 1:
         c = S[0]
@@ -205,8 +205,7 @@ def assignment_gf(
         raise InfeasibleError("assignment LP infeasible at every radius")
     near, R = nearest_positions(S, dist_S), float(cands[boundary])
     if nearest_start_clears(dist_S, near, inst.colors, R, gfb):
-        assign = integral_rounding(inst, S, np.asarray(S)[near])
-        return Solution(centers=tuple(S), assign=assign), R
+        return Solution(centers=tuple(S), assign=np.asarray(S)[near]), R
 
     def solve(idx: int):
         lp, pairs = build_assignment_lp(inst, S, float(cands[idx]), gfb)

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import from_entries
-from fairkc import flow, harness
+from fairkc import harness, solvers
 from fairkc.core import ExperimentConfig, FractionalAssignment, GFBounds, Instance
 from fairkc.flow import (
     InternalInfeasible,
-    _forced_assignment,
     _residual,
     _round_by_network,
     feasible_integral_flow,
@@ -396,8 +395,8 @@ def random_integral(rng, inst, Q):
     return from_entries(inst.n, entries)
 
 
-class TestIntegralEarlyReturn:
-    def test_early_return_equals_network(self, rng):
+class TestIntegralInput:
+    def test_network_returns_the_support(self, rng):
         for n in [2, 3, 5, 9, 17, 40, 120, 400, 2000]:
             m = int(rng.integers(1, min(n, 3) + 1))
             inst = gen_random(n, m, 2, np.full(m, 1.0 / m), seed=int(rng.integers(2**31)))
@@ -405,16 +404,13 @@ class TestIntegralEarlyReturn:
             Q = sorted(rng.choice(n, size=nq, replace=False).tolist())
             x = random_integral(rng, inst, Q)
             assert sorted(x.pairs[:, 1].tolist()) == list(range(n))  # one pair a point
-            marginals = x.marginals(inst, Q)
-            assign = np.empty(n, dtype=int)
-            assign[x.pairs[:, 1]] = x.pairs[:, 0]
-            forced = _forced_assignment(inst, Q, assign, *marginals)
-            assert np.array_equal(forced, _round_by_network(inst, Q, x.pairs, *marginals))
-            assert np.array_equal(forced, max_flow_gf(x, inst, Q))
+            support = np.empty(n, dtype=int)
+            support[x.pairs[:, 1]] = x.pairs[:, 0]
+            assert np.array_equal(max_flow_gf(x, inst, Q), support)
 
     # FractionalAssignment rejects rows that do not sum to one, so these
-    # single-support inputs reach both paths as (colors, weights, marginals),
-    # every point paired with center 0.
+    # single-support inputs reach the network as (colors, weights,
+    # marginals), every point paired with center 0.
     @pytest.mark.parametrize(
         "colors, weights, by_color",
         [
@@ -428,15 +424,13 @@ class TestIntegralEarlyReturn:
             ([0, 0, 1], [0.5, 0.5, 2.0], [1.0, 2.0]),
         ],
     )
-    def test_window_break_raises_on_both_paths(self, colors, weights, by_color):
+    def test_window_break_raises(self, colors, weights, by_color):
         n = len(colors)
         inst = Instance(dist=np.zeros((n, n)), colors=colors, m=len(by_color))
-        assign = np.zeros(n, dtype=int)
-        pairs = np.column_stack((assign, np.arange(n)))
+        pairs = np.column_stack((np.zeros(n, dtype=int), np.arange(n)))
         marginals = (np.array([sum(weights)]), np.array([by_color]))
-        for path, support in ((_forced_assignment, assign), (_round_by_network, pairs)):
-            with pytest.raises(InternalInfeasible, match="rejected a unit-row-sum"):
-                path(inst, [0], support, *marginals)
+        with pytest.raises(InternalInfeasible, match="rejected a unit-row-sum"):
+            _round_by_network(inst, [0], pairs, *marginals)
 
 
 def loop_marginals(entries, inst, Q):
@@ -484,26 +478,24 @@ def test_permuted_input_gives_identical_assignment_and_rounding(rng):
         assert max_flow_gf(y, inst, Q).tobytes() == max_flow_gf(x, inst, Q).tobytes()
 
 
-def test_run_experiment_exercises_both_rounding_paths(monkeypatch):
-    calls = {"forced": 0, "network": 0}
+def test_run_experiment_rounds_only_where_the_start_does_not_clear(monkeypatch):
+    calls = 0
 
-    def counted(name, fn):
-        def wrapped(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapped
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return max_flow_gf(*args)
 
-    monkeypatch.setattr(flow, "_forced_assignment", counted("forced", flow._forced_assignment))
-    monkeypatch.setattr(flow, "_round_by_network", counted("network", flow._round_by_network))
+    monkeypatch.setattr(solvers, "max_flow_gf", counted)
 
+    # every search's nearest-center start clears, so none builds the network
     inst = gen_random(300, 2, 2, [0.5, 0.5], seed=0)
     harness.run_experiment(inst, ExperimentConfig(k_values=(4,), delta=0.5))
-    assert calls["forced"] > 0 and calls["network"] == 0
+    assert calls == 0
 
-    calls.update(forced=0, network=0)
     adult = harness.load_instance(str(resources.files("fairkc") / "data" / "adult_mini.csv"))
     harness.run_experiment(adult, ExperimentConfig(k_values=(4,), delta=0.2, theta=0.8))
-    assert calls["network"] > 0 and calls["forced"] == 0
+    assert calls > 0
 
 
 def test_rounding_stays_in_support_and_windows():

@@ -26,7 +26,7 @@ from fairkc.core import (
     euclidean_distances,
     gf_violation,
 )
-from fairkc.flow import integral_rounding, max_flow_gf
+from fairkc.flow import max_flow_gf
 from fairkc.harness import load_instance, run_experiment
 from fairkc.instances import gen_l_community, gen_random
 from fairkc.lp import (
@@ -134,6 +134,31 @@ class TestAssignmentGF:
                 assignment_gf(inst, S, fair)
             with pytest.raises(InfeasibleError):  # the proportions are checked first
                 assignment_gf(inst, S, GFBounds(beta=[0.6, 0.1], alpha=[0.9, 0.4]))
+
+    def test_center_id_past_the_last_point_rejected(self):
+        inst = Instance(dist=np.zeros((4, 4)), colors=[0, 1, 0, 1], m=2)
+        fair = GFBounds(beta=[0.5, 0.5], alpha=[0.5, 0.5])
+        for S in ([0, 4], [9], [1, 2, 40]):
+            with pytest.raises(ValueError, match=r"center id outside \[0, n\)"):
+                assignment_gf(inst, S, fair)
+            with pytest.raises(InfeasibleError):  # the proportions are checked first
+                assignment_gf(inst, S, GFBounds(beta=[0.6, 0.1], alpha=[0.9, 0.4]))
+
+    def test_negative_center_id_rejected(self):
+        inst = Instance(dist=np.zeros((4, 4)), colors=[0, 1, 0, 1], m=2)
+        fair = GFBounds(beta=[0.5, 0.5], alpha=[0.5, 0.5])
+        for S in ([0, -1], [-4], [np.int64(-2), 1]):
+            with pytest.raises(ValueError, match=r"center id outside \[0, n\)"):
+                assignment_gf(inst, S, fair)
+
+    def test_non_integer_center_id_rejected(self):
+        inst = gen_random(12, 2, 2, [0.5, 0.5], seed=1)
+        gfb = ExperimentConfig(k_values=(2,), delta=0.5).gf_bounds(inst)
+        for S in ([0, 9.7], [0, 9.0], [np.float64(3.0), 5], ["3", 5]):
+            with pytest.raises(TypeError):
+                assignment_gf(inst, S, gfb)
+        sol, _ = assignment_gf(inst, [np.int64(0), np.int32(9)], gfb)  # numpy ints are ids
+        assert sol.centers == (0, 9)
 
     def test_community_forces_gap_radius(self):
         inst = gen_l_community(2, 4, 1.0, "alternating")
@@ -712,8 +737,8 @@ def start_shortcut_agrees(inst, S, gfb):
     candidate radius from the covering one up.
 
     Its verdict must be `_start_clears` on the built LP's start, and a
-    cleared start's rounding the one `solve_feasibility` and `max_flow_gf`
-    give there.
+    cleared start the assignment `solve_feasibility` and `max_flow_gf`
+    give there, as `assignment_gf` returns it.
     """
     dist_S = inst.dist[S]
     near = nearest_positions(S, dist_S)
@@ -740,7 +765,7 @@ def start_shortcut_agrees(inst, S, gfb):
         if want:
             x = solve_feasibility(lp, start_at_upper=start)
             rounded = max_flow_gf(FractionalAssignment(n=inst.n, pairs=pairs, values=x), inst, S)
-            assert np.array_equal(integral_rounding(inst, S, assign), rounded), (S, R)
+            assert np.array_equal(assign, rounded), (S, R)
             cleared += 1
     return radii.size, cleared
 
