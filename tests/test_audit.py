@@ -457,3 +457,82 @@ def test_ratios_past_the_float_range_are_infinite():
     assert min_alpha_nr(inst, sol, 2) == INF
     assert min_alpha_proportional(inst, sol, 2) == INF
     assert min_alpha_nr(inst, sol, 1) == 1.0
+
+
+def tol_asymmetric_instance(rng, n):
+    """Grid points scaled by 1e-9, so distances are a few TOL, with the upper
+    triangle moved by up to TOL: a matrix `Instance` accepts whose row and
+    column differ about as much as its entries."""
+    pts = rng.integers(0, int(rng.integers(2, 6)), size=(n, int(rng.integers(1, 3)))) * 1e-9
+    dist = euclidean_distances(pts)
+    upper = np.triu_indices(n, 1)
+    dist[upper] += rng.uniform(-0.999 * TOL, 0.999 * TOL, size=upper[0].size)
+    return Instance(dist=dist, colors=np.arange(n) % 2, m=2)
+
+
+def test_one_sweep_audits_equal_the_references_on_tol_asymmetric_matrices(monkeypatch):
+    # the shared threshold's column counts stand in for NR's row counts only
+    # within TOL's asymmetry; its 2 TOL margin must cover that.  A seed of one
+    # row, in every other case, leaves more rows to the sweep.
+    rng = np.random.default_rng(27)
+    for case in range(250):
+        monkeypatch.setattr(audit, "SEED_ROWS", 32 if case % 2 else 1)
+        n = int(rng.integers(140, 300)) if case % 25 == 0 else int(rng.integers(2, 70))
+        inst = tol_asymmetric_instance(rng, n)
+        centers = int(rng.integers(1, min(n, 5) + 1))
+        chosen = rng.choice(n, size=centers, replace=False)
+        sol = Solution(centers=chosen, assign=chosen[rng.integers(centers, size=n)])
+        for k in {1, int(rng.integers(1, n + 1)), n}:
+            got = audit_all(inst, sol, k)
+            assert repr(got["min_alpha_nr"]) == repr(reference_min_alpha_nr(inst, sol, k)), (case, k)
+            assert repr(got["min_alpha_proportional"]) == repr(
+                reference_min_alpha_proportional(inst, sol, k)), (case, k)
+            assert repr(min_alpha_nr(inst, sol, k)) == repr(got["min_alpha_nr"])
+            assert repr(min_alpha_proportional(inst, sol, k)) == repr(got["min_alpha_proportional"])
+            assert socially_fair_cost(inst, sol) == got["socially_fair_cost"]
+
+
+def test_the_two_tol_margin_keeps_a_row_whose_column_is_longer(monkeypatch):
+    # k = 1, so NR(j) is the largest entry of row j.  Seeded from points 1
+    # and 0, the two longest assignments, nr reads 1.1 / 1.3; point 3 reads
+    # 1.0 / 1.0.  Row 3 lies within the seed's bound 1.0e-9 / (1.1 / 1.3),
+    # about 1.18e-9, but column 3 holds d(1, 3) = 1.7e-9, within TOL of
+    # d(3, 1) = 1.0e-9 and past that bound: only the margin lets column 3
+    # count the 4 entries that send row 3 to the exact check.
+    dist = np.array([[0.0, 1.3, 1.1, 0.2],
+                     [1.0, 0.0, 2.9, 1.7],
+                     [1.0, 2.0, 0.0, 1.0],
+                     [0.0, 1.0, 1.0, 0.0]]) * 1e-9
+    inst = Instance(dist=dist, colors=[0, 1, 0, 1], m=2)
+    sol = Solution(centers=(1, 2, 3), assign=[2, 3, 3, 2])
+    monkeypatch.setattr(audit, "SEED_ROWS", 2)
+    assert min_alpha_nr(inst, sol, 1) == reference_min_alpha_nr(inst, sol, 1) == 1.0
+    monkeypatch.setattr(audit, "TOL", 0.0)
+    assert min_alpha_nr(inst, sol, 1) == dist[0, 2] / dist[0, 1]
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 2040, 2041])
+def test_row_counts_equal_count_nonzero(width):
+    # a byte lane of a uint64 word sum holds at most 255, so rows wider than
+    # 255 words (2,040 entries) are summed in parts
+    rng = np.random.default_rng(width)
+    for density in (0.0, 0.3, 1.0):
+        bits = rng.random((5, width)) < density
+        mask = audit._scratch(5, width)
+        mask[:, :width] = bits
+        assert audit._row_counts(mask).tolist() == np.count_nonzero(bits, axis=1).tolist()
+
+
+def test_audits_past_one_word_sum_a_row_equal_the_references():
+    # n = 2,041 rows need two parts each in _row_counts
+    inst = gen_random(2041, 2, 2, [0.5, 0.5], seed=5)
+    sol = gonzalez(inst, 6)
+    for k in (3, 6):
+        got = audit_all(inst, sol, k)
+        assert repr(got["min_alpha_nr"]) == repr(reference_min_alpha_nr(inst, sol, k))
+        assert repr(got["min_alpha_proportional"]) == repr(reference_min_alpha_proportional(inst, sol, k))
+
+
+def test_a_row_block_fits_the_uint8_column_sums():
+    # _ratio_audits sums each block's mask down its columns in uint8
+    assert ROW_BLOCK <= 255
