@@ -65,15 +65,12 @@ class ColorCardinality(FairKCError):
     """Loaded data must contain at least two colors."""
 
 
-def load_instance(path: str, fmt: Optional[str] = None) -> Instance:
-    """Read an instance from CSV (features + color column) or matrix JSON."""
-    if fmt is None:
-        fmt = "csv" if str(path).lower().endswith(".csv") else "matrix-json"
-    if fmt == "csv":
+def load_instance(path: str) -> Instance:
+    """Read an instance from CSV (features + color column) when the name ends
+    in .csv, else from matrix JSON."""
+    if str(path).lower().endswith(".csv"):
         return _load_csv(path)
-    if fmt == "matrix-json":
-        return _load_matrix_json(path)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _load_matrix_json(path)
 
 
 def _load_csv(path: str) -> Instance:
@@ -85,6 +82,8 @@ def _load_csv(path: str) -> Instance:
             raise ParseError(f"{path}: empty file") from None
         if "color" not in header:
             raise ParseError(f"{path}: header lacks a 'color' column")
+        if header.count("color") > 1:
+            raise ParseError(f"{path}: header has more than one 'color' column")
         color_col = header.index("color")
         feat_cols = [c for c, name in enumerate(header) if name != "color"]
         for rank, c in enumerate(feat_cols):
@@ -341,22 +340,15 @@ def sanitize(obj):
 def emit_report(
     report: ExperimentReport,
     path: str,
-    fmt: Optional[str] = None,
     include_timing: bool = False,
 ) -> None:
-    """Write the report as JSON or CSV with a fixed field order.
+    """Write the report with a fixed field order: as CSV when the name ends
+    in .csv, else as JSON.
 
     Timing fields vary across runs, so they are excluded by default to keep
     emitted reports byte-identical for a fixed seed and input.
     """
-    if fmt is None:
-        fmt = "csv" if str(path).lower().endswith(".csv") else "json"
-    if fmt == "json":
-        # one string and one write: json.dump streams many small writes
-        text = json.dumps(sanitize(report.to_dict(include_timing)), indent=2) + "\n"
-        with open(path, "w") as fh:
-            fh.write(text)
-    elif fmt == "csv":
+    if str(path).lower().endswith(".csv"):
         fields = REPORT_FIELDS + (TIMING_FIELDS if include_timing else ())
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fields)
@@ -364,4 +356,7 @@ def emit_report(
             for row in report.rows:
                 writer.writerow(row.to_dict(include_timing))
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        # one string and one write: json.dump streams many small writes
+        text = json.dumps(sanitize(report.to_dict(include_timing)), indent=2) + "\n"
+        with open(path, "w") as fh:
+            fh.write(text)

@@ -127,7 +127,7 @@ def gen_random(
     if n < m:
         raise ValueError("need at least one point per color")
     props = np.asarray(proportions, dtype=float)
-    if props.shape != (m,) or np.any(props < 0):
+    if props.shape != (m,) or not np.all(props >= 0):  # NaN fails too
         raise ValueError("proportions must be m nonnegative reals")
     if abs(props.sum() - 1.0) > 1e-9:
         raise ValueError("proportions must sum to 1")

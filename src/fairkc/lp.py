@@ -3,12 +3,12 @@
 A `LinearProgram` stores its constraint matrix as a list of its terms
 (`SparseRows`: the row, column and value of each term, row by row);
 row r reads `constraints[r] @ x <= rhs[r]`, or `=` where `is_eq[r]` is set,
-and each variable has a `[lo, hi]` box inside [0, 1].  The fair-assignment
-LP puts each variable in 2m + 1 rows, so its point form at n = 2,000 has
-some 35,000 terms where a dense matrix holds ten million entries.  The
-builder writes only the terms and the finiteness check reads only those;
-the solver scatters them into its dense tableau, and all arrays are
-read-only.
+and each variable lies in [0, 1], as every share of the fair-assignment LP
+does.  That LP puts each variable in 2m + 1 rows, so its point form at
+n = 2,000 has some 35,000 terms where a dense matrix holds ten million
+entries.  The builder writes only the terms and the finiteness check reads
+only those; the solver scatters them into its dense tableau, and all arrays
+are read-only.
 
 `SparseRows @ x` sums each row's terms in column order, which can round
 differently from the dense (BLAS) product.  Those bits matter only in
@@ -30,13 +30,14 @@ few pivots, and a corner that violates no row by more than PIV_TOL gets no
 artificial column, so phase 1 stops at once and returns it as it is.
 
 Columns have ids: the structural ones, one slack per row, then one
-artificial per violated row.  A column's state is one number, `way`: +1 at
-its lower bound, -1 at its upper one, 0 while basic.  A nonbasic column
-moves by way * t, so it may enter where way * d < -PIV_TOL, d its reduced
-cost.  One ratio test bounds each basic value by the bound its step heads
-for.  Among the basic columns that block within 1e-12 of the step, and the
-entering one if its own bound does, the lowest id leaves; the entering one
-leaving is a bound flip.
+artificial per violated row.  Every column's lower bound is 0; its upper
+bound is 1 for a structural column, 0 for the slack of an '=' row and inf
+for any other.  A column's state is one number, `way`: +1 at 0, -1 at 1, 0
+while basic.  A nonbasic column moves by way * t, so it may enter where
+way * d < -PIV_TOL, d its reduced cost.  One ratio test bounds each basic
+value by the bound its step heads for.  Among the basic columns that block
+within 1e-12 of the step, and the entering one if its own bound does, the
+lowest id leaves; the entering one leaving is a bound flip.
 
 The tableau `T` stores only the columns that can enter: the structural
 ones, at positions 0..n-1, then the slacks of the '<=' rows; `cid` maps a
@@ -51,16 +52,15 @@ their update `d -= d[j] * rowvals` is the product and subtraction that each
 tableau row gets, and d[j] is nonzero for an entering column, so one
 rank-one update pivots both with the same bits.
 
-Pricing is one product and one reduction.  `dirn` is `way` where a column
-may move (its box is wider than PIV_TOL) and 0 elsewhere, so `dirn * d` is
--|d| at each candidate and at least -PIV_TOL, or NaN, elsewhere.  Its first
-minimum is the steepest candidate, the lowest id among equals, and Bland's
-rule takes its first entry below -PIV_TOL; a NaN minimum falls back to the
-largest |d| among the candidates.  Per-row arrays hold what the ratio test
-and the objective read: `blo` and `bhi` the bounds of each row's basic
-column, and `art` the rows whose basic column is artificial, so the phase-1
-objective sums the values a sum over the basic artificials would, in the
-same order.
+Pricing is one product and one reduction.  `dirn` is `way`, but 0 at a
+frozen column (below), so `dirn * d` is -|d| at each candidate and at least
+-PIV_TOL, or NaN, elsewhere.  Its first minimum is the steepest candidate,
+the lowest id among equals, and Bland's rule takes its first entry below
+-PIV_TOL; a NaN minimum falls back to the largest |d| among the candidates.
+Per-row arrays hold what the ratio test and the objective read: `bhi` the
+upper bound of each row's basic column, and `art` the rows whose basic
+column is artificial, so the phase-1 objective sums the values a sum over
+the basic artificials would, in the same order.
 
 Each pivot's rank-one update touches only the rows with a nonzero in the
 entering column, the cost row always among them.  That is exact: a skipped
@@ -69,19 +69,18 @@ the sign of a zero and nothing else, and every read of the tableau compares
 with PIV_TOL or takes an abs.  Flipped zeros can reach the basic values only
 as ±0 steps, which again can flip nothing but a zero's sign, and no pivot
 decision sees that sign.  So the pivot path is the dense update's, and so
-is the vertex, byte for byte unless a lower bound is given as -0.0, which
-the builder never writes.
+is the vertex, byte for byte.
 
 The loop runs in `_phase1`, a generator that yields each time phase 1
 stops.  `solve_feasibility` takes its first stop.  `first_feasible_step`
 walks one tableau upward instead: some structural columns start frozen,
-with `dirn` 0 at their lower bound, and each time phase 1 stops above
-FEAS_TOL the next step's columns are admitted and pivoting goes on.  With a
-zero lower bound a frozen column is the same as an absent one.  It is
-stored in T like any other, so every pivot keeps its reduced cost current.
-Admitting columns changes no basic value and no row, so the basis is still
-a phase-1 start, and going on from it reaches the phase-1 optimum of the larger
-program, as a fresh solve would in exact arithmetic.  The radius search
+with `dirn` 0 at 0, and each time phase 1 stops above FEAS_TOL the next
+step's columns are admitted and pivoting goes on.  A frozen column at 0 is
+the same as an absent one.  It is stored in T like any other, so every
+pivot keeps its reduced cost current.  Admitting columns changes no basic
+value and no row, so the basis is still a phase-1 start, and going on from
+it reaches the phase-1 optimum of the larger program, as a fresh solve
+would in exact arithmetic.  The radius search
 walks the point LP this way: the LP built at a larger radius holds the
 pairs of every smaller one, and every center admits itself, so it has the
 same rows at every radius from the covering one up.
@@ -193,10 +192,9 @@ class SparseRows:
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    constraints: SparseRows  # (rows, vars): row r is constraints[r] @ x <= rhs[r]
+    constraints: SparseRows  # (rows, vars): row r is constraints[r] @ x <= rhs[r], 0 <= x <= 1
     rhs: np.ndarray          # (rows,)
     is_eq: np.ndarray        # (rows,) bool: row r holds with '=' instead
-    var_bounds: np.ndarray   # (vars, 2): lo, hi with 0 <= lo <= hi <= 1
 
     def __post_init__(self):
         A = self.constraints
@@ -204,17 +202,13 @@ class LinearProgram:
             raise TypeError("constraints must be SparseRows")
         b = np.asarray(self.rhs, dtype=np.float64)
         is_eq = np.asarray(self.is_eq, dtype=bool)
-        bounds = np.asarray(self.var_bounds, dtype=np.float64)
-        if not (b.shape == is_eq.shape == (len(A),) and bounds.shape == (A.shape[1], 2)):
-            raise ValueError("need rhs and is_eq (rows,), var_bounds (vars, 2)")
+        if not b.shape == is_eq.shape == (len(A),):
+            raise ValueError("need rhs and is_eq (rows,)")
         if not np.isfinite(A.data).all():
             raise ValueError("non-finite coefficient")
         if not np.isfinite(b).all():
             raise ValueError("non-finite right-hand side")
-        lo, hi = bounds.T
-        if not np.all((0.0 <= lo) & (lo <= hi) & (hi <= 1.0)):
-            raise ValueError("variable bounds must satisfy 0 <= lo <= hi <= 1")
-        for name, arr in {"rhs": b, "is_eq": is_eq, "var_bounds": bounds}.items():
+        for name, arr in {"rhs": b, "is_eq": is_eq}.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -270,9 +264,9 @@ def solve_feasibility(
     """Find a point satisfying every constraint within 1e-7, or None.
 
     start_at_upper optionally lists variables whose initial nonbasic value is
-    the upper bound instead of the lower one; it changes only the pivot path,
-    never the feasible/infeasible verdict, and neither its order nor a
-    repeated index matters.  An index outside [0, vars) is a ValueError.
+    1 instead of 0; it changes only the pivot path, never the
+    feasible/infeasible verdict, and neither its order nor a repeated index
+    matters.  An index outside [0, vars) is a ValueError.
     Phase 1 runs from that corner, which it returns as it is when the
     corner breaks no row by more than PIV_TOL.  Deterministic for fixed
     input.
@@ -287,16 +281,15 @@ def first_feasible_step(
 ) -> Optional[int]:
     """The first step whose program phase 1 finds feasible, or None.
 
-    steps[v] >= 0 is the step from which variable v may leave its lower
-    bound.  The program of step s is lp with every variable of a later step
-    fixed there, so with zero lower bounds it is lp without those variables.
-    One tableau walks the steps upward (see module): phase 1 runs from the
-    start at step 0, and each time it stops above FEAS_TOL the next step's
-    variables are admitted and it goes on from the same basis.  Returns the
-    first step at which it stops within FEAS_TOL; its corner is not checked
-    against the rows, so the caller solves that program again for a point.
-    start_at_upper is as for `solve_feasibility` and may name only step-0
-    variables.
+    steps[v] >= 0 is the step from which variable v may leave 0.  The
+    program of step s is lp with every variable of a later step fixed at 0,
+    which is lp without those variables.  One tableau walks the steps
+    upward (see module): phase 1 runs from the start at step 0, and each
+    time it stops above FEAS_TOL the next step's variables are admitted and
+    it goes on from the same basis.  Returns the first step at which it
+    stops within FEAS_TOL; its corner is not checked against the rows, so
+    the caller solves that program again for a point.  start_at_upper is as
+    for `solve_feasibility` and may name only step-0 variables.
     """
     steps = np.asarray(steps, dtype=np.intp)
     if steps.shape != (lp.num_vars,) or (steps < 0).any():
@@ -314,30 +307,28 @@ def first_feasible_step(
 
 
 def _start_corner(lp, start_at_upper):
-    """The starting corner and its variables at their upper bound."""
+    """The starting corner and its variables at 1."""
     n = lp.num_vars
-    lo, hi = lp.var_bounds.T
     given = () if start_at_upper is None else start_at_upper
-    up = np.unique(np.asarray(given, dtype=np.intp))  # start at their upper bound
+    up = np.unique(np.asarray(given, dtype=np.intp))  # start at 1
     if up.size and not (0 <= up[0] and up[-1] < n):
         raise ValueError("start_at_upper names a variable outside [0, vars)")
-    x0 = lo.copy()
-    x0[up] = hi[up]
+    x0 = np.zeros(n)
+    x0[up] = 1.0
     return x0, up
 
 
 def _phase1(lp, x0, up, frozen):
     """Phase-1 pivots from the corner x0, as a generator (see module).
 
-    Yields each time phase 1 stops: the corner, clipped into the variable
-    boxes but not checked against the rows, when the phase-1 objective is
-    within FEAS_TOL, else None.  The structural columns where `frozen` is set
-    start at their lower bound and never enter; `send(cols)` admits the
-    frozen columns cols and pivots on from the same basis.
+    Yields each time phase 1 stops: the corner, clipped into [0, 1] but not
+    checked against the rows, when the phase-1 objective is within FEAS_TOL,
+    else None.  The structural columns where `frozen` is set start at 0 and
+    never enter; `send(cols)` admits the frozen columns cols and pivots on
+    from the same basis.
     """
     A, b, is_eq = lp.constraints, lp.rhs, lp.is_eq
     m, n = A.shape
-    lo, hi = lp.var_bounds.T
 
     # Column ids: structural | one slack per row | artificials for violated
     # rows.  T stores the columns that can enter, structural | slacks of the
@@ -361,8 +352,7 @@ def _phase1(lp, x0, up, frozen):
     for r in art_rows:
         cost -= T[r]
 
-    col_lo = np.concatenate([lo, np.zeros(slack_rows.size)])
-    col_hi = np.concatenate([hi, np.full(slack_rows.size, np.inf)])
+    col_hi = np.concatenate([np.ones(n), np.full(slack_rows.size, np.inf)])  # lower bounds are 0
     nid = n + m + n_art  # above every column id
     spos = np.full(nid, -1)  # stored column of each id, -1 if it is not stored
     spos[cid] = np.arange(cid.size)
@@ -370,21 +360,19 @@ def _phase1(lp, x0, up, frozen):
     basis = np.arange(n, n + m)
     basis[art_rows] = n + m + np.arange(n_art)  # violated slacks park at zero
     art = violated.copy()  # rows whose basic column is artificial
-    blo = np.zeros(m)  # bounds of each row's basic column
-    bhi = np.where(is_eq & ~violated, 0.0, np.inf)
+    bhi = np.where(is_eq & ~violated, 0.0, np.inf)  # upper bound of each row's basic column
     xb = np.where(violated, np.abs(resid), resid)
-    way = np.ones(cid.size)  # see module: +1 at lo, -1 at hi, 0 basic
+    way = np.ones(cid.size)  # see module: +1 at 0, -1 at 1, 0 basic
     way[up] = -1.0
     way[n:][~violated[slack_rows]] = 0.0  # basic slacks
-    # way where a column may move, else 0; fixed and frozen columns never enter
-    dirn = np.where(col_hi - col_lo > PIV_TOL, way, 0.0)
+    dirn = way.copy()  # way where a column may move, else 0: frozen columns never enter
     dirn[:n][frozen] = 0.0
 
     def corner():
-        x = np.where(way[:n] < 0, hi, lo)
+        x = np.where(way[:n] < 0, 1.0, 0.0)
         structural = basis < n
         x[basis[structural]] = xb[structural]
-        return np.clip(x, lo, hi)
+        return np.clip(x, 0.0, 1.0)
 
     cap = 50 * (n + m)  # pivots from one stop to the next
     while True:
@@ -408,10 +396,10 @@ def _phase1(lp, x0, up, frozen):
                 j, w = int(cid[c]), way[c]
 
                 eff = T[:m, c] * -w  # basic change per unit step
-                bound = np.where(eff > 0, bhi, blo)
+                bound = np.where(eff > 0, bhi, 0.0)
                 limits = np.where(np.abs(eff) > PIV_TOL, (bound - xb) / eff, np.inf)
                 np.maximum(limits, 0.0, out=limits)
-                t_flip = col_hi[c] - col_lo[c]
+                t_flip = col_hi[c]
                 t_star = min(float(np.minimum.reduce(limits)), t_flip)
                 if not math.isfinite(t_star):
                     raise NumericFailure("unbounded ray in phase 1")
@@ -429,9 +417,9 @@ def _phase1(lp, x0, up, frozen):
                 piv = T[r, c]
                 if abs(piv) <= PIV_TOL:
                     raise NumericFailure("numerically singular pivot")
-                enter_val = (col_lo[c] + t_star) if w > 0 else (col_hi[c] - t_star)
+                enter_val = t_star if w > 0 else col_hi[c] - t_star
                 out = spos[basis[r]]
-                if out >= 0:  # stored, and movable: a fixed column is never basic
+                if out >= 0:  # stored, so it can enter again
                     way[out] = dirn[out] = -1.0 if eff[r] > 0 else 1.0
                 # Rank-one update of the rows with a nonzero in column c only, the
                 # cost row among them; the rest would lose a signed zero, which no
@@ -443,7 +431,7 @@ def _phase1(lp, x0, up, frozen):
                 T[rows] = sub
                 T[r] = rowvals
                 basis[r] = j
-                blo[r], bhi[r] = col_lo[c], col_hi[c]
+                bhi[r] = col_hi[c]
                 art[r] = False
                 way[c] = dirn[c] = 0.0
                 xb[r] = enter_val
@@ -451,8 +439,7 @@ def _phase1(lp, x0, up, frozen):
                 raise NumericFailure(f"iteration cap {cap} exceeded")
 
         cols = yield (corner() if obj <= FEAS_TOL else None)
-        # an admitted column still sits at its lower bound, nonbasic
-        dirn[cols] = np.where(col_hi[cols] - col_lo[cols] > PIV_TOL, way[cols], 0.0)
+        dirn[cols] = way[cols]  # an admitted column still sits at 0, nonbasic
 
 
 def admissible(dist_S: np.ndarray, R: float) -> np.ndarray:
@@ -678,7 +665,6 @@ def build_assignment_lp(
         constraints=SparseRows(term_rows, indices, data, (is_eq.size, n_vars)),
         rhs=is_eq.astype(float),
         is_eq=is_eq,
-        var_bounds=np.tile([0.0, 1.0], (n_vars, 1)),
     )
     return lp, pairs
 

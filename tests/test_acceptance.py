@@ -487,5 +487,5 @@ ADULT_REPORT_SHA256 = {
 def test_adult_report_bytes_are_pinned(adult_experiment, tmp_path, fmt):
     _, _, report, _ = adult_experiment
     path = tmp_path / f"report.{fmt}"
-    harness.emit_report(report, str(path), fmt=fmt)
+    harness.emit_report(report, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == ADULT_REPORT_SHA256[fmt]

@@ -110,6 +110,15 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_two_color_columns_are_three(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("f0,color,color\n0,a,b\n1,b,a\n")
+        code = run(["solve", "--algo", "color-blind", "--k", "1",
+                    "--input", str(bad), "--output", str(tmp_path / "s.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "more than one 'color' column" in err and "Traceback" not in err
+
     def test_infeasible_is_two(self, tmp_path, capsys):
         # 3 blue + 1 red with tight bounds around a half/half split
         inst_p = str(tmp_path / "inst.json")
@@ -342,6 +351,7 @@ class TestExitCodes:
             ["--family", "random", "--proportions", "x,y"],
             ["--family", "random", "--proportions", "0.5"],
             ["--family", "random", "--proportions", "0.5,0.7"],
+            ["--family", "random", "--proportions", "nan,nan"],
             ["--family", "random", "--dim", "-1"],
             ["--family", "l-community", "--l", "0"],
             ["--family", "l-community", "--size", "0"],

@@ -57,6 +57,17 @@ class TestCsvLoader:
         with pytest.raises(ParseError):
             load_instance(p)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["f0,color,color\n0,x,y\n1,y,x\n", "color,f0,color\nx,0,y\ny,1,x\n"],
+        ids=["f0-color-color", "color-f0-color"],
+    )
+    def test_second_color_column_rejected(self, tmp_path, text):
+        # loaded, the labels would come from the first 'color' column alone
+        p = write(tmp_path, "t.csv", text)
+        with pytest.raises(ParseError, match="more than one 'color' column"):
+            load_instance(p)
+
     def test_bad_number_reports_row(self, tmp_path):
         p = write(tmp_path, "t.csv", "f0,color\n0,x\noops,y\n")
         with pytest.raises(ParseError, match="row 3"):
@@ -212,7 +223,7 @@ class TestExperiment:
         jsonschema = pytest.importorskip("jsonschema")
         _, _, report = small_report
         p = str(tmp_path / "r.json")
-        emit_report(report, p, fmt="json")
+        emit_report(report, p)
         parsed = json.load(open(p))
         assert parsed == harness.sanitize(report.to_dict(include_timing=False))
         schema = json.load(open(str(DATA / "report_schema.json")))
@@ -221,7 +232,7 @@ class TestExperiment:
     def test_csv_one_row_per_k_algorithm(self, small_report, tmp_path):
         _, cfg, report = small_report
         p = str(tmp_path / "r.csv")
-        emit_report(report, p, fmt="csv")
+        emit_report(report, p)
         rows = list(csv.DictReader(open(p)))
         assert len(rows) == len(cfg.k_values) * len(harness.ALGORITHMS)
         assert list(rows[0]) == list(harness.REPORT_FIELDS)

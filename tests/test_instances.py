@@ -78,6 +78,12 @@ class TestRandom:
         inst = gen_random(8, 2, 2, [0.5, 0.5], seed=7)
         assert inst.color_counts().tolist() == [4, 4]
 
+    def test_nan_proportion_rejected(self):
+        # NaN is neither below 0 nor off the sum by more than 1e-9; let
+        # through, the rounding of n * NaN loops some 9.2e18 times
+        with pytest.raises(ValueError, match="nonnegative"):
+            within(10, gen_random, 5, 2, 2, [0.5, np.nan], 0)
+
     def test_matrix_properties(self):
         inst = gen_random(20, 3, 2, [0.3, 0.3, 0.4], seed=1)
         assert np.array_equal(inst.dist, inst.dist.T)

@@ -62,7 +62,8 @@ def rational_feasible(lp: LinearProgram) -> bool:
     """Exact feasibility by enumerating candidate vertices.
 
     The feasible region lives in a box, so if it is nonempty it has a vertex
-    where nv linearly independent rows are tight (counting variable bounds).
+    where nv linearly independent rows are tight (counting the bounds 0 and
+    1 of each variable).
     Every '=' row appears as a pair of opposite inequalities.
     """
     nv = lp.num_vars
@@ -73,7 +74,7 @@ def rational_feasible(lp: LinearProgram) -> bool:
         rows.append((a, b))
         if eq:
             rows.append(([-x for x in a], -b))
-    bounds = [(Fraction(lo), Fraction(hi)) for lo, hi in lp.var_bounds]
+    bounds = [(Fraction(0), Fraction(1))] * nv
 
     def satisfies(x):
         for a, b in rows:
@@ -129,7 +130,6 @@ def random_small_lp(rng, max_vars=6, max_cons=8):
         constraints=sparse_rows(A),
         rhs=b,
         is_eq=is_eq,
-        var_bounds=np.tile([0.0, 1.0], (nv, 1)),
     )
 
 
@@ -142,7 +142,6 @@ def one_var_lp(lo_rhs, hi_rhs):
         constraints=sparse_rows([[-1.0], [1.0]]),
         rhs=[-lo_rhs, hi_rhs],
         is_eq=[False, False],
-        var_bounds=[[0.0, 1.0]],
     )
 
 
@@ -152,7 +151,6 @@ def lp_fields(**change):
         constraints=[[1.0, -1.0], [1.0, 1.0]],
         rhs=[0.5, 1.0],
         is_eq=[False, True],
-        var_bounds=[[0.0, 1.0], [0.25, 0.75]],
     )
     fields.update(change)
     fields["constraints"] = sparse_rows(fields["constraints"])
@@ -172,16 +170,10 @@ class TestLinearProgram:
             dict(is_eq=[False, True, True]),
             dict(constraints=[[1.0, -1.0]]),
             dict(constraints=[1.0, -1.0]),
-            dict(var_bounds=[[0.0, 1.0]]),
-            dict(var_bounds=[[-0.1, 1.0], [0.25, 0.75]]),
-            dict(var_bounds=[[0.0, 1.5], [0.25, 0.75]]),
-            dict(var_bounds=[[0.0, np.nan], [0.25, 0.75]]),
-            dict(var_bounds=[[0.0, 1.0], [0.75, 0.25]]),
         ],
         ids=[
             "nan-coef", "inf-coef", "neg-inf-coef", "nan-rhs", "inf-rhs",
             "short-rhs", "long-is-eq", "short-constraints", "1d-constraints",
-            "short-bounds", "lo-below-0", "hi-above-1", "nan-bound", "lo-above-hi",
         ],
     )
     def test_rejects(self, change):
@@ -226,7 +218,7 @@ class TestLinearProgram:
         assert A.term_rows is term_rows and A.indices is indices and A.data is data
         lp = LinearProgram(**dict(lp_fields(), constraints=A))
         assert lp.constraints is A and lp.num_vars == 2 and len(lp.constraints) == 2
-        arrays = [getattr(lp, name) for name in ("rhs", "is_eq", "var_bounds")]
+        arrays = [getattr(lp, name) for name in ("rhs", "is_eq")]
         for arr in arrays + [term_rows, indices, data]:
             with pytest.raises(ValueError):
                 arr[0] = arr[1]
@@ -270,22 +262,24 @@ class TestSolver:
         assert feas > 10 and infeas > 10  # both verdicts exercised
 
     def mixed_bounds_lp(self):
-        # x0 + x1 >= 0.9 (stored negated), 2 x2 = 1, x3 - x0 <= 0
+        # x0 + x1 >= 0.9 (stored negated), x2 + x3 = 1, x3 - x0 <= 0, and the
+        # narrower boxes x0 <= 0.75, x3 <= 0.5 as rows
         return LinearProgram(
             constraints=sparse_rows([
                 [-1.0, -1.0, 0.0, 0.0],
-                [0.0, 0.0, 2.0, 0.0],
+                [0.0, 0.0, 1.0, 1.0],
                 [-1.0, 0.0, 0.0, 1.0],
+                [1.0, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0],
             ]),
-            rhs=[-0.9, 1.0, 0.0],
-            is_eq=[False, True, False],
-            var_bounds=[[0.25, 0.75], [0.0, 1.0], [0.5, 0.5], [0.0, 0.5]],
+            rhs=[-0.9, 1.0, 0.0, 0.75, 0.5],
+            is_eq=[False, True, False, False, False],
         )
 
     def test_feasible_start_is_returned_as_is(self):
-        x = solve_feasibility(self.mixed_bounds_lp(), start_at_upper=[1, 0, 1])
+        x = solve_feasibility(self.mixed_bounds_lp(), start_at_upper=[2, 1, 2])
         assert x.dtype == np.float64
-        assert x.tolist() == [0.75, 1.0, 0.5, 0.0]
+        assert x.tolist() == [0.0, 1.0, 1.0, 0.0]
 
     def test_feasible_nearest_start_on_assignment_lp(self):
         inst = gen_random(300, 2, 2, [0.5, 0.5], seed=0)
@@ -303,22 +297,27 @@ class TestSolver:
 
     def test_start_violating_one_row_pivots(self):
         lp = self.mixed_bounds_lp()
-        # the lower corner breaks only the first row
-        x = solve_feasibility(lp, start_at_upper=[])
-        assert x is not None and x.tolist() != [0.25, 0.0, 0.5, 0.0]
+        # the corner with x2 at 1 breaks only the first row
+        x = solve_feasibility(lp, start_at_upper=[2])
+        assert x is not None and x.tolist() != [0.0, 0.0, 1.0, 0.0]
         assert x[0] + x[1] >= 0.9 - 1e-7
-        assert 2.0 * x[2] == pytest.approx(1.0, abs=1e-7)
+        assert x[2] + x[3] == pytest.approx(1.0, abs=1e-7)
         assert x[3] - x[0] <= 1e-7
-        assert all(lo - 1e-12 <= v <= hi + 1e-12 for v, (lo, hi) in zip(x, lp.var_bounds))
+        assert x[0] <= 0.75 + 1e-7 and x[3] <= 0.5 + 1e-7
+        assert np.all((0.0 <= x) & (x <= 1.0))
         x = solve_feasibility(one_var_lp(0.3, 0.7), start_at_upper=[0])
         assert x is not None and 0.3 - 1e-7 <= x[0] <= 0.7 + 1e-7
 
     def test_zero_rows_return_the_start_corner(self):
+        lp = LinearProgram(constraints=SparseRows([], [], [], (0, 3)), rhs=[], is_eq=[])
+        assert solve_feasibility(lp).tolist() == [0.0, 0.0, 0.0]
+        assert solve_feasibility(lp, start_at_upper=[1, 2]).tolist() == [0.0, 1.0, 1.0]
+        # the boxes 0.25 <= x1 <= 0.5 and x2 <= 0.75 as rows: each corner is
+        # moved onto the box edges it breaks
         lp = LinearProgram(
-            constraints=SparseRows([], [], [], (0, 3)),
-            rhs=[],
-            is_eq=[],
-            var_bounds=[[0.0, 1.0], [0.25, 0.5], [0.0, 0.75]],
+            constraints=sparse_rows([[0.0, -1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            rhs=[-0.25, 0.5, 0.75],
+            is_eq=[False, False, False],
         )
         assert solve_feasibility(lp).tolist() == [0.0, 0.25, 0.0]
         assert solve_feasibility(lp, start_at_upper=[1, 2]).tolist() == [0.0, 0.5, 0.75]
@@ -331,7 +330,6 @@ class TestSolver:
             constraints=sparse_rows([[1.0, 1.0], [1.0, 0.0]]),
             rhs=[1.0, 0.0],
             is_eq=[True, False],
-            var_bounds=[[0.0, 1.0], [0.0, 1.0]],
         )
         assert solve_feasibility(lp, start_at_upper=[0]).tolist() == [0.0, 1.0]
         with pytest.raises(ValueError, match=r"outside \[0, vars\)"):
@@ -547,7 +545,7 @@ class TestClassAggregation:
         for a, b in [
             (getattr(agg.constraints, f), getattr(pt.constraints, f))
             for f in ("term_rows", "indices", "data")
-        ] + [(getattr(agg, f), getattr(pt, f)) for f in ("rhs", "is_eq", "var_bounds")]:
+        ] + [(getattr(agg, f), getattr(pt, f)) for f in ("rhs", "is_eq")]:
             assert a.shape == b.shape and a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
         assert agg_pairs.tolist() == pt_pairs.tolist()
@@ -565,7 +563,6 @@ class TestClassAggregation:
                     for got, want in ((got_A, A), (lp.rhs, b), (lp.is_eq, is_eq)):
                         assert got.shape == want.shape and got.dtype == want.dtype
                         assert got.tobytes() == want.tobytes()
-                    assert lp.var_bounds.tolist() == [[0.0, 1.0]] * len(pairs)
 
     def test_class_shape_and_weights(self):
         # coinciding pairs of one color collapse; proportion rows carry the size
@@ -713,12 +710,9 @@ class TestClassAggregation:
 
 
 def program_of_step(lp, steps, step):
-    """lp without the variables of a later step than `step` (their lower bound is 0)."""
+    """lp without the variables of a later step than `step` (fixed at 0)."""
     keep = np.asarray(steps) <= step
-    return LinearProgram(
-        sparse_rows(dense(lp.constraints)[:, keep]),
-        lp.rhs, lp.is_eq, lp.var_bounds[keep],
-    )
+    return LinearProgram(sparse_rows(dense(lp.constraints)[:, keep]), lp.rhs, lp.is_eq)
 
 
 class TestWalk:
@@ -815,7 +809,7 @@ def highs_feasible(lp: LinearProgram) -> bool:
         b_ub=b[ub] if ub.any() else None,
         A_eq=A[eq] if eq.any() else None,
         b_eq=b[eq] if eq.any() else None,
-        bounds=lp.var_bounds,
+        bounds=(0.0, 1.0),
         method="highs",
     )
     assert res.status in (0, 2), res.message  # solved, or proven infeasible
@@ -940,7 +934,7 @@ def reference_solve(lp, start_at_upper=None):
     """`solve_feasibility` with every column stored and the costs apart."""
     A, b, is_eq = lp.constraints, lp.rhs, lp.is_eq
     m, n = A.shape
-    lo, hi = lp.var_bounds.T
+    lo, hi = np.zeros(n), np.ones(n)
     given = () if start_at_upper is None else start_at_upper
     up = np.unique(np.fromiter(given, dtype=np.intp))
     x0 = lo.copy()
@@ -1025,32 +1019,19 @@ def reference_solve(lp, start_at_upper=None):
 
 
 def bounded_lp(rng):
-    """Random rows over columns of mixed boxes, where the pins have only [0, 1].
+    """Random rows over [0, 1] columns, with fractional coefficients.
 
-    Columns are [0, 1], fixed at 0, at 1 or in between, narrower than PIV_TOL,
-    or a random [lo, hi].  About a quarter of the rows are equalities, and
-    most rows hold at a random point of the boxes.
+    About a quarter of the rows are equalities, and most rows hold at a
+    random point of the box.
     """
     nv, nc = (int(v) for v in rng.integers(1, 8, size=2))
-    kind = rng.integers(0, 6, size=nv)
-    lo = rng.random(nv)
-    hi = lo.copy()
-    lo[kind == 0], hi[kind == 0] = 0.0, 1.0
-    lo[kind == 1] = hi[kind == 1] = 0.0
-    lo[kind == 2] = hi[kind == 2] = 1.0
-    thin = kind == 4
-    hi[thin] = np.minimum(1.0, lo[thin] + PIV_TOL * rng.random(thin.sum()))
-    lo[thin] = np.maximum(0.0, hi[thin] - PIV_TOL * rng.random(thin.sum()))
-    span = kind == 5
-    ends = np.sort(rng.random((span.sum(), 2)), axis=1)
-    lo[span], hi[span] = ends.T
     shape = (nc, nv)
     coef = rng.integers(-4, 5, size=shape) / rng.choice([1, 2, 3], size=shape)
     A = np.where(rng.random(shape) < 0.6, coef, 0.0)
     is_eq = rng.random(nc) < 0.25
-    at = A @ (lo + (hi - lo) * rng.random(nv)) + np.where(is_eq, 0.0, 0.3 * rng.random(nc))
+    at = A @ rng.random(nv) + np.where(is_eq, 0.0, 0.3 * rng.random(nc))
     b = np.where(rng.random(nc) < 0.6, at, rng.integers(-3, 4, size=nc) / 2.0)
-    return LinearProgram(sparse_rows(A), b, is_eq, np.column_stack([lo, hi]))
+    return LinearProgram(sparse_rows(A), b, is_eq)
 
 
 def solve_outcome(solve, lp, start):
@@ -1069,17 +1050,12 @@ def test_same_vertices_as_the_reference_loop():
         lp = bounded_lp(rng)
         programs += [(lp, None), (lp, np.flatnonzero(rng.random(lp.num_vars) < 0.5))]
     programs += assignment_programs(rng, 12, (4, 25), (0.0, 0.05, 0.3))
-    outcomes, pivoted_fixed = set(), 0
+    outcomes = set()
     for lp, start in programs:
         got = solve_outcome(solve_feasibility, lp, start)
         assert got == solve_outcome(reference_solve, lp, start)
         outcomes.add(type(got))
-        lo, hi = lp.var_bounds.T
-        x0 = start_corner(lp, start)
-        if (hi - lo <= PIV_TOL).any() and not lp_start_clears(lp, x0):
-            pivoted_fixed += 1
     assert outcomes == {bytes, type(None)}
-    assert pivoted_fixed > 500  # tableaus with fixed columns, where the pins have none
 
 
 # ---------------------------------------------------------------------------
@@ -1095,10 +1071,10 @@ def lp_start_clears(lp, x):
 
 
 def start_corner(lp, start):
-    """The solver's starting point: lower bounds, `start` at its upper ones."""
-    x = lp.var_bounds[:, 0].copy()
+    """The solver's starting point: 0, `start` at 1."""
+    x = np.zeros(lp.num_vars)
     if start is not None:
-        x[start] = lp.var_bounds[start, 1]
+        x[start] = 1.0
     return x
 
 
@@ -1178,7 +1154,6 @@ class TestBlockedProduct:
             constraints=sparse_rows(coef[None, :]),
             rhs=[b],
             is_eq=[False],
-            var_bounds=np.tile([0.0, 1.0], (coef.size, 1)),
         )
         x0 = np.ones(coef.size)
         assert dense_breaks_a_row(lp, x0)
