@@ -310,7 +310,7 @@ def _start_corner(lp, start_at_upper):
     """The starting corner and its variables at 1."""
     n = lp.num_vars
     given = () if start_at_upper is None else start_at_upper
-    up = np.unique(np.asarray(given, dtype=np.intp))  # start at 1
+    up = np.unique(np.asarray(given, dtype=np.intp))
     if up.size and not (0 <= up[0] and up[-1] < n):
         raise ValueError("start_at_upper names a variable outside [0, vars)")
     x0 = np.zeros(n)
@@ -365,7 +365,7 @@ def _phase1(lp, x0, up, frozen):
     way = np.ones(cid.size)  # see module: +1 at 0, -1 at 1, 0 basic
     way[up] = -1.0
     way[n:][~violated[slack_rows]] = 0.0  # basic slacks
-    dirn = way.copy()  # way where a column may move, else 0: frozen columns never enter
+    dirn = way.copy()  # way, but 0 at the frozen columns, which never enter
     dirn[:n][frozen] = 0.0
 
     def corner():
