@@ -10,6 +10,7 @@ bounds on each color (GF) and per-color counts on the selected centers (DS).
 from __future__ import annotations
 
 import contextvars
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -144,6 +145,18 @@ def _pairwise_sum(square, lo, hi, out, scratch):
     return out
 
 
+def integer_array(values, what: str) -> np.ndarray:
+    """values as an int array, once they are integers (numpy's and bools too).
+
+    Floats, even integral ones, are a TypeError: casting them would truncate
+    2.9 to 2 without a word.
+    """
+    a = np.asarray(values)
+    if a.size and a.dtype.kind not in "biu":
+        raise TypeError(f"{what} must be integers")
+    return a.astype(int, copy=False)
+
+
 def _as_float_matrix(dist) -> np.ndarray:
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -156,7 +169,8 @@ class Instance:
     """Point set with pairwise distances and per-point colors.
 
     dist is an n-by-n symmetric matrix with zero diagonal; colors maps each
-    point index to a color index in [0, m).
+    point index to a color index in [0, m).  A color or an m that is not an
+    integer is a TypeError.
     """
 
     dist: np.ndarray
@@ -203,7 +217,8 @@ class Instance:
     def _store(self, dist: np.ndarray) -> None:
         """Keep dist and the colors read-only, after checking the colors and m."""
         object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "colors", np.asarray(self.colors, dtype=int))
+        object.__setattr__(self, "colors", integer_array(self.colors, "colors"))
+        object.__setattr__(self, "m", operator.index(self.m))
         self.dist.setflags(write=False)
         self.colors.setflags(write=False)
         if self.colors.shape != (self.n,):
@@ -260,15 +275,19 @@ class GFBounds:
 
 @dataclass(frozen=True)
 class DSBounds:
-    """Per-color center-count bounds k_lo[h] <= k_h <= k_hi[h] with budget k."""
+    """Per-color center-count bounds k_lo[h] <= k_h <= k_hi[h] with budget k.
+
+    The bounds and k must be integers: a float is a TypeError.
+    """
 
     k_lo: np.ndarray
     k_hi: np.ndarray
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "k_lo", np.asarray(self.k_lo, dtype=int))
-        object.__setattr__(self, "k_hi", np.asarray(self.k_hi, dtype=int))
+        object.__setattr__(self, "k_lo", integer_array(self.k_lo, "k_lo"))
+        object.__setattr__(self, "k_hi", integer_array(self.k_hi, "k_hi"))
+        object.__setattr__(self, "k", operator.index(self.k))
         if self.k_lo.shape != self.k_hi.shape or self.k_lo.ndim != 1:
             raise ValueError("k_lo and k_hi must be 1-d arrays of equal length")
         if np.any(self.k_lo < 0) or np.any(self.k_lo > self.k_hi):
@@ -288,15 +307,16 @@ class Solution:
     assign[j] is the point index of j's center and must be a member of
     centers; every index lies in [0, n), n being the length of assign.
     Centers with empty clusters are permitted (they are reported as inactive
-    and ignored by the violation metrics).
+    and ignored by the violation metrics).  An index that is not an integer
+    is a TypeError.
     """
 
     centers: tuple
     assign: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "centers", tuple(int(c) for c in self.centers))
-        object.__setattr__(self, "assign", np.asarray(self.assign, dtype=int))
+        object.__setattr__(self, "centers", tuple(operator.index(c) for c in self.centers))
+        object.__setattr__(self, "assign", integer_array(self.assign, "assignments"))
         self.assign.setflags(write=False)
         if len(set(self.centers)) != len(self.centers):
             raise ValueError("duplicate centers")
@@ -410,7 +430,8 @@ class ExperimentConfig:
 
     Proportional bounds derive from delta as beta = (1-delta) r_h and
     alpha = (1+delta) r_h (capped at 1); center bounds derive from theta as
-    k_lo = ceil(theta r_h k) with k_hi = k.
+    k_lo = ceil(theta r_h k) with k_hi = k.  Each k must be an integer: a
+    float is a TypeError.
     """
 
     k_values: tuple
@@ -420,7 +441,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
+        object.__setattr__(self, "k_values", tuple(operator.index(k) for k in self.k_values))
         if not self.k_values or any(k < 1 for k in self.k_values):
             raise ValueError("k_values must be positive integers")
         if not 0.0 <= self.delta < 1.0:  # delta = 1 zeroes every lower bound

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FairKCError, FractionalAssignment, Instance, positions_in
+from .core import FairKCError, FractionalAssignment, Instance, integer_array, positions_in
 
 MARGINAL_SNAP = 1e-7
 
@@ -133,9 +133,7 @@ def max_flow(to, cap, start, order, s, t):
 
 def _int_array(values):
     """A 1-D int64 array of integer values (numpy's too); floats are a TypeError."""
-    a = np.asarray(values)
-    if a.size and a.dtype.kind not in "biu":
-        raise TypeError("arc ends and bounds must be integers")
+    a = integer_array(values, "arc ends and bounds")
     if a.ndim != 1:
         raise ValueError("arc ends and bounds must be 1-D arrays")
     return a.astype(np.int64)

@@ -57,19 +57,30 @@ frozen column (below), so `dirn * d` is -|d| at each candidate and at least
 -PIV_TOL, or NaN, elsewhere.  Its first minimum is the steepest candidate,
 the lowest id among equals, and Bland's rule takes its first entry below
 -PIV_TOL; a NaN minimum falls back to the largest |d| among the candidates.
-Per-row arrays hold what the ratio test and the objective read: `bhi` the
+Per-row state holds what the ratio test and the objective read: `bhi` the
 upper bound of each row's basic column, and `art` the rows whose basic
 column is artificial, so the phase-1 objective sums the values a sum over
 the basic artificials would, in the same order.
 
-Each pivot's rank-one update touches only the rows with a nonzero in the
-entering column, the cost row always among them.  That is exact: a skipped
-row would have had a signed zero subtracted from each entry, which can flip
-the sign of a zero and nothing else, and every read of the tableau compares
-with PIV_TOL or takes an abs.  Flipped zeros can reach the basic values only
-as ±0 steps, which again can flip nothing but a zero's sign, and no pivot
-decision sees that sign.  So the pivot path is the dense update's, and so
-is the vertex, byte for byte.
+A pivot touches only nonzeros.  It takes the rows with a nonzero in the
+entering column, the cost row last among them (its entry is the entering
+reduced cost), and runs the ratio test over the others as a loop over
+Python floats.  Only those rows' basic values step, and the rank-one update
+writes only the block of those rows and of the columns where the pivot row
+is nonzero, through flat indices into T.  That is exact: a skipped entry
+would have had a signed zero subtracted, a zero of the entering column or
+of the pivot row times the other factor, and a skipped basic value a signed
+zero added, which can flip the sign of a zero and nothing else.  Every read
+of the tableau compares with PIV_TOL or takes an abs, and a basic value
+enters the ratio test only as `bound - value`, where a bound is +0 or more,
+so a zero gives +0 of either sign; no pivot decision sees the sign.  Nor
+does the vertex: a structural column enters at t or 1 - t, t the step,
+never -0, and a sum is -0 only when both terms are.  So the pivot path and
+the vertex are the dense update's, byte for byte.  That needs the clamp of
+a step limit at 0 to give +0 for a limit of -0 too; a -0 limit would
+become the step, then the entering value and a vertex entry.  A NaN limit,
+which only a value past the float range gives, raises `NumericFailure`, as
+the NaN minimum of a test over all rows did.
 
 The loop runs in `_phase1`, a generator that yields each time phase 1
 stops.  `solve_feasibility` takes its first stop.  `first_feasible_step`
@@ -336,6 +347,7 @@ def _phase1(lp, x0, up, frozen):
     slack_rows = np.flatnonzero(~is_eq)
     cid = np.concatenate([np.arange(n), n + slack_rows])  # id of each stored column
     T = np.zeros((m + 1, cid.size))
+    flat, width = T.reshape(-1), cid.size  # flat is a view of T
     T[A.term_rows, A.indices] = A.data
     # Slack values if the slacks were basic.  They seed T, so they take the
     # dense product's bits (see module).
@@ -352,15 +364,18 @@ def _phase1(lp, x0, up, frozen):
     for r in art_rows:
         cost -= T[r]
 
-    col_hi = np.concatenate([np.ones(n), np.full(slack_rows.size, np.inf)])  # lower bounds are 0
+    col_hi = [1.0] * n + [math.inf] * slack_rows.size  # lower bounds are 0
     nid = n + m + n_art  # above every column id
     spos = np.full(nid, -1)  # stored column of each id, -1 if it is not stored
     spos[cid] = np.arange(cid.size)
 
+    # Per-row lists, read a few entries a pivot: the basic column's id and
+    # its upper bound.
     basis = np.arange(n, n + m)
     basis[art_rows] = n + m + np.arange(n_art)  # violated slacks park at zero
+    basis = basis.tolist()
+    bhi = np.where(is_eq & ~violated, 0.0, np.inf).tolist()
     art = violated.copy()  # rows whose basic column is artificial
-    bhi = np.where(is_eq & ~violated, 0.0, np.inf)  # upper bound of each row's basic column
     xb = np.where(violated, np.abs(resid), resid)
     way = np.ones(cid.size)  # see module: +1 at 0, -1 at 1, 0 basic
     way[up] = -1.0
@@ -370,15 +385,16 @@ def _phase1(lp, x0, up, frozen):
 
     def corner():
         x = np.where(way[:n] < 0, 1.0, 0.0)
-        structural = basis < n
-        x[basis[structural]] = xb[structural]
+        ids = np.asarray(basis, dtype=np.intp)
+        structural = ids < n
+        x[ids[structural]] = xb[structural]
         return np.clip(x, 0.0, 1.0)
 
     cap = 50 * (n + m)  # pivots from one stop to the next
     while True:
         stalled = 0  # consecutive degenerate pivots; large runs trip Bland's rule
         # left before each yield, so the caller never runs under it
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(invalid="ignore"):
             for _ in range(cap):
                 obj = float(xb[art].sum())
                 if obj <= PIV_TOL:
@@ -393,24 +409,38 @@ def _phase1(lp, x0, up, frozen):
                         c = int(np.where(score < -PIV_TOL, np.abs(cost), 0.0).argmax())
                 if not score[c] < -PIV_TOL:
                     break
-                j, w = int(cid[c]), way[c]
+                j, w = int(cid[c]), float(way[c])
 
-                eff = T[:m, c] * -w  # basic change per unit step
-                bound = np.where(eff > 0, bhi, 0.0)
-                limits = np.where(np.abs(eff) > PIV_TOL, (bound - xb) / eff, np.inf)
-                np.maximum(limits, 0.0, out=limits)
+                # The rows with a nonzero in column c, the cost row last: d[c] is
+                # nonzero.  The ratio test and the update skip the rest (see module).
+                rows = T[:, c].nonzero()[0]
+                colvals = T[rows, c]
+                nzr = rows[:-1]
+                eff = colvals[:-1] * -w  # basic change per unit step
                 t_flip = col_hi[c]
-                t_star = min(float(np.minimum.reduce(limits)), t_flip)
+                t_star, can_block = t_flip, []  # (limit, row, change) where |change| > PIV_TOL
+                for i, e, x in zip(nzr.tolist(), eff.tolist(), xb[nzr].tolist()):
+                    if abs(e) > PIV_TOL:
+                        lim = ((bhi[i] if e > 0 else 0.0) - x) / e
+                        if not lim > 0.0:  # +0 for -0 too (see module)
+                            if lim != lim:  # NaN, past the float range
+                                raise NumericFailure("unbounded ray in phase 1")
+                            lim = 0.0
+                        if lim < t_star:
+                            t_star = lim
+                        can_block.append((lim, i, e))
                 if not math.isfinite(t_star):
                     raise NumericFailure("unbounded ray in phase 1")
 
                 stalled = 0 if t_star > 1e-12 else stalled + 1
 
                 reach = t_star + 1e-12
-                leave = np.where(limits <= reach, basis, nid)  # blocking basics
-                r = int(leave.argmin())
-                xb += eff * t_star
-                if leave[r] >= (j if t_flip <= reach else nid):
+                leaving, r, e_r = nid, -1, 0.0  # the blocking basic of lowest id
+                for lim, i, e in can_block:
+                    if lim <= reach and basis[i] < leaving:
+                        leaving, r, e_r = basis[i], i, e
+                xb[nzr] += eff * t_star
+                if leaving >= (j if t_flip <= reach else nid):
                     way[c] = dirn[c] = -w  # c reaches its other bound first
                     continue
 
@@ -418,18 +448,15 @@ def _phase1(lp, x0, up, frozen):
                 if abs(piv) <= PIV_TOL:
                     raise NumericFailure("numerically singular pivot")
                 enter_val = t_star if w > 0 else col_hi[c] - t_star
-                out = spos[basis[r]]
+                out = spos[leaving]
                 if out >= 0:  # stored, so it can enter again
-                    way[out] = dirn[out] = -1.0 if eff[r] > 0 else 1.0
-                # Rank-one update of the rows with a nonzero in column c only, the
-                # cost row among them; the rest would lose a signed zero, which no
-                # read of T can tell apart.
-                rowvals = T[r] / piv
-                rows = T[:, c].nonzero()[0]
-                sub = T[rows]
-                sub -= np.multiply.outer(sub[:, c], rowvals)
-                T[rows] = sub
-                T[r] = rowvals
+                    way[out] = dirn[out] = -1.0 if e_r > 0 else 1.0
+                # Rank-one update of the block of rows and columns that are
+                # nonzero in column c and in row r, written through flat indices.
+                cols = T[r].nonzero()[0]
+                rowvals = T[r, cols] / piv
+                flat[(rows * width)[:, None] + cols] -= np.multiply.outer(colvals, rowvals)
+                T[r, cols] = rowvals
                 basis[r] = j
                 bhi[r] = col_hi[c]
                 art[r] = False

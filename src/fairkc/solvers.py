@@ -80,8 +80,10 @@ def gonzalez(inst: Instance, k: int, seed: Optional[int] = None) -> Solution:
     """Farthest-point-first center selection with nearest-center assignment.
 
     The first center is point 0 unless a seed picks one at random.  Ties in
-    the farthest-point step go to the lowest index.
+    the farthest-point step go to the lowest index.  A k that is not an
+    integer is a TypeError.
     """
+    k = operator.index(k)
     if not 1 <= k <= inst.n:
         raise ValueError("need 1 <= k <= n")
     every = np.ones(inst.m, dtype=bool)

@@ -107,6 +107,14 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             Instance(dist=np.zeros((2, 2)), colors=[0, 0], m=2)
 
+    @pytest.mark.parametrize("colors, m", [([0.5, 1.2], 2), ([0.0, 1.0], 2), ([0, 1], 2.0)])
+    def test_non_integer_colors_or_m_rejected(self, colors, m):
+        # [0.5, 1.2] used to become [0, 1]
+        with pytest.raises(TypeError):
+            Instance(dist=np.zeros((2, 2)), colors=colors, m=m)
+        with pytest.raises(TypeError):
+            Instance.from_points(np.zeros((2, 1)), colors, m)
+
     def test_coinciding_points_allowed(self):
         inst = Instance(dist=np.zeros((3, 3)), colors=[0, 1, 0], m=2)
         assert inst.n == 3
@@ -155,6 +163,31 @@ class TestBounds:
     def test_config_p_below_one_rejected(self, p):
         with pytest.raises(ValueError, match="exponent p"):
             ExperimentConfig(k_values=(3,), p=p)
+
+    @pytest.mark.parametrize("k_values", [(2.5,), (4, 2.0), (np.float64(3.0),)])
+    def test_config_non_integer_k_rejected(self, k_values):
+        # (2.5,) used to become (2,)
+        with pytest.raises(TypeError):
+            ExperimentConfig(k_values=k_values)
+
+    @pytest.mark.parametrize(
+        "k_lo, k_hi",
+        [([0.5, 0.7], [2.9, 2]), ([0, 1], [2.0, 2]), ([0.0, 0.0], [2, 2])],
+    )
+    def test_ds_non_integer_bounds_rejected(self, k_lo, k_hi):
+        # [0.5, 0.7] and [2.9, 2] used to become [0, 0] and [2, 2]
+        with pytest.raises(TypeError):
+            DSBounds(k_lo=k_lo, k_hi=k_hi, k=3)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2"])
+    def test_ds_non_integer_budget_rejected(self, k):
+        # 2.5 used to be kept, and alg_ds ran on it
+        with pytest.raises(TypeError):
+            DSBounds(k_lo=[0, 1], k_hi=[2, 2], k=k)
+
+    def test_ds_numpy_integers_accepted(self):
+        dsb = DSBounds(k_lo=np.array([0, 1], dtype=np.int32), k_hi=[2, 2], k=np.int64(2))
+        assert dsb.k == 2 and type(dsb.k) is int and dsb.k_lo.tolist() == [0, 1]
 
     def test_config_largest_delta_gives_bounds(self):
         inst = gen_l_community(2, 4, 1.0, "alternating")
@@ -370,6 +403,19 @@ class TestSolutionValidation:
         # n = 3 points; a center named 3, -1 or 7 is none of them
         with pytest.raises(ValueError, match=r"\[0, n\)"):
             Solution(centers=centers, assign=assign)
+
+    @pytest.mark.parametrize(
+        "centers, assign",
+        [((1.7,), [1.9, 1.2, 1.0]), ((1.7,), [1, 1, 1]), ((1,), [1.9, 1.2, 1.0]), ((1.0,), [1, 1, 1])],
+    )
+    def test_non_integer_index_rejected(self, centers, assign):
+        # (1.7,) and [1.9, 1.2, 1.0] used to become (1,) and [1, 1, 1]
+        with pytest.raises(TypeError):
+            Solution(centers=centers, assign=assign)
+
+    def test_numpy_integer_indices_accepted(self):
+        sol = Solution(centers=(np.int64(1),), assign=np.ones(3, dtype=np.int32))
+        assert sol.centers == (1,) and sol.assign.tolist() == [1, 1, 1]
 
 
 @pytest.mark.parametrize("j", [2, -1])

@@ -1058,6 +1058,38 @@ def test_same_vertices_as_the_reference_loop():
     assert outcomes == {bytes, type(None)}
 
 
+def test_same_vertices_as_the_reference_loop_on_adult_point_lps(adult_cases):
+    """The point LP of each distinct search on adult_mini at k 4 and 5, at
+    the radius it stops at, from its nearest admissible start.  Their
+    tableaus are about 1,000 columns wide and most pivot rows hold a few
+    nonzeros, so the update of the nonzero block alone is checked where it
+    skips most columns."""
+    programs = {}
+    for inst, S, gfb in adult_cases:
+        _, R = assignment_gf(inst, S, gfb)
+        lp, pairs = build_assignment_lp(inst, S, R, gfb)
+        programs[tuple(S)] = (lp, nearest_admissible_start(inst, pairs))
+    assert len(programs) == 3 and min(lp.num_vars for lp, _ in programs.values()) > 900
+    for lp, start in programs.values():
+        got = solve_outcome(solve_feasibility, lp, start)
+        assert type(got) is bytes and got == solve_outcome(reference_solve, lp, start)
+
+
+def test_nan_step_limit_fails_as_in_the_reference_loop():
+    """The start's product overflows, so row 0's basic value is inf, and the
+    ratio test for x2 reads (inf - inf) / 1 there.  A NaN limit ends the
+    solve as the NaN minimum of the reference loop's test did; skipping it
+    as a row that never blocks would return None instead."""
+    lp = LinearProgram(
+        constraints=sparse_rows([[1e308, 1e308, 1.0], [0.0, 0.0, -1e10]]),
+        rhs=[0.0, -1e10],
+        is_eq=[False, False],
+    )
+    with np.errstate(over="ignore"):
+        got = solve_outcome(solve_feasibility, lp, [0, 1])
+        assert got == solve_outcome(reference_solve, lp, [0, 1]) == "unbounded ray in phase 1"
+
+
 # ---------------------------------------------------------------------------
 # the per-term product and the start screen
 # ---------------------------------------------------------------------------

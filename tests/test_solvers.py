@@ -56,6 +56,14 @@ from fairkc.solvers import (
 
 
 class TestGonzalez:
+    def test_non_integer_k_rejected(self):
+        # 2.5 used to pick three centers: the loop ran while fewer than 2.5
+        inst = gen_random(12, 2, 2, [0.5, 0.5], seed=1)
+        for k in (2.5, 3.0, np.float64(2.0), "2"):
+            with pytest.raises(TypeError):
+                gonzalez(inst, k)
+        assert len(gonzalez(inst, np.int64(3)).centers) == 3
+
     def test_k_equals_n_costs_zero(self, rng):
         inst = random_instance(rng, n=9, m=2)
         assert cost(inst, gonzalez(inst, inst.n)) == 0.0
@@ -347,9 +355,9 @@ def test_traversal_matches_best_candidate_reference(shape):
         k = int(rng.integers(1, n + 1))
         seed = int(rng.integers(1000)) if shape == "seeded" else None
         if shape == "zero":
-            k_lo, k_hi = np.zeros(m), np.full(m, k)
+            k_lo, k_hi = np.zeros(m, dtype=int), np.full(m, k)
         elif shape == "caps":
-            k_lo, k_hi = np.zeros(m), rng.integers(0, k + 1, size=m)
+            k_lo, k_hi = np.zeros(m, dtype=int), rng.integers(0, k + 1, size=m)
         else:  # lower bounds summing to k when tight, to at most k when seeded
             size = k if shape == "tight" else int(rng.integers(0, k + 1))
             k_lo = np.bincount(rng.integers(0, m, size=size), minlength=m)
