@@ -8,6 +8,7 @@ sub-center receives at least one point.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from .core import FairKCError, Instance
@@ -26,15 +27,15 @@ def divide(
     With a single sub-center the whole cluster goes to it unchanged.  The
     anchor center may sit outside the cluster (it can happen after LP
     rounding reassigns the center point elsewhere); every other member of Q
-    must belong to the cluster.
+    must belong to the cluster.  An id that is not an integer is a TypeError.
     """
-    members = [int(p) for p in cluster]
-    subs = [int(p) for p in Q]
+    members = [operator.index(p) for p in cluster]
+    subs = [operator.index(p) for p in Q]
     if not members:
         raise InvalidSubset("cluster is empty")
     if not subs or len(set(subs)) != len(subs):
         raise InvalidSubset("Q must be nonempty without duplicates")
-    allowed = set(members) | {int(center)}
+    allowed = set(members) | {operator.index(center)}
     stray = set(subs) - allowed
     if stray:
         raise InvalidSubset(f"sub-centers {sorted(stray)} outside the cluster")

@@ -211,9 +211,10 @@ def max_flow_gf(
     network's only candidate flow.
 
     Raises InternalInfeasible if the rounding network has no feasible flow,
-    which cannot happen for a unit-row-sum input.
+    which cannot happen for a unit-row-sum input, and TypeError when a
+    center id is not an integer.
     """
-    Q = [int(q) for q in Q]
+    Q = [operator.index(q) for q in Q]
     return _round_by_network(inst, Q, x.pairs, *x.marginals(inst, Q))
 
 

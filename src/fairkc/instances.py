@@ -87,29 +87,17 @@ def gen_proportional_gadget(
     per_blue = half // locs_blue
     per_red = half // locs_red
 
-    loc = []  # (color, location, is_hub)
-    for b in range(locs_blue):
-        loc.extend([(0, b, b == 0)] * per_blue)
-    for c in range(locs_red):
-        loc.extend([(1, c, c == 0)] * per_red)
-    n = len(loc)
+    colors = np.repeat([0, 1], [half, half])
+    loc = np.concatenate((np.arange(half) // per_blue, np.arange(half) // per_red))
+    same_color = colors[:, None] == colors[None, :]
+    same_loc = loc[:, None] == loc[None, :]
+    hub = loc == 0
+    dist = np.where(
+        ~same_color,
+        R,
+        np.where(same_loc, 0.0, np.where(hub[:, None] | hub[None, :], r, 2.0 * r)),
+    )
 
-    dist = np.empty((n, n))
-    for i in range(n):
-        ci, li, hi_ = loc[i]
-        for j in range(n):
-            cj, lj, hj = loc[j]
-            if ci != cj:
-                d = R
-            elif li == lj:
-                d = 0.0
-            elif hi_ or hj:
-                d = r
-            else:
-                d = 2.0 * r
-            dist[i, j] = d
-
-    colors = np.asarray([c for c, _, _ in loc], dtype=int)
     inst = Instance(dist=dist, colors=colors, m=2)
     inst.check_triangle()
     return inst

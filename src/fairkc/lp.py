@@ -470,12 +470,13 @@ def _phase1(lp, x0, up, frozen):
 
 
 def admissible(dist_S: np.ndarray, R: float) -> np.ndarray:
-    """adm[t, j]: the center with distances dist_S[t] admits point j at radius R."""
-    return dist_S <= R + 1e-12
+    """adm[t, j]: the center with distances dist_S[t] admits point j at radius R,
+    that is when d <= R exactly; every radius the search tries is a distance."""
+    return dist_S <= R
 
 
 def dead_center_radius(dist_S: np.ndarray, colors: np.ndarray, gfb: GFBounds) -> float:
-    """V such that no assignment at a radius R with V > R + 1e-12 passes `solve_feasibility`.
+    """V such that no assignment at a radius R < V passes `solve_feasibility`.
 
     dist_S holds the rows of the distance matrix of the centers S.  A center
     that admits no point of color h has the lower row beta_h * M_i <= 0,
@@ -494,15 +495,17 @@ def dead_center_radius(dist_S: np.ndarray, colors: np.ndarray, gfb: GFBounds) ->
     can return no solution either.
 
     Center t is alive at R when it admits a point of each color that
-    counts, that is when L_t <= R + 1e-12, L_t the largest over those colors
-    of the distance from t to its nearest point of the color (0 when no
-    color counts, inf when a counted color has no point).  Point j has a
-    live admissible center when max(L_t, d_tj) <= R + 1e-12 for some t, so
-    every point has one exactly when V = max_j min_t max(L_t, d_tj) is
-    within R + 1e-12.  Each comparison is one of the admissibility mask's,
-    so at every R, V > R + 1e-12 exactly when the mask leaves some point
-    without a live center.  That verdict is monotone in R: admissibility
-    only grows with R, so a dead center can only come alive.
+    counts, that is when L_t <= R, L_t the largest over those colors of the
+    distance from t to its nearest point of the color (0 when no color
+    counts, inf when a counted color has no point).  Point j has a live
+    admissible center when max(L_t, d_tj) <= R for some t, so every point
+    has one exactly when V = max_j min_t max(L_t, d_tj) is at most R.  Each
+    comparison is one of the admissibility mask's, so at every R, V > R
+    exactly when the mask leaves some point without a live center.  That
+    verdict is monotone in R: admissibility only grows with R, so a dead
+    center can only come alive.  V is at least the covering radius
+    max_j min_t d_tj, as max(L_t, d_tj) >= d_tj, and both come from the
+    same floats through max and min alone, which round nothing.
     """
     counted = gfb.beta * (1.0 - FEAS_TOL) > len(dist_S) * FEAS_TOL
     L = np.zeros(len(dist_S))
@@ -643,9 +646,10 @@ def build_assignment_lp(
     two '<= 0' rows per color (lower, then upper proportion bound) over that
     center's columns, then one '= 1' unit row per class.
 
-    Raises EmptyRow when some point has no center within R.
+    Raises EmptyRow when some point has no center within R, and TypeError
+    when a center id is not an integer.
     """
-    S = [int(i) for i in S]
+    S = [operator.index(i) for i in S]
     if not S:
         raise ValueError("need at least one center")
     if R < 0:

@@ -134,8 +134,8 @@ def assignment_gf(
     1. Two screens give the boundary without building an LP, and each
        rejects only radii whose LP the solver rejects too.
        `dead_center_radius` gives in closed form the radius below which
-       some point admits only dead centers; the smallest candidate at or
-       above both it and the covering radius is the first one left.
+       some point admits only dead centers, never below the covering
+       radius; the smallest candidate at or above it is the first one left.
        From there, the boundary is the first candidate that
        `forced_mass_rejects` lets through: it is tried at that candidate
        first and, only when it rejects it, galloped and bisected upward,
@@ -175,12 +175,12 @@ def assignment_gf(
     S = [operator.index(i) for i in S]
     if not S:
         raise ValueError("need at least one center")
-    if not _global_proportions_ok(inst, gfb):
-        raise InfeasibleError("global color proportions violate the bounds")
     if len(set(S)) < len(S):
         raise ValueError("duplicate centers")
     if not all(0 <= i < inst.n for i in S):
         raise ValueError("center id outside [0, n)")
+    if not _global_proportions_ok(inst, gfb):
+        raise InfeasibleError("global color proportions violate the bounds")
 
     if len(S) == 1:
         c = S[0]
@@ -188,14 +188,8 @@ def assignment_gf(
         return Solution(centers=(c,), assign=assign), float(inst.dist[c].max())
 
     dist_S = inst.dist[S]
-    cands = np.unique(dist_S)
-    # No radius below the covering radius (itself a candidate) assigns every point.
-    r_cover = float(dist_S.min(axis=0).max())
-    admits = cands + 1e-12  # the candidate radius i admits d when d <= admits[i]
-    boundary = max(
-        int(np.searchsorted(cands, r_cover)),
-        int(np.searchsorted(admits, dead_center_radius(dist_S, inst.colors, gfb))),
-    )
+    cands = np.unique(dist_S)  # cands[i] admits d when searchsorted(cands, d) <= i
+    boundary = int(np.searchsorted(cands, dead_center_radius(dist_S, inst.colors, gfb)))
     last = len(cands) - 1
     if boundary <= last:
         boundary = _first_let_through(
@@ -221,7 +215,7 @@ def assignment_gf(
         while True:
             top = min(last, lo + width)
             lp, pairs = build_assignment_lp(inst, S, float(cands[top]), gfb)
-            first = np.searchsorted(admits, inst.dist[pairs[:, 0], pairs[:, 1]])
+            first = np.searchsorted(cands, inst.dist[pairs[:, 0], pairs[:, 1]])
             step = first_feasible_step(
                 lp, np.maximum(first - lo, 0), nearest_admissible_start(inst, pairs)
             )

@@ -67,7 +67,7 @@ def dense(rows):
 
 def dead_centers_reject(dist_S, colors, R, gfb):
     """The dead-center screen's verdict at R, as the radius search reads it."""
-    return dead_center_radius(dist_S, colors, gfb) > R + 1e-12
+    return dead_center_radius(dist_S, colors, gfb) > R
 
 
 def write_far_apart_csv(path, n=1100):

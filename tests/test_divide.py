@@ -61,6 +61,16 @@ class TestSmallCases:
         with pytest.raises(InvalidSubset):
             divide(inst, [0], 5, [5, 0])
 
+    def test_non_integer_ids_rejected(self):
+        inst = zero_instance([0, 1, 0], 2)
+        with pytest.raises(TypeError):  # used to deal the points to 0 and 1
+            divide(inst, [0.0, 1.5, 2.2], 0, [0, 1.9])
+        for args in (([0, 1, 2], 0.0, [0, 1]), ([0, 1, 2], 0, [0, 1.0])):
+            with pytest.raises(TypeError):
+                divide(inst, *args)
+        out = divide(inst, [np.int64(0), 1, 2], np.int32(0), [0, np.int64(1)])
+        assert set(out.values()) == {0, 1}
+
     def test_anchor_outside_cluster_allowed(self):
         inst = zero_instance([0, 1, 0, 1], 2)
         out = divide(inst, [0, 1, 2], 3, [3, 1])

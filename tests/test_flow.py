@@ -295,6 +295,13 @@ class TestMaxFlowGF:
         assign = max_flow_gf(fa, inst, Q)
         assert {j: int(assign[j]) for j in range(inst.n)} == want
 
+    def test_non_integer_center_id_rejected(self):
+        inst = gen_random(4, 2, 2, [0.5, 0.5], seed=2)
+        fa = from_entries(inst.n, {(0, j): 1.0 for j in range(inst.n)})
+        with pytest.raises(TypeError):  # used to round onto center 0
+            max_flow_gf(fa, inst, [0.9])
+        assert max_flow_gf(fa, inst, [np.int64(0)]).tolist() == [0] * inst.n
+
     def test_uniform_half_split_forces_one_per_color(self):
         inst = Instance(
             dist=np.zeros((4, 4)), colors=[0, 0, 1, 1], m=2

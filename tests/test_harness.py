@@ -10,6 +10,7 @@ import pytest
 
 from conftest import write_far_apart_csv
 from fairkc import harness, solvers
+from fairkc.audit import audit_all
 from fairkc.core import ExperimentConfig, InfeasibleError, Instance
 from fairkc.divide import InvalidSubset
 from fairkc.flow import InternalInfeasible
@@ -218,6 +219,29 @@ class TestExperiment:
         blind = {r.k: r for r in report.rows if r.algorithm == "color-blind"}
         assert blind[3].status == "ok"
         assert blind[10].status == "ok" and blind[10].cost == 0.0  # k = n: every point a center
+
+    def test_reports_scale_exactly(self):
+        # a power of two scales every distance, sum and quotient exactly, and
+        # a pair is admitted when d <= R with no margin, so each row and audit
+        # is the unscaled one, its costs times 2**e; an absolute margin would
+        # admit extra pairs once the distances shrink toward it
+        rng = np.random.default_rng(3)
+        for _ in range(60):
+            n, m, k = int(rng.integers(6, 20)), int(rng.integers(2, 4)), int(rng.integers(2, 7))
+            inst = gen_random(n, m, 2, np.full(m, 1.0 / m), seed=int(rng.integers(2**31)))
+            cfg = ExperimentConfig(k_values=(k,), delta=0.2, theta=0.5)
+            rows = run_experiment(inst, cfg).rows
+            audits = audit_all(inst, gonzalez(inst, k), k)
+            for e in (-60, -40, -30, 40):
+                scaled = Instance(dist=inst.dist * 2.0**e, colors=inst.colors, m=m)
+                for want, got in zip(rows, run_experiment(scaled, cfg).rows, strict=True):
+                    assert (got.status, got.gf_violation, got.ds_violation, got.pof) == (
+                        want.status, want.gf_violation, want.ds_violation, want.pof
+                    ), (n, m, k, e, want.algorithm)
+                    assert got.cost == (None if want.cost is None else want.cost * 2.0**e)
+                assert audit_all(scaled, gonzalez(scaled, k), k) == {
+                    **audits, "socially_fair_cost": audits["socially_fair_cost"] * 2.0**e
+                }
 
     def test_json_roundtrip_and_schema(self, small_report, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")

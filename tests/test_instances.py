@@ -53,7 +53,25 @@ class TestLCommunity:
             assert cost(inst, sol) == 0.0
 
 
+# sha256 of the distance bytes, then the int64 color bytes, of
+# gen_proportional_gadget(k, group_size, R, alpha_ap)
+GADGET_SHA256 = [
+    ((5, 1, 1.0, 1.0), "fb5559a41054f9629e954bd91719e97310920a5105f0c562f9299314da92230d"),
+    ((7, 2, 0.3, 1 / 3), "ac0689b6ac12122d81d4bd3a64b0aa9e7bb7ad0f0b29e5f2d45e763516abacbe"),
+    ((8, 3, 7.5, 2.5), "d9dcc952e458222ead0a3cd6c0a194f667d78a2864fb3be7e29881f62c79d46e"),
+    ((11, 1, 0.3, 0.25), "f83aff0483c95e26bea3c7ab407e6f4d13ecef2885b5783380c8b96fa14f3730"),
+    ((10, 2, 1.0, 0.25), "6c182ea0f9e8fdda1d722805c3ef38b53a10d4709b3296620991e47648ff8883"),
+    ((9, 3, 0.3, 2.5), "6ee00a4b506318798f26c9199cd02c73729ff0539007bb072283ce128ddf8f5d"),
+]
+
+
 class TestProportionalGadget:
+    @pytest.mark.parametrize("args, want", GADGET_SHA256)
+    def test_pinned_bytes(self, args, want):
+        inst = gen_proportional_gadget(*args)
+        digest = hashlib.sha256(inst.dist.tobytes() + inst.colors.astype(np.int64).tobytes())
+        assert digest.hexdigest() == want
+
     def test_structure(self):
         inst = gen_proportional_gadget(5, 1, 1.0, 1.0)
         counts = inst.color_counts()

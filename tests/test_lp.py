@@ -366,6 +366,15 @@ class TestAssignmentLp:
         with pytest.raises(EmptyRow):
             build_assignment_lp(inst, [0], 1.0, gfb)
 
+    def test_non_integer_center_id_rejected(self):
+        inst = gen_random(6, 2, 2, [0.5, 0.5], seed=5)
+        gfb = GFBounds(beta=[0.4, 0.4], alpha=[0.6, 0.6])
+        R = float(inst.dist.max())
+        with pytest.raises(TypeError):  # used to build the LP for centers 0 and 4
+            build_assignment_lp(inst, [0.7, 4.2], R, gfb)
+        _, pairs = build_assignment_lp(inst, [np.int64(0), np.int32(4)], R, gfb)
+        assert set(pairs[:, 0].tolist()) == {0, 4}
+
     def test_full_radius_admits_uniform_split(self, rng):
         inst = gen_random(12, 2, 2, [0.5, 0.5], seed=5)
         gfb = GFBounds(beta=[0.4, 0.4], alpha=[0.6, 0.6])
@@ -449,7 +458,7 @@ def radii_from_cover(inst, S):
 def point_classes(inst, S, R):
     """First member of each point's class: same color, same admissible centers."""
     first = {}
-    masks = (inst.dist[S] <= R + 1e-12).T
+    masks = (inst.dist[S] <= R).T
     keys = [(int(c), *mask) for c, mask in zip(inst.colors, masks)]
     return np.asarray([first.setdefault(key, j) for j, key in enumerate(keys)])
 
@@ -466,7 +475,7 @@ def reference_lp(inst, S, R, gfb, aggregate):
     cls = point_classes(inst, S, R) if aggregate else np.arange(inst.n)
     size = np.bincount(cls, minlength=inst.n)
     reps = list(dict.fromkeys(cls.tolist()))  # classes in order of first member
-    pairs = [(i, j) for i in S for j in reps if inst.dist[i, j] <= R + 1e-12]
+    pairs = [(i, j) for i in S for j in reps if inst.dist[i, j] <= R]
     rows, rhs = [], []
     for i in S:
         block = [v for v, (c, _) in enumerate(pairs) if c == i]
@@ -741,7 +750,7 @@ class TestWalk:
             S = list(S)
             radii = radii_from_cover(inst, S)
             lp, pairs = build_assignment_lp(inst, S, float(radii[-1]), gfb)
-            steps = np.searchsorted(radii + 1e-12, inst.dist[pairs[:, 0], pairs[:, 1]])
+            steps = np.searchsorted(radii, inst.dist[pairs[:, 0], pairs[:, 1]])
             got = first_feasible_step(lp, steps, nearest_admissible_start(inst, pairs))
             want = next(
                 i for i, R in enumerate(radii) if verdict(inst, S, float(R), gfb, aggregate=False)

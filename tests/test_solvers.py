@@ -134,23 +134,25 @@ class TestAssignmentGF:
         with pytest.raises(InfeasibleError):
             assignment_gf(inst, [0], gfb)
 
-    def test_repeated_center_rejected_after_the_global_check(self):
+    def test_repeated_center_rejected_before_the_global_check(self):
         inst = Instance(dist=np.zeros((4, 4)), colors=[0, 1, 0, 1], m=2)
         fair = GFBounds(beta=[0.5, 0.5], alpha=[0.5, 0.5])
+        off = GFBounds(beta=[0.6, 0.1], alpha=[0.9, 0.4])  # the proportions break these
+        with pytest.raises(InfeasibleError, match="global color proportions"):
+            assignment_gf(inst, [0, 1], off)
         for S in ([1, 1], [0, 2, 0], [3, 2, 3, 3]):
-            with pytest.raises(ValueError, match="duplicate centers"):
-                assignment_gf(inst, S, fair)
-            with pytest.raises(InfeasibleError):  # the proportions are checked first
-                assignment_gf(inst, S, GFBounds(beta=[0.6, 0.1], alpha=[0.9, 0.4]))
+            for gfb in (fair, off):  # S is checked first
+                with pytest.raises(ValueError, match="duplicate centers"):
+                    assignment_gf(inst, S, gfb)
 
     def test_center_id_past_the_last_point_rejected(self):
         inst = Instance(dist=np.zeros((4, 4)), colors=[0, 1, 0, 1], m=2)
         fair = GFBounds(beta=[0.5, 0.5], alpha=[0.5, 0.5])
+        off = GFBounds(beta=[0.6, 0.1], alpha=[0.9, 0.4])  # the proportions break these
         for S in ([0, 4], [9], [1, 2, 40]):
-            with pytest.raises(ValueError, match=r"center id outside \[0, n\)"):
-                assignment_gf(inst, S, fair)
-            with pytest.raises(InfeasibleError):  # the proportions are checked first
-                assignment_gf(inst, S, GFBounds(beta=[0.6, 0.1], alpha=[0.9, 0.4]))
+            for gfb in (fair, off):  # S is checked first
+                with pytest.raises(ValueError, match=r"center id outside \[0, n\)"):
+                    assignment_gf(inst, S, gfb)
 
     def test_negative_center_id_rejected(self):
         inst = Instance(dist=np.zeros((4, 4)), colors=[0, 1, 0, 1], m=2)
@@ -566,7 +568,7 @@ def center_sets(inst, cfg, k):
 def mask_dead_centers_reject(dist_S, colors, R, gfb):
     """The screen on the admissibility mask, center by center: the reference."""
     counted = gfb.beta * (1.0 - FEAS_TOL) > len(dist_S) * FEAS_TOL
-    adm = dist_S <= R + 1e-12
+    adm = dist_S <= R
     live = np.ones(len(dist_S), dtype=bool)
     for h in np.flatnonzero(counted):
         live &= adm[:, colors == h].any(axis=1)
@@ -598,7 +600,7 @@ def mask_forced_mass_rejects(dist_S, colors, R, gfb):
     k, m = len(dist_S), gfb.m
     if not np.all(gfb.beta * (1.0 - FEAS_TOL) > k * FEAS_TOL):
         return False
-    adm = dist_S <= R + 1e-12
+    adm = dist_S <= R
     if not adm.any(axis=0).all():
         return True
     alone = adm.sum(axis=0) == 1
@@ -867,12 +869,7 @@ def walk_search(inst, S, gfb):
         return float(inst.dist[S[0]].max()), np.full(inst.n, S[0], dtype=int)
     dist_S = inst.dist[S]
     cands = np.unique(dist_S)
-    r_cover = float(dist_S.min(axis=0).max())
-    admits = cands + 1e-12
-    boundary = max(
-        int(np.searchsorted(cands, r_cover)),
-        int(np.searchsorted(admits, dead_center_radius(dist_S, inst.colors, gfb))),
-    )
+    boundary = int(np.searchsorted(cands, dead_center_radius(dist_S, inst.colors, gfb)))
     last = len(cands) - 1
     if boundary > last:
         raise InfeasibleError("assignment LP infeasible at every radius")
@@ -886,7 +883,7 @@ def walk_search(inst, S, gfb):
         while True:
             top = min(last, lo + width)
             lp, pairs = build_assignment_lp(inst, S, float(cands[top]), gfb)
-            first = np.searchsorted(admits, inst.dist[pairs[:, 0], pairs[:, 1]])
+            first = np.searchsorted(cands, inst.dist[pairs[:, 0], pairs[:, 1]])
             step = first_feasible_step(
                 lp, np.maximum(first - lo, 0), nearest_admissible_start(inst, pairs)
             )
@@ -989,7 +986,7 @@ class TestForcedMassScreen:
         got = recorded(boundary_first_search)
         assert got == recorded(walk_search) and len(got[1]) == 3  # solve, walk, solve
         boundary = got[1][0][0]
-        adm = inst.dist[S] <= boundary + 1e-12
+        adm = inst.dist[S] <= boundary
         onehot = (inst.colors[:, None] == np.arange(gfb.m)).astype(float)
         alone = adm.sum(axis=0) == 1
         lower, upper = forced_mass_bounds(adm @ onehot, adm[:, alone] @ onehot[alone], gfb)
