@@ -455,8 +455,6 @@ class ExperimentConfig:
         r = inst.color_counts() / inst.n
         beta = (1.0 - self.delta) * r
         alpha = np.minimum(1.0, (1.0 + self.delta) * r)
-        if np.any(beta <= 0.0):
-            raise ValueError("delta leaves a color with a zero lower bound")
         return GFBounds(beta=beta, alpha=alpha)
 
     def ds_bounds(self, inst: Instance, k: int) -> DSBounds:
@@ -516,15 +514,28 @@ def pof(cost_constrained: float, cost_blind: float) -> float:
     return cost_constrained / cost_blind
 
 
+def nearest_positions(S: Sequence[int], dist_S: np.ndarray) -> np.ndarray:
+    """Per point, the position in S of its nearest center.
+
+    dist_S holds the rows of the distance matrix of the centers S, which are
+    distinct.  Ties go to the lower center id: one argmin over the rows
+    sorted by id.  This is the package's one nearest-center rule, read from
+    the centers' rows by Gonzalez, ALG-DS and the radius search alike.  At
+    every radius from the covering one up that center is admissible.
+    """
+    order = np.argsort(S)
+    return order[dist_S[order].argmin(axis=0)]
+
+
 def nearest_center_assignment(inst: Instance, centers: Sequence[int]) -> np.ndarray:
-    """Assign every point to its nearest center.
+    """Assign every point to its nearest center (`nearest_positions`).
 
     A point that is itself a center is assigned to itself; other ties go to
     the lowest center index.  Self-assignment keeps every center active even
-    between coinciding points.
+    between coinciding points.  Reading the centers' rows d(c, j), Gonzalez
+    sees the search's distances even on a matrix symmetric only within TOL.
     """
-    ordered = np.sort(np.fromiter(centers, dtype=int))
-    best = np.argmin(inst.dist[:, ordered], axis=1)  # first minimum: lowest center index
-    assign = ordered[best]
-    assign[ordered] = ordered
+    S = np.fromiter(centers, dtype=int)
+    assign = S[nearest_positions(S, inst.dist[S])]
+    assign[S] = S
     return assign

@@ -133,7 +133,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FairKCError, GFBounds, Instance
+from .core import FairKCError, GFBounds, Instance, nearest_positions
 
 FEAS_TOL = 1e-7
 PIV_TOL = 1e-9
@@ -698,18 +698,6 @@ def build_assignment_lp(
         is_eq=is_eq,
     )
     return lp, pairs
-
-
-def nearest_positions(S: Sequence[int], dist_S: np.ndarray) -> np.ndarray:
-    """Per point, the position in S of its nearest center: the start rule.
-
-    dist_S holds the rows of the distance matrix of the centers S, which are
-    distinct.  Ties go to the lower center id: one argmin over the rows
-    sorted by id.  At every radius from the covering one up that center is
-    admissible.
-    """
-    order = np.argsort(S)
-    return order[dist_S[order].argmin(axis=0)]
 
 
 def nearest_admissible_start(inst: Instance, pairs: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from .core import (
     Instance,
     Solution,
     nearest_center_assignment,
+    nearest_positions,
 )
 from .divide import divide
 from .flow import max_flow_gf
@@ -28,7 +29,6 @@ from .lp import (
     first_feasible_step,
     forced_mass_rejects,
     nearest_admissible_start,
-    nearest_positions,
     nearest_start_clears,
     solve_feasibility,
 )
@@ -129,7 +129,8 @@ def assignment_gf(
     Finds the smallest R among the sorted center-to-point distances whose
     assignment LP is feasible, then rounds the fractional solution to an
     integral assignment (additive violation at most 2, radius unchanged).
-    The search has three stages:
+    The search has three stages, for one center too, which gets every point
+    at its largest distance:
 
     1. Two screens give the boundary without building an LP, and each
        rejects only radii whose LP the solver rejects too.
@@ -164,7 +165,8 @@ def assignment_gf(
 
     Raises TypeError when a center id is not an integer (`operator.index`),
     ValueError when S is empty, lists a center twice or names one outside
-    [0, n), and InfeasibleError when even the largest radius fails, i.e.
+    [0, n), or when gfb bounds another number of colors than the instance
+    has, and InfeasibleError when even the largest radius fails, i.e.
     when the global color proportions fall outside the bounds or the
     screens reject every radius.  Raises NumericFailure when the point-level
     LP rejects the radius the walk accepted, the boundary included, or when
@@ -179,24 +181,21 @@ def assignment_gf(
         raise ValueError("duplicate centers")
     if not all(0 <= i < inst.n for i in S):
         raise ValueError("center id outside [0, n)")
+    if gfb.m != inst.m:
+        raise ValueError("the bounds and the instance differ in their number of colors")
     if not _global_proportions_ok(inst, gfb):
         raise InfeasibleError("global color proportions violate the bounds")
 
-    if len(S) == 1:
-        c = S[0]
-        assign = np.full(inst.n, c, dtype=int)
-        return Solution(centers=(c,), assign=assign), float(inst.dist[c].max())
-
     dist_S = inst.dist[S]
     cands = np.unique(dist_S)  # cands[i] admits d when searchsorted(cands, d) <= i
+    # V is an entry of dist_S, as every color has a point, so boundary <= last
     boundary = int(np.searchsorted(cands, dead_center_radius(dist_S, inst.colors, gfb)))
     last = len(cands) - 1
-    if boundary <= last:
-        boundary = _first_let_through(
-            lambda i: forced_mass_rejects(dist_S, inst.colors, float(cands[i]), gfb),
-            boundary,
-            last,
-        )
+    boundary = _first_let_through(
+        lambda i: forced_mass_rejects(dist_S, inst.colors, float(cands[i]), gfb),
+        boundary,
+        last,
+    )
     if boundary > last:
         raise InfeasibleError("assignment LP infeasible at every radius")
     near, R = nearest_positions(S, dist_S), float(cands[boundary])

@@ -120,13 +120,29 @@ class TestAssignmentGF:
         assert R == 0.0 and cost(inst, sol) == 0.0
         assert gf_violation(inst, gfb, sol) == 0.0
 
-    def test_single_center_forced_assignment(self, rng):
-        inst = random_instance(rng, n=11, m=2)
-        gfb = wide_bounds(inst)
-        sol, R = assignment_gf(inst, [4], gfb)
-        assert R == pytest.approx(float(inst.dist[4].max()))
-        assert np.all(sol.assign == 4)
-        assert gf_violation(inst, gfb, sol) == 0.0
+    @pytest.mark.parametrize("delta", [0.0, 1e-6, 0.2, 1.0 - 1e-6])
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_single_center_forced_assignment(self, delta, grid):
+        # one center goes through the general search: every point on it, at
+        # exactly its largest distance; on a 3 x 3 integer grid many points
+        # coincide and many distances tie
+        rng = np.random.default_rng(int(grid))
+        for _ in range(25):
+            m = int(rng.integers(2, 5))
+            n = int(rng.integers(m, 25))
+            props = rng.dirichlet(np.ones(m))
+            inst = gen_random(n, m, 2, props / props.sum(), seed=int(rng.integers(2**31)))
+            if grid:
+                pts = rng.integers(0, 3, size=(n, 2))
+                inst = Instance(dist=euclidean_distances(pts), colors=inst.colors, m=m)
+            gfb = ExperimentConfig(k_values=(1,), delta=delta).gf_bounds(inst)
+            r = inst.color_counts() / n
+            assert np.all(gfb.beta <= r) and np.all(r <= gfb.alpha)  # so no InfeasibleError
+            c = int(rng.integers(n))
+            sol, R = assignment_gf(inst, [c], gfb)
+            assert R == inst.dist[c].max()
+            assert sol.centers == (c,) and np.all(sol.assign == c)
+            assert gf_violation(inst, gfb, sol) == 0.0
 
     def test_single_center_infeasible_when_globals_outside(self):
         inst = Instance(dist=np.zeros((4, 4)), colors=[0, 0, 0, 1], m=2)
@@ -152,6 +168,17 @@ class TestAssignmentGF:
         for S in ([0, 4], [9], [1, 2, 40]):
             for gfb in (fair, off):  # S is checked first
                 with pytest.raises(ValueError, match=r"center id outside \[0, n\)"):
+                    assignment_gf(inst, S, gfb)
+
+    def test_bounds_for_another_color_count_rejected(self):
+        one = Instance(dist=np.zeros((4, 4)), colors=[0, 0, 0, 0], m=1)
+        two = Instance(dist=np.zeros((4, 4)), colors=[0, 1, 0, 1], m=2)
+        for inst, gfb in (
+            (one, GFBounds(beta=[0.5, 0.5], alpha=[1.0, 1.0])),
+            (two, GFBounds(beta=[0.5], alpha=[1.0])),
+        ):
+            for S in ([0], [0, 1]):
+                with pytest.raises(ValueError, match="number of colors"):
                     assignment_gf(inst, S, gfb)
 
     def test_negative_center_id_rejected(self):
@@ -613,22 +640,26 @@ def mask_forced_mass_rejects(dist_S, colors, R, gfb):
     return False
 
 
+def fuzz_grid_searches():
+    """(inst, S, gfb) over the shapes of the fuzz-small benchmark workload:
+    n in [4, 24], m in {2, 3, 4}, delta in {0, 0.05, 0.3}, one k in
+    [2, min(n, 8)], and the center sets of `center_sets`."""
+    design, rng = np.random.default_rng(20230530), np.random.default_rng(1)
+    for i in range(54):
+        delta, m = (0.0, 0.05, 0.3)[i % 3], (2, 3, 4)[i // 3 % 3]
+        n = int(design.integers(4, 25))
+        k = int(design.integers(2, min(n, 8) + 1))
+        props = design.dirichlet(np.ones(m))
+        inst = gen_random(n, m, 2, props / props.sum(), seed=int(rng.integers(2**31)))
+        cfg = ExperimentConfig(k_values=(k,), delta=delta, theta=0.5)
+        gfb = cfg.gf_bounds(inst)
+        for S in center_sets(inst, cfg, k):
+            yield inst, S, gfb
+
+
 class TestDeadCenterScreen:
     def test_fuzz_grid(self):
-        # the shapes of the fuzz-small benchmark workload: n in [4, 24],
-        # m in {2, 3, 4}, delta in {0, 0.05, 0.3}, one k in [2, min(n, 8)]
-        design, rng = np.random.default_rng(20230530), np.random.default_rng(1)
-        screened = 0
-        for i in range(54):
-            delta, m = (0.0, 0.05, 0.3)[i % 3], (2, 3, 4)[i // 3 % 3]
-            n = int(design.integers(4, 25))
-            k = int(design.integers(2, min(n, 8) + 1))
-            props = design.dirichlet(np.ones(m))
-            inst = gen_random(n, m, 2, props / props.sum(), seed=int(rng.integers(2**31)))
-            cfg = ExperimentConfig(k_values=(k,), delta=delta, theta=0.5)
-            gfb = cfg.gf_bounds(inst)
-            for S in center_sets(inst, cfg, k):
-                screened += screened_radii(inst, S, gfb)
+        screened = sum(screened_radii(inst, S, gfb) for inst, S, gfb in fuzz_grid_searches())
         assert screened > 0
 
     def test_adult_mini(self):
@@ -942,18 +973,10 @@ class TestForcedMassScreen:
 
     def test_forced_mass_rejects_only_infeasible_radii_on_the_fuzz_grid(self):
         # as TestDeadCenterScreen.test_fuzz_grid, over every radius this screen rejects
-        design, rng = np.random.default_rng(20230530), np.random.default_rng(1)
-        screened = 0
-        for i in range(54):
-            delta, m = (0.0, 0.05, 0.3)[i % 3], (2, 3, 4)[i // 3 % 3]
-            n = int(design.integers(4, 25))
-            k = int(design.integers(2, min(n, 8) + 1))
-            props = design.dirichlet(np.ones(m))
-            inst = gen_random(n, m, 2, props / props.sum(), seed=int(rng.integers(2**31)))
-            cfg = ExperimentConfig(k_values=(k,), delta=delta, theta=0.5)
-            gfb = cfg.gf_bounds(inst)
-            for S in center_sets(inst, cfg, k):
-                screened += screened_radii(inst, S, gfb, forced_mass_rejects)
+        screened = sum(
+            screened_radii(inst, S, gfb, forced_mass_rejects)
+            for inst, S, gfb in fuzz_grid_searches()
+        )
         assert screened > 0
 
     def test_forced_mass_rejects_only_infeasible_radii_on_adult(self):
